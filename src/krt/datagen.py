@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class LabeledExample:
     image_id: int
     features: np.ndarray  # [h, w, c] float32
     labels: set  # true labels over the global class universe
-    pseudo: set = field(default_factory=set)  # restored old-class labels
 
 
 @dataclass

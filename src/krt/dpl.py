@@ -1,13 +1,14 @@
 """Dynamic pseudo-label generation.
 
-The frozen previous model scores each training image against every class
-learned so far; scores at or above a threshold become pseudo labels. The
-threshold starts at 0.8 and walks in 1e-2 steps until the average number
-of pseudo labels per image lands within 1e-1 of the session target
-mu_t = (old classes / all classes) * mu.
-
-Everything here is a pure function of the score matrix; the walk itself
-is sequential but images may be scored in parallel upstream.
+The frozen previous model scores each training image once per session
+against every old class; scores at or above a threshold become pseudo
+labels. The threshold starts at 0.8 and walks in 1e-2 steps until the
+average number of pseudo labels per image lands within 1e-1 of the session
+target mu_t = (old classes / all classes) * mu. Everything here is a pure
+function of that score matrix: the walk counts cells at each threshold
+eta_init + k * eta_step (integer k, rounded to 12 decimals, clamped to the
+bounds) and builds the per-image label sets once, at the threshold it
+settles on.
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ def generate_pseudo_labels(scores: np.ndarray, eta: float, exclude=None) -> list
     return sets
 
 
-def _beta(label_sets: list) -> float:
-    return sum(len(s) for s in label_sets) / len(label_sets)
-
-
 def dynamic_threshold_search(
     scores: np.ndarray, config: DplConfig, mu_t: float, exclude=None
 ) -> PseudoLabelReport:
@@ -103,42 +100,48 @@ def dynamic_threshold_search(
     seen (smallest |beta - mu_t|) is returned with converged=False.
     """
     scores = _validate_scores(scores)
-    if scores.shape[0] < 1:
+    n = scores.shape[0]
+    if n < 1:
         raise ValueError("need at least one image")
     lo, hi = config.eta_bounds
+    eligible = scores.copy()  # excluded cells never reach a threshold
+    for i, cols in enumerate(exclude or []):
+        eligible[i, list(cols)] = -np.inf
 
-    eta = config.eta_init
-    sets = generate_pseudo_labels(scores, eta, exclude)
-    beta = _beta(sets)
-    best = (abs(beta - mu_t), eta, beta, sets)
+    def eta_at(k: int) -> float:
+        # rounding drops the float residue: 0.8 - 9 * 0.01 reads 0.71, not 0.7100000000000001
+        return min(max(round(config.eta_init + k * config.eta_step, 12), lo), hi)
+
+    def beta_at(eta: float) -> float:
+        return int(np.count_nonzero(eligible >= eta)) / n
+
+    k, eta = 0, eta_at(0)
+    beta = beta_at(eta)
+    best = (abs(beta - mu_t), eta, beta)
     iterations = 0
 
     while abs(beta - mu_t) > config.tolerance and iterations < config.max_iters:
-        step = config.eta_step if beta > mu_t else -config.eta_step
-        nxt = eta + step
-        if nxt < lo or nxt > hi:
-            clamped = min(max(nxt, lo), hi)
-            if clamped == eta:
-                break  # already at the bound and pushed outwards
-            nxt = clamped
-        eta = nxt
-        sets = generate_pseudo_labels(scores, eta, exclude)
-        beta = _beta(sets)
+        k_next = k + 1 if beta > mu_t else k - 1
+        nxt = eta_at(k_next)
+        if nxt == eta:
+            break  # already at the bound and pushed outwards
+        k, eta = k_next, nxt
+        beta = beta_at(eta)
         iterations += 1
         gap = abs(beta - mu_t)
         if gap < best[0] - 1e-12:
-            best = (gap, eta, beta, sets)
+            best = (gap, eta, beta)
 
-    converged = abs(beta - mu_t) <= config.tolerance
+    converged = bool(abs(beta - mu_t) <= config.tolerance)
     if not converged:
-        _, eta, beta, sets = best
+        _, eta, beta = best
     return PseudoLabelReport(
-        final_eta=eta,
-        beta=beta,
+        final_eta=float(eta),
+        beta=float(beta),
         mu_t=mu_t,
         iterations=iterations,
         converged=converged,
-        label_sets=sets,
+        label_sets=generate_pseudo_labels(scores, eta, exclude),
     )
 
 

@@ -24,7 +24,6 @@ class LossConfig:
     gamma_pos: float = 0.0
     gamma_neg: float = 4.0
     lam: float = 100.0  # weight of the token loss
-    clamp_eps: float = 1e-7
     neg_margin: float = 0.0  # optional probability shift on negatives, off by default
     per_session_average: bool = False  # alternative token-loss reduction
 

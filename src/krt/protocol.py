@@ -449,27 +449,32 @@ def _session_items(plan: SessionPlan, train: Dataset, t: int, buffer: RehearsalB
     return items
 
 
-def _score_old_classes(snapshot: ModelState, items, batch_size: int) -> np.ndarray:
-    """Old-class probabilities from the frozen previous model (no tape)."""
-    chunks = []
-    for lo in range(0, len(items), batch_size):
-        batch = items[lo : lo + batch_size]
-        images = np.stack([it.features for it in batch])
-        logits = forward_logits(snapshot, images).logits
-        chunks.append(T.sigmoid(logits).data)
-    return np.concatenate(chunks, axis=0)
+def teacher_pass(snapshot: ModelState, features: np.ndarray, chunk: int) -> tuple:
+    """One tape-free pass of the frozen previous model over a session's images.
+
+    Returns arrays indexed like `features`: old-class probabilities [N, K],
+    per-session embeddings (a list of [N, d], empty on pooled-path arms) and
+    pooled features [N, d] (None when the snapshot has none).
+    """
+    starts = range(0, len(features), chunk)
+    outs = [forward_logits(snapshot, features[lo : lo + chunk]) for lo in starts]
+    probs = np.concatenate([T.sigmoid(o.logits).data for o in outs])
+    embeddings = [np.concatenate([e.data for e in es]) for es in zip(*(o.embeddings for o in outs))]
+    pooled = None if outs[0].pooled is None else np.concatenate([o.pooled.data for o in outs])
+    return probs, embeddings, pooled
 
 
 def run_dpl(
-    snapshot: ModelState,
+    scores: np.ndarray,
     items: list,
     old_classes: list,
     n_all_classes: int,
     dpl_config: DplConfig,
-    batch_size: int = 64,
 ) -> PseudoLabelReport:
-    """Restore old-class labels onto the session's items (mutates them)."""
-    scores = _score_old_classes(snapshot, items, batch_size)
+    """Restore old-class labels onto the session's items (mutates them).
+
+    `scores` holds the snapshot's old-class probabilities, one row per item.
+    """
     col_of = {cls: k for k, cls in enumerate(old_classes)}
     exclude = [{col_of[c] for c in it.visible if c in col_of} for it in items]
     mu_t = session_target(len(old_classes), n_all_classes, dpl_config.mu)
@@ -530,19 +535,21 @@ def train_session(
     col_of = {cls: k for k, cls in enumerate(classes_now)}
     old_classes = plan.classes_through(t - 1)
 
+    features = np.stack([it.features for it in items])
+    use_dpl = model.flags.use_dpl and t >= 2
+    use_token = model.flags.use_ica and t >= 2
+    use_kd = model.flags.use_kd and t >= 2
+    if use_dpl or use_token or use_kd:
+        chunk = 4 * config.batch_size
+        old_probs, prev_embeddings, prev_pooled = teacher_pass(snapshot, features, chunk)
+
     dpl_report = None
-    if model.flags.use_dpl and t >= 2:
-        dpl_report = run_dpl(
-            snapshot, items, old_classes, len(plan.class_order), config.dpl,
-            batch_size=config.batch_size * 4,
-        )
+    if use_dpl:
+        dpl_report = run_dpl(old_probs, items, old_classes, len(plan.class_order), config.dpl)
 
     pseudo_recall = _pseudo_recall(items, train, set(old_classes)) if dpl_report else None
 
     targets = _targets(items, col_of, len(classes_now))
-    features = np.stack([it.features for it in items])
-    use_token = model.flags.use_ica and t >= 2
-    use_kd = model.flags.use_kd and t >= 2
 
     opt = Adam(model.trainable_parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     shuffle_rng = rngs["shuffle"]
@@ -550,24 +557,18 @@ def train_session(
         order = shuffle_rng.permutation(len(items))
         for lo in range(0, len(order), config.batch_size):
             sel = order[lo : lo + config.batch_size]
-            images = features[sel]
-            y = targets[sel]
-            e_prev = pooled_prev = None
-            if use_token or use_kd:
-                prev_out = forward_logits(snapshot, images)  # no tape: constants
-                e_prev = prev_out.embeddings
-                pooled_prev = prev_out.pooled
+            e_prev = [e[sel] for e in prev_embeddings] if use_token else None
             with Tape() as tape:
-                out = forward_logits(model, images)
+                out = forward_logits(model, features[sel])
                 loss = total_loss(
-                    asl_loss(T.sigmoid(out.logits), y, config.loss),
+                    asl_loss(T.sigmoid(out.logits), targets[sel], config.loss),
                     token_loss(e_prev, out.embeddings, config.loss.per_session_average)
                     if use_token else None,
                     config.loss,
                     session=t,
                 )
                 if use_kd:
-                    loss = T.add(loss, kd_pooled_loss(pooled_prev, out.pooled))
+                    loss = T.add(loss, kd_pooled_loss(prev_pooled[sel], out.pooled))
             backward(loss)
             opt.step()
             opt.zero_grad()

@@ -654,12 +654,3 @@ def uniform_param(rng: np.random.Generator, shape, fan_in: int = None, dtype=np.
     bound = 1.0 / math.sqrt(fan_in)
     data = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return Tensor(data, requires_grad=True)
-
-
-def zeros_param(shape, dtype=np.float64) -> Tensor:
-    return Tensor(np.zeros(tuple(shape), dtype=dtype), requires_grad=True)
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None

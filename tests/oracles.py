@@ -158,3 +158,42 @@ def multilabel_metrics_oracle(scores: np.ndarray, truths: np.ndarray, threshold:
 def cosine_oracle(a: np.ndarray, b: np.ndarray) -> float:
     num = float(np.dot(a.reshape(-1), b.reshape(-1)))
     return num / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+
+
+def dpl_walk_oracle(scores: np.ndarray, config, mu_t: float, exclude=None):
+    """The threshold walk with per-image label sets rebuilt at every step.
+
+    Thresholds are eta_init + k * eta_step for an integer k, rounded to 12
+    decimals and clamped to eta_bounds. Returns (final_eta, beta, iterations,
+    converged, label_sets).
+    """
+    lo, hi = config.eta_bounds
+
+    def labels_at(eta):
+        sets = []
+        for i in range(scores.shape[0]):
+            picked = {k for k in range(scores.shape[1]) if scores[i, k] >= eta}
+            if exclude is not None:
+                picked -= set(exclude[i])
+            sets.append(picked)
+        return sets, sum(len(s) for s in sets) / len(sets)
+
+    k = 0
+    eta = min(max(round(config.eta_init, 12), lo), hi)
+    sets, beta = labels_at(eta)
+    best = (abs(beta - mu_t), eta, beta, sets)
+    iterations = 0
+    while abs(beta - mu_t) > config.tolerance and iterations < config.max_iters:
+        k_next = k + 1 if beta > mu_t else k - 1
+        nxt = min(max(round(config.eta_init + k_next * config.eta_step, 12), lo), hi)
+        if nxt == eta:
+            break
+        k, eta = k_next, nxt
+        sets, beta = labels_at(eta)
+        iterations += 1
+        if abs(beta - mu_t) < best[0] - 1e-12:
+            best = (abs(beta - mu_t), eta, beta, sets)
+    converged = abs(beta - mu_t) <= config.tolerance
+    if not converged:
+        _, eta, beta, sets = best
+    return eta, beta, iterations, converged, sets

@@ -9,7 +9,7 @@ from krt.dpl import (
     session_target,
 )
 
-from oracles import dpl_grid_oracle, pseudo_count_oracle
+from oracles import dpl_grid_oracle, dpl_walk_oracle, pseudo_count_oracle
 
 
 class TestSessionTarget:
@@ -136,6 +136,61 @@ class TestThresholdSearch:
                 for cents in range(1, 100)
             ]
             assert lib == betas
+
+    @pytest.mark.parametrize("score, steps, eta", [(0.565, 24, 0.56), (0.715, 9, 0.71)])
+    def test_threshold_is_exact_grid_point(self, score, steps, eta):
+        # summed float steps read 0.5599999999999998; 0.8 - 9 * 0.01 is 0.7100000000000001
+        report = dynamic_threshold_search(np.array([[score]]), DplConfig(), mu_t=1.0)
+        assert report.converged
+        assert report.iterations == steps
+        assert report.final_eta == eta
+
+    def test_walk_down_and_back_up_reports_exact_threshold(self):
+        # beta flips 0 <-> 1 between eta 0.51 and 0.50: the walk goes down to
+        # k = -30, then oscillates up and down until the cap
+        cfg = DplConfig()
+        report = dynamic_threshold_search(np.array([[0.5]]), cfg, mu_t=0.6)
+        assert not report.converged
+        assert report.iterations == cfg.max_iters
+        assert report.final_eta == 0.5 == round(cfg.eta_init + (-30) * cfg.eta_step, 12)
+        assert report.beta == 1.0
+
+    def test_report_fields_are_python_scalars(self):
+        report = dynamic_threshold_search(np.array([[0.9, 0.3], [0.81, 0.79]]), DplConfig(), 1.0)
+        assert type(report.final_eta) is float and type(report.beta) is float
+        assert type(report.iterations) is int and type(report.converged) is bool
+
+    def test_matches_set_rebuilding_walk_oracle(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for trial in range(150):
+            m = int(rng.integers(1, 25))
+            k = int(rng.integers(1, 6))
+            scores = rng.uniform(size=(m, k))
+            if trial % 3 == 0:
+                scores = np.round(scores, 1)  # coarse scores: beta jumps, walks oscillate
+            exclude = [set(np.flatnonzero(rng.uniform(size=k) < 0.3).tolist()) for _ in range(m)]
+            exclude[0].add(int(rng.integers(k)))
+            cfg = DplConfig(
+                eta_init=float(rng.choice([0.8, 0.55, 0.33])),
+                eta_step=float(rng.choice([1e-2, 7e-2])),
+                tolerance=float(rng.choice([1e-1, 1e-2])),
+                eta_bounds=[(0.01, 0.99), (0.2, 0.9)][trial % 2],
+                max_iters=int(rng.choice([40, 500])),
+            )
+            mu_t = float(rng.uniform(0, k + 1))
+            report = dynamic_threshold_search(scores, cfg, mu_t, exclude=exclude)
+            eta, beta, iterations, converged, sets = dpl_walk_oracle(scores, cfg, mu_t, exclude)
+            got = (report.final_eta, report.beta, report.iterations, report.converged)
+            assert got == (eta, beta, iterations, converged), f"trial {trial}"
+            assert report.label_sets == sets, f"trial {trial}"
+            if converged:
+                outcomes.add("converged")
+            elif iterations == cfg.max_iters:
+                outcomes.add("cap")
+            else:
+                outcomes.add("bound")
+        assert outcomes == {"converged", "cap", "bound"}
 
     def test_determinism(self):
         rng = np.random.default_rng(6)

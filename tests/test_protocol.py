@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import krt.protocol as protocol
 from krt import tensor as T
 from krt.datagen import GenSpec, generate
 from krt.dpl import DplConfig
@@ -21,6 +24,7 @@ from krt.protocol import (
     run_incremental,
     save_checkpoint,
     snapshot_model,
+    teacher_pass,
     train_session,
 )
 from krt.seeds import substream_rng
@@ -275,6 +279,61 @@ class TestTrainSession:
         assert out2.dpl_report is not None
         assert out2.dpl_report.mu_t == pytest.approx((3 / 6) * cfg.dpl.mu)
         assert out2.pseudo_recall is None or 0.0 <= out2.pseudo_recall <= 1.0
+
+
+class TestTeacherPass:
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_snapshot_runs_once_per_session(self, monkeypatch, epochs):
+        train, test, names = tiny_data(n_train=200)
+        plan = build_plan(names, base=2, inc=2)
+        assign_examples(plan, train, test)
+        rngs = {n: substream_rng(19, n) for n in ("init", "shuffle", "buffer")}
+        model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rngs["init"])
+        cfg = tiny_config(epochs=epochs)
+        chunk = 4 * cfg.batch_size
+        seen = {"snapshot": None, "calls": 0, "rows": 0}
+        real_forward = protocol.forward_logits
+
+        def counting_forward(model_, images, *args, **kwargs):
+            if model_ is seen["snapshot"]:
+                seen["calls"] += 1
+                seen["rows"] += len(images)
+            return real_forward(model_, images, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "forward_logits", counting_forward)
+        snap = None
+        for t in range(1, plan.n_sessions + 1):
+            seen.update(snapshot=snap, calls=0, rows=0)
+            out = train_session(model, plan, t, train, test, RehearsalBuffer(), snap, cfg, rngs)
+            snap = out.snapshot
+            if t >= 2:
+                n_items = len(plan.train_indices[t - 1])
+                assert n_items > chunk
+                assert seen["rows"] == n_items
+                assert seen["calls"] == math.ceil(n_items / chunk)
+
+    @pytest.mark.parametrize(
+        "flags", [ArmFlags(), ArmFlags(use_dpl=False, use_ica=False, use_kd=True)]
+    )
+    def test_gathered_rows_match_a_batch_forward(self, flags):
+        train, _, _ = tiny_data()
+        rng = substream_rng(20, "init")
+        model = init_model((4, 4, 4), tiny_ica(), flags, rng)
+        expand_for_session(model, 3, rng)
+        expand_for_session(model, 2, rng)
+        snap = snapshot_model(model)
+        features = train.features_array(list(range(50)))
+        probs, embeddings, pooled = teacher_pass(snap, features, chunk=16)
+        sel = np.random.default_rng(0).permutation(50)[:16]
+        direct = forward_logits(snap, features[sel])
+        assert np.allclose(probs[sel], T.sigmoid(direct.logits).data, rtol=0, atol=1e-12)
+        assert len(embeddings) == len(direct.embeddings)
+        for gathered, e in zip(embeddings, direct.embeddings):
+            assert np.allclose(gathered[sel], e.data, rtol=0, atol=1e-12)
+        if flags.use_ica:
+            assert len(embeddings) == 2 and pooled is None
+        else:
+            assert np.allclose(pooled[sel], direct.pooled.data, rtol=0, atol=1e-12)
 
 
 class TestRunIncremental:
