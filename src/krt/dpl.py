@@ -95,9 +95,10 @@ def dynamic_threshold_search(
     """Walk the threshold until pseudo labels per image meet the target.
 
     Too many labels raise the threshold, too few lower it; the walk stops on
-    |beta - mu_t| <= tolerance, on leaving the threshold bounds, or at the
-    iteration cap. A non-convergent walk is not an error: the best threshold
-    seen (smallest |beta - mu_t|) is returned with converged=False.
+    |beta - mu_t| <= tolerance, on leaving the threshold bounds, at its first
+    reversal (it has then seen both thresholds it would oscillate between),
+    or at the iteration cap. A non-convergent walk is not an error: the best
+    threshold seen (smallest |beta - mu_t|) is returned with converged=False.
     """
     scores = _validate_scores(scores)
     n = scores.shape[0]
@@ -116,16 +117,19 @@ def dynamic_threshold_search(
         return int(np.count_nonzero(eligible >= eta)) / n
 
     k, eta = 0, eta_at(0)
+    k_prev = None
     beta = beta_at(eta)
     best = (abs(beta - mu_t), eta, beta)
     iterations = 0
 
     while abs(beta - mu_t) > config.tolerance and iterations < config.max_iters:
         k_next = k + 1 if beta > mu_t else k - 1
+        if k_next == k_prev:
+            break  # reversal: beta depends on eta alone, so the walk would only oscillate
         nxt = eta_at(k_next)
         if nxt == eta:
             break  # already at the bound and pushed outwards
-        k, eta = k_next, nxt
+        k_prev, k, eta = k, k_next, nxt
         beta = beta_at(eta)
         iterations += 1
         gap = abs(beta - mu_t)

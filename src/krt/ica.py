@@ -6,12 +6,24 @@ token that joins the patch sequence as key/value and is frozen once its
 session ends. Pairing the transfer token with session s's retention token
 yields that session's embedding, so a model that has seen t sessions emits
 t embeddings per image.
+
+Session s attends with the same query over {kr_s} and the same patches, so
+the keys split into two blocks: the patches, shared by every session, and
+kr_s's one row. Per head, a block's scores s_i and values v_i give its
+context c = sum_i softmax(s)_i v_i and its log-sum-exp lse = log sum_i
+exp(s_i). Softmax over the union gives each block the total weight
+exp(lse_block) / (exp(lse_r) + exp(lse_patches)), so the union's context is
+softmax([lse_r, lse_patches]) . [c_r, c_patches], exactly (the online-softmax
+merge of Milakov & Gimelshein, arXiv 1805.02867). The patch block is
+computed once per forward (`patch_side`); each session adds a one-row block
+and a two-entry softmax, so a step costs O(L + t) rather than O(t * L).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,52 +149,93 @@ def _as_batch(patches: Tensor):
     raise TensorError(f"patches must be [L,d] or [B,L,d], got {patches.shape}")
 
 
+class PatchSide(NamedTuple):
+    """What every session's attention shares: the query and the patch block."""
+
+    kt: Tensor  # normalised transfer token, [d]
+    patches: Tensor  # normalised patches, [B, L, d]
+    q: Tensor  # projected query, [l]
+    block: Tensor  # attention_block over the patches, [B, heads, dh+1]
+
+
+def _norm1(state: IcaState, t: Tensor) -> Tensor:
+    return T.layer_norm(t, state.norm1_gain, state.norm1_bias, state.config.eps_norm)
+
+
+def _attend_patches(state: IcaState, kt: Tensor, patches: Tensor) -> PatchSide:
+    """Project the query and attend over the patch rows (inputs pre-normalised)."""
+    cfg = state.config
+    q = T.matmul(kt.reshape(1, cfg.d), state.w_q).reshape(cfg.l)
+    block = T.attention_block(q, patches, state.w_k, state.w_v, cfg.heads, cfg.attn_scale)
+    return PatchSide(kt, patches, q, block)
+
+
+def patch_side(state: IcaState, patches: Tensor) -> PatchSide:
+    """The session-independent half of ICA for [L,d] or [B,L,d] patches."""
+    p3 = _as_batch(patches)[0]
+    return _attend_patches(state, _norm1(state, state.kt_token), _norm1(state, p3))
+
+
+def _attention_weights(state: IcaState, q: Tensor, kr: Tensor, patches: Tensor) -> np.ndarray:
+    """[B, heads, L+1] softmax weights, retention token first; off the tape."""
+    cfg = state.config
+    bsz, seq_len, d = patches.shape
+    seq = np.concatenate([np.broadcast_to(kr.data, (bsz, 1, d)), patches.data], axis=1)
+    keys = (seq @ state.w_k.data).reshape(bsz, seq_len + 1, cfg.heads, cfg.head_dim)
+    s = np.einsum("bnhk,hk->bhn", keys, q.data.reshape(cfg.heads, cfg.head_dim)) * cfg.attn_scale
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    return e / e.sum(axis=2, keepdims=True)
+
+
 def cross_attention(
     state: IcaState,
     kt: Tensor,
     kr: Tensor,
     patches: Tensor,
     attn_out: list = None,
+    shared: PatchSide = None,
 ) -> Tensor:
-    """Single-query multi-head cross-attention.
+    """Single-query multi-head cross-attention over {kr} and the patches.
 
     `kt` is the query row; keys/values are the retention token prepended to
     the patch rows. Inputs are expected pre-normalised by the caller.
     Returns [d] for [L,d] patches, [B,d] for [B,L,d]. When `attn_out` is a
     list, the softmax weights are appended to it as a [B, heads, L+1] array.
+
+    `shared` carries the patch block, computed here when not given. The
+    one-row block of kr has context exactly v_r and lse exactly its score
+    s_r. Merging it with the patch block through softmax_rows over
+    [lse_r, lse_patches] and weighted_rows_sum over [c_r, c_patches] is the
+    softmax over {kr} and the patches (see the module docstring), and stays
+    finite however far the two lse values lie apart, because softmax_rows
+    subtracts the row max.
     """
     cfg = state.config
     d, l, nh, dh = cfg.d, cfg.l, cfg.heads, cfg.head_dim
     if kt.shape != (d,) or kr.shape != (d,):
         raise TensorError(f"token shapes {kt.shape}/{kr.shape} do not match d={d}")
     p3, batched = _as_batch(patches)
-    bsz, seq_len, pd = p3.shape
+    bsz, _, pd = p3.shape
     if pd != d:
         raise TensorError(f"patch dim {pd} does not match d={d}")
-    n = seq_len + 1
+    if shared is None:
+        shared = _attend_patches(state, kt, p3)
 
-    q = T.matmul(kt.reshape(1, d), state.w_q)  # [1, l]
-    kr_row = kr.reshape(1, 1, d)
-    seq = T.concat([T.repeat_rows(kr_row, bsz), p3], axis=1)  # [B, n, d]
-    seq2 = seq.reshape(bsz * n, d)
-    keys = T.matmul(seq2, state.w_k)  # [B*n, l]
-    vals = T.matmul(seq2, state.w_v).reshape(bsz, n, l)
-
-    contexts = []
-    weights = [] if attn_out is not None else None
-    for h in range(nh):
-        lo, hi = h * dh, (h + 1) * dh
-        q_h = q.slice(1, lo, hi)  # [1, dh]
-        scores = T.matmul(keys.slice(1, lo, hi), T.transpose(q_h))  # [B*n, 1]
-        scores = T.scale(scores.reshape(bsz, n), cfg.attn_scale)
-        attn = T.softmax_rows(scores)  # [B, n]
-        if weights is not None:
-            weights.append(attn.data.copy())
-        contexts.append(T.weighted_rows_sum(attn, vals.slice(2, lo, hi)))  # [B, dh]
-    z = T.concat(contexts, axis=1)  # [B, l]
+    own = T.attention_block(
+        shared.q, kr.reshape(1, 1, d), state.w_k, state.w_v, nh, cfg.attn_scale
+    )  # [1, heads, dh+1]
+    blocks = T.concat(
+        [
+            T.repeat_rows(own, bsz).reshape(bsz * nh, 1, dh + 1),
+            shared.block.reshape(bsz * nh, 1, dh + 1),
+        ],
+        axis=1,
+    )  # [B*heads, 2, dh+1]
+    weights = T.softmax_rows(blocks.slice(2, dh, dh + 1).reshape(bsz * nh, 2))
+    z = T.weighted_rows_sum(weights, blocks.slice(2, 0, dh)).reshape(bsz, l)
     out = T.affine(z, state.w_o, state.b_o)  # [B, d]
-    if weights is not None:
-        attn_out.append(np.stack(weights, axis=1))
+    if attn_out is not None:
+        attn_out.append(_attention_weights(state, shared.q, kr, p3))
     return out if batched else out.reshape(d)
 
 
@@ -191,27 +244,25 @@ def ica_forward(
     session_index: int,
     patches: Tensor,
     attn_out: list = None,
+    shared: PatchSide = None,
 ) -> Tensor:
-    """Session-specific embedding: pre-norm attention plus MLP, both residual."""
+    """Session-specific embedding: pre-norm attention plus MLP, both residual.
+
+    `shared` is `patch_side(state, patches)`, computed here when not given.
+    """
     if not 1 <= session_index <= state.session_count:
         raise TensorError(
             f"session index {session_index} out of range 1..{state.session_count}"
         )
     cfg = state.config
-    p3, batched = _as_batch(patches)
-    bsz = p3.shape[0]
-
-    def norm1(t):
-        return T.layer_norm(t, state.norm1_gain, state.norm1_bias, cfg.eps_norm)
+    if shared is None:
+        shared = patch_side(state, patches)
+    bsz = shared.patches.shape[0]
 
     kt_row = state.kt_token.reshape(1, cfg.d)
     kr = state.kr_tokens[session_index - 1]
     ca = cross_attention(
-        state,
-        norm1(state.kt_token),
-        norm1(kr),
-        norm1(p3),
-        attn_out=attn_out,
+        state, shared.kt, _norm1(state, kr), shared.patches, attn_out=attn_out, shared=shared
     )  # [B, d]
     e1 = T.add(T.repeat_rows(kt_row, bsz), ca)
     h = T.layer_norm(e1, state.norm2_gain, state.norm2_bias, cfg.eps_norm)
@@ -219,13 +270,17 @@ def ica_forward(
     h = T.gelu(h)
     h = T.affine(h, state.mlp_w2, state.mlp_b2)
     e = T.add(e1, h)
-    return e if batched else e.reshape(cfg.d)
+    return e if patches.ndim == 3 else e.reshape(cfg.d)
 
 
 def forward_all_sessions(state: IcaState, patches: Tensor, attn_out: list = None) -> list:
-    """Embeddings for every session seen so far, in session order."""
+    """Embeddings for every session seen so far, in session order.
+
+    The patch block is computed once and shared by all sessions.
+    """
+    shared = patch_side(state, patches)
     return [
-        ica_forward(state, s, patches, attn_out=attn_out)
+        ica_forward(state, s, patches, attn_out=attn_out, shared=shared)
         for s in range(1, state.session_count + 1)
     ]
 

@@ -579,6 +579,70 @@ def weighted_rows_sum(weights: Tensor, values: Tensor) -> Tensor:
     return _result(np.einsum("bn,bnm->bm", weights.data, values.data), [weights, values], bwd)
 
 
+def attention_block(
+    q: Tensor, rows: Tensor, w_k: Tensor, w_v: Tensor, heads: int, scale: float
+) -> Tensor:
+    """Single-query multi-head attention over one block of key/value rows.
+
+    q:[l] is the projected query, rows:[B,n,d] the block's rows, w_k/w_v:[d,l]
+    the key/value projections. Head h scores q[h*dh:(h+1)*dh] (dh = l/heads)
+    against each row's key, times `scale`. Returns [B, heads, dh+1]: each
+    head's softmax-weighted value context, then the log-sum-exp of its
+    scores. Two blocks' results merge exactly into attention over the union
+    of their rows: the contexts weighted by the softmax of the two lse values.
+    """
+    if rows.ndim != 3 or w_k.ndim != 2 or w_v.shape != w_k.shape or q.shape != (w_k.shape[1],):
+        raise TensorError(
+            f"attention_block: bad shapes q {q.shape}, rows {rows.shape}, "
+            f"w_k {w_k.shape}, w_v {w_v.shape}"
+        )
+    bsz, n, d = rows.shape
+    l = q.shape[0]
+    if d != w_k.shape[0]:
+        raise TensorError(f"attention_block: row dim {d} does not match w_k {w_k.shape}")
+    if heads < 1 or l % heads:
+        raise TensorError(f"attention_block: {l} query dims do not split into {heads} heads")
+    dh = l // heads
+    scale = float(scale)
+    # block-diagonal [l, heads] query: one matmul scores every head at once
+    head_of = np.arange(l) // dh
+    q_cols = np.zeros((l, heads), dtype=q.data.dtype)
+    q_cols[np.arange(l), head_of] = q.data
+    x = rows.data.reshape(bsz * n, d)
+    keys = x @ w_k.data  # [B*n, l]
+    vals = (x @ w_v.data).reshape(bsz, n, heads, dh)
+    s = (keys @ q_cols).reshape(bsz, n, heads) * scale
+    m = s.max(axis=1, keepdims=True)
+    e = np.exp(s - m)
+    z = e.sum(axis=1, keepdims=True)
+    p = e / z  # [B, n, heads]
+    out = np.empty((bsz, heads, dh + 1), dtype=x.dtype)
+    out[..., :dh] = np.einsum("bnh,bnhk->bhk", p, vals)
+    out[..., dh] = (m + np.log(z))[:, 0, :]
+
+    def bwd(g, q=q, rows=rows, w_k=w_k, w_v=w_v, x=x, keys=keys, vals=vals, p=p):
+        g_ctx, g_lse = g[..., :dh], g[..., dh]
+        d_p = np.einsum("bhk,bnhk->bnh", g_ctx, vals)
+        # d lse / d s = p, so the lse gradient joins the softmax's
+        d_s = p * (d_p - (p * d_p).sum(axis=1, keepdims=True) + g_lse[:, None, :]) * scale
+        d_s = d_s.reshape(bsz * n, heads)
+        d_keys = d_s @ q_cols.T
+        d_vals = (p[..., None] * g_ctx[:, None]).reshape(bsz * n, l)
+        out = []
+        if q.requires_grad:
+            out.append((q, (keys.T @ d_s)[np.arange(l), head_of]))
+        if rows.requires_grad:
+            d_x = d_keys @ w_k.data.T + d_vals @ w_v.data.T
+            out.append((rows, d_x.reshape(rows.shape)))
+        if w_k.requires_grad:
+            out.append((w_k, x.T @ d_keys))
+        if w_v.requires_grad:
+            out.append((w_v, x.T @ d_vals))
+        return out
+
+    return _result(out, [q, rows, w_k, w_v], bwd)
+
+
 # ---------------------------------------------------------------------------
 # tiny patch extractor convolution
 

@@ -85,6 +85,29 @@ def attention_oracle(kt, kr, patches, w_q, w_k, w_v, w_o, b_o, heads: int) -> np
     return out
 
 
+def attention_block_oracle(q, rows, w_k, w_v, heads: int, scale: float) -> np.ndarray:
+    """[B, heads, dh+1]: each head's softmax context over the rows, then its lse.
+
+    q: [l]; rows: [B,n,d]; w_k/w_v: [d,l]. One image, head and row at a time.
+    """
+    bsz, n, _ = rows.shape
+    l = q.shape[0]
+    dh = l // heads
+    out = np.zeros((bsz, heads, dh + 1))
+    for b in range(bsz):
+        keys = [rows[b, i] @ w_k for i in range(n)]
+        vals = [rows[b, i] @ w_v for i in range(n)]
+        for h in range(heads):
+            lo, hi = h * dh, (h + 1) * dh
+            scores = np.array([float(np.dot(q[lo:hi], k[lo:hi])) * scale for k in keys])
+            top = scores.max()
+            w = np.exp(scores - top)
+            for i in range(n):
+                out[b, h, :dh] += w[i] / w.sum() * vals[i][lo:hi]
+            out[b, h, dh] = top + np.log(w.sum())
+    return out
+
+
 def pseudo_count_oracle(scores: np.ndarray, eta: float, exclude=None) -> float:
     """Average pseudo labels per image by direct counting."""
     m = scores.shape[0]
@@ -164,8 +187,9 @@ def dpl_walk_oracle(scores: np.ndarray, config, mu_t: float, exclude=None):
     """The threshold walk with per-image label sets rebuilt at every step.
 
     Thresholds are eta_init + k * eta_step for an integer k, rounded to 12
-    decimals and clamped to eta_bounds. Returns (final_eta, beta, iterations,
-    converged, label_sets).
+    decimals and clamped to eta_bounds. Runs on after a reversal, to the cap.
+    Returns (final_eta, beta, iterations, converged, label_sets, visited),
+    `visited` being every threshold evaluated, in walk order.
     """
     lo, hi = config.eta_bounds
 
@@ -182,6 +206,7 @@ def dpl_walk_oracle(scores: np.ndarray, config, mu_t: float, exclude=None):
     eta = min(max(round(config.eta_init, 12), lo), hi)
     sets, beta = labels_at(eta)
     best = (abs(beta - mu_t), eta, beta, sets)
+    visited = [eta]
     iterations = 0
     while abs(beta - mu_t) > config.tolerance and iterations < config.max_iters:
         k_next = k + 1 if beta > mu_t else k - 1
@@ -190,10 +215,11 @@ def dpl_walk_oracle(scores: np.ndarray, config, mu_t: float, exclude=None):
             break
         k, eta = k_next, nxt
         sets, beta = labels_at(eta)
+        visited.append(eta)
         iterations += 1
         if abs(beta - mu_t) < best[0] - 1e-12:
             best = (abs(beta - mu_t), eta, beta, sets)
     converged = abs(beta - mu_t) <= config.tolerance
     if not converged:
         _, eta, beta, sets = best
-    return eta, beta, iterations, converged, sets
+    return eta, beta, iterations, converged, sets, visited

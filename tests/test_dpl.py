@@ -147,11 +147,11 @@ class TestThresholdSearch:
 
     def test_walk_down_and_back_up_reports_exact_threshold(self):
         # beta flips 0 <-> 1 between eta 0.51 and 0.50: the walk goes down to
-        # k = -30, then oscillates up and down until the cap
+        # k = -30 and stops there instead of stepping back up
         cfg = DplConfig()
         report = dynamic_threshold_search(np.array([[0.5]]), cfg, mu_t=0.6)
         assert not report.converged
-        assert report.iterations == cfg.max_iters
+        assert report.iterations == 30
         assert report.final_eta == 0.5 == round(cfg.eta_init + (-30) * cfg.eta_step, 12)
         assert report.beta == 1.0
 
@@ -180,10 +180,17 @@ class TestThresholdSearch:
             )
             mu_t = float(rng.uniform(0, k + 1))
             report = dynamic_threshold_search(scores, cfg, mu_t, exclude=exclude)
-            eta, beta, iterations, converged, sets = dpl_walk_oracle(scores, cfg, mu_t, exclude)
-            got = (report.final_eta, report.beta, report.iterations, report.converged)
-            assert got == (eta, beta, iterations, converged), f"trial {trial}"
+            eta, beta, iterations, converged, sets, visited = dpl_walk_oracle(
+                scores, cfg, mu_t, exclude
+            )
+            got = (report.final_eta, report.beta, report.converged)
+            assert got == (eta, beta, converged), f"trial {trial}"
             assert report.label_sets == sets, f"trial {trial}"
+            # the walk stops one step before the oracle first revisits a threshold
+            revisit = next((j for j in range(len(visited)) if visited[j] in visited[:j]), None)
+            assert report.iterations <= iterations, f"trial {trial}"
+            want = iterations if revisit is None else revisit - 1
+            assert report.iterations == want, f"trial {trial}"
             if converged:
                 outcomes.add("converged")
             elif iterations == cfg.max_iters:

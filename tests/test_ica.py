@@ -93,6 +93,25 @@ class TestCrossAttention:
                 )
                 assert np.max(np.abs(got - want)) < 1e-10, (d, heads)
 
+    def test_merge_survives_a_score_gap_beyond_800(self):
+        # kr's score tops every patch score by > 800, so exp of the raw scores
+        # overflows; the two-entry softmax over the blocks' lse subtracts the max
+        state = small_state(seed=35, d=4, heads=2, sessions=1)
+        eye = np.eye(4)
+        for w in (state.w_q, state.w_k, state.w_v, state.w_o):
+            w.data[:] = eye
+        state.b_o.data[:] = 0.0
+        kt, kr = np.full(4, 30.0), np.full(4, 20.0)
+        patches = 0.1 * np.random.default_rng(36).standard_normal((5, 4))
+        scale = state.config.attn_scale
+        own = T.attention_block(Tensor(kt), Tensor(kr[None, None]), state.w_k, state.w_v, 2, scale)
+        rest = T.attention_block(Tensor(kt), Tensor(patches[None]), state.w_k, state.w_v, 2, scale)
+        assert np.all(own.data[..., -1] - rest.data[..., -1] > 800)
+        got = cross_attention(state, Tensor(kt), Tensor(kr), Tensor(patches)).data
+        assert np.all(np.isfinite(got))
+        want = attention_oracle(kt, kr, patches, eye, eye, eye, eye, np.zeros(4), heads=2)
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_batched_equals_per_image(self):
         state = small_state(seed=5, d=8, heads=2, sessions=1)
         rng = np.random.default_rng(6)
@@ -211,6 +230,48 @@ class TestSessions:
         state = init_ica(IcaConfig(d=16, l=16, heads=2, kr_init_from_kt=True), rng)
         add_session(state, rng)
         assert np.array_equal(state.kr_tokens[0].data, state.kt_token.data)
+
+    def test_gradients_over_all_sessions_match_finite_differences(self):
+        # t=3 on a batch of two images: the shared patch block's backward must
+        # sum what every session sends it; kr_1 stays frozen
+        state = small_state(seed=31, d=8, heads=2, sessions=3, mlp_hidden=16)
+        state.kr_tokens[1].requires_grad = True
+        rng = np.random.default_rng(32)
+        patches = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
+        projs = [Tensor(rng.standard_normal((2, 8))) for _ in range(3)]
+
+        def forward():
+            es = forward_all_sessions(state, patches)
+            return T.concat([T.mul(e, p).sum().reshape(1) for e, p in zip(es, projs)], 0).sum()
+
+        with Tape():
+            loss = forward()
+        backward(loss)
+        assert state.kr_tokens[0].grad is None
+
+        leaves = {
+            "patches": patches,
+            "kt": state.kt_token,
+            "kr2": state.kr_tokens[1],
+            "kr3": state.kr_tokens[2],
+            **{f"p{i}": p for i, p in enumerate(state.block_parameters())},
+        }
+        for name, leaf in leaves.items():
+            num = finite_diff_grad(lambda: forward().item(), leaf.data)
+            err = max_rel_err(leaf.grad, num)
+            assert err < 1e-4, f"{name}: {err:.2e}"
+
+    @pytest.mark.parametrize("shape", [(11, 8), (2, 11, 8)])
+    def test_patch_sized_tape_records_do_not_grow_with_sessions(self, shape):
+        # L=11 matches no other extent, so these records are the patch-side work
+        def patch_records(sessions):
+            state = small_state(seed=33, d=8, heads=2, sessions=sessions, mlp_hidden=32)
+            patches = Tensor(np.random.default_rng(34).standard_normal(shape), requires_grad=True)
+            with Tape() as tape:
+                forward_all_sessions(state, patches)
+            return sum(11 in out.shape for out, _ in tape._records)
+
+        assert patch_records(1) == patch_records(6) > 0
 
 
 class TestFreezing:

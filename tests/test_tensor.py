@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krt import tensor as T
 from krt.tensor import Tape, Tensor, backward
 
-from oracles import FD_STEP, finite_diff_grad, matmul_oracle, max_rel_err
+from oracles import (
+    FD_STEP,
+    attention_block_oracle,
+    finite_diff_grad,
+    matmul_oracle,
+    max_rel_err,
+)
 
 
 def fd_check(build, seeds=range(20), rtol=1e-4, step=FD_STEP):
@@ -274,6 +282,78 @@ class TestShapeOps:
         w[4, 0] = 1.0  # offset (dy=1, dx=1) = centre
         out = T.conv3x3_same(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x)
+
+
+class TestAttentionBlock:
+    def test_matches_per_head_oracle(self):
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            bsz, n = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            heads, dh, d = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            l = heads * dh
+            q, rows = rng.standard_normal(l), rng.standard_normal((bsz, n, d))
+            w_k, w_v = rng.standard_normal((d, l)), rng.standard_normal((d, l))
+            # every fifth trial puts scores in the hundreds, where exp overflows unshifted
+            scale = 400.0 if trial % 5 == 0 else float(rng.uniform(0.1, 2.0))
+            got = T.attention_block(
+                Tensor(q), Tensor(rows), Tensor(w_k), Tensor(w_v), heads, scale
+            ).data
+            want = attention_block_oracle(q, rows, w_k, w_v, heads, scale)
+            assert got.shape == (bsz, heads, dh + 1)
+            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-10
+
+    def test_one_row_block_is_its_value_and_score(self):
+        rng = np.random.default_rng(32)
+        heads, dh, d = 3, 2, 5
+        q, row = rng.standard_normal(heads * dh), rng.standard_normal((2, 1, d))
+        w_k, w_v = rng.standard_normal((d, heads * dh)), rng.standard_normal((d, heads * dh))
+        got = T.attention_block(Tensor(q), Tensor(row), Tensor(w_k), Tensor(w_v), heads, 0.7).data
+        v = (row[:, 0] @ w_v).reshape(2, heads, dh)
+        s = ((row[:, 0] @ w_k).reshape(2, heads, dh) * q.reshape(heads, dh)).sum(-1) * 0.7
+        assert np.array_equal(got[..., :dh], v)
+        assert np.max(np.abs(got[..., dh] - s)) < 1e-12
+
+    def test_shape_errors(self):
+        q, rows, w = Tensor(np.ones(4)), Tensor(np.ones((1, 2, 3))), Tensor(np.ones((3, 4)))
+        with pytest.raises(T.TensorError):
+            T.attention_block(q, Tensor(np.ones((2, 3))), w, w, 2, 1.0)
+        with pytest.raises(T.TensorError):
+            T.attention_block(Tensor(np.ones(5)), rows, w, w, 2, 1.0)
+        with pytest.raises(T.TensorError):
+            T.attention_block(q, rows, w, w, 3, 1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bsz=st.integers(1, 3),
+        n=st.integers(1, 4),
+        heads=st.integers(1, 3),
+        dh=st.integers(1, 3),
+        d=st.integers(1, 4),
+        lse_only=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradients_match_finite_differences(self, bsz, n, heads, dh, d, lse_only, seed):
+        rng = np.random.default_rng(seed)
+        q = rand_leaf(rng, heads * dh)
+        rows = rand_leaf(rng, bsz, n, d)
+        w_k, w_v = rand_leaf(rng, d, heads * dh), rand_leaf(rng, d, heads * dh)
+        coef = rng.standard_normal((bsz, heads, dh + 1))
+        if lse_only:
+            coef[..., :dh] = 0.0  # the gradient arrives on the lse column alone
+
+        def forward():
+            out = T.attention_block(q, rows, w_k, w_v, heads, 0.6)
+            return T.mul(out, Tensor(coef)).sum()
+
+        with Tape():
+            loss = forward()
+        backward(loss)
+        for leaf in (q, rows, w_k, w_v):
+            num = finite_diff_grad(lambda: forward().item(), leaf.data)
+            # central differences carry ~1e-10 of rounding noise (eps * |loss| / step),
+            # so entries near zero are held to an absolute 1e-10
+            err = max_rel_err(leaf.grad, num, floor=1e-6)
+            assert err < 1e-4, f"grad mismatch {err:.2e}"
 
 
 class TestBackward:
