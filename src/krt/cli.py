@@ -74,16 +74,8 @@ class RunConfig:
     inc: int = 5
     arm: str = "krt"
     buffer: tuple = ("none",)
-    loss: LossConfig = field(default_factory=LossConfig)
-    dpl: DplConfig = field(default_factory=DplConfig)
-    ica: IcaConfig = field(default_factory=lambda: IcaConfig(d=32, l=32, heads=4))
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epochs: int = 10
-    batch_size: int = 16
-    extractor_width: int = 0  # 0 -> 8x input channels
-    pos_enc_scale: float = 0.1
+    ica: IcaConfig = field(default_factory=lambda: IcaConfig(d=32, heads=4))
+    train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
     out: str = "runs/out"
 
@@ -92,40 +84,31 @@ class RunConfig:
         return ArmFlags(use_dpl=use_dpl, use_ica=use_ica, use_kd=use_kd, buffer_policy=self.buffer)
 
     def echo(self) -> dict:
+        """The config as `parse_config` reads it back."""
+        train, loss, dpl = self.train, self.train.loss, self.train.dpl
         return {
-            "dataset": self.dataset_paths
-            if self.dataset_paths
-            else {k: v for k, v in self.dataset.items() if not k.startswith("_")},
+            "dataset": self.dataset_paths or self.dataset,
             "plan": {"base": self.base, "inc": self.inc},
             "arm": self.arm,
-            "buffer": list(self.buffer),
+            "buffer": None if self.buffer[0] == "none" else {self.buffer[0]: self.buffer[1]},
             "loss": {
-                "lambda": self.loss.lam,
-                "gamma_pos": self.loss.gamma_pos,
-                "gamma_neg": self.loss.gamma_neg,
-                "neg_margin": self.loss.neg_margin,
-                "per_session_average": self.loss.per_session_average,
+                "lambda": loss.lam,
+                "gamma_pos": loss.gamma_pos,
+                "gamma_neg": loss.gamma_neg,
+                "neg_margin": loss.neg_margin,
             },
             "dpl": {
-                "eta0": self.dpl.eta_init,
-                "mu": self.dpl.mu,
-                "eta_step": self.dpl.eta_step,
-                "tolerance": self.dpl.tolerance,
-                "eta_bounds": list(self.dpl.eta_bounds),
-                "max_iters": self.dpl.max_iters,
+                "eta0": dpl.eta_init,
+                "mu": dpl.mu,
+                "eta_step": dpl.eta_step,
+                "tolerance": dpl.tolerance,
+                "eta_bounds": list(dpl.eta_bounds),
+                "max_iters": dpl.max_iters,
             },
-            "ica": {
-                "d": self.ica.d,
-                "heads": self.ica.heads,
-                "mlp_hidden": self.ica.mlp_hidden,
-                "eps_norm": self.ica.eps_norm,
-                "kr_init_from_kt": self.ica.kr_init_from_kt,
-            },
-            "optimizer": {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2},
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "extractor_width": self.extractor_width,
-            "pos_enc_scale": self.pos_enc_scale,
+            "ica": {"d": self.ica.d, "heads": self.ica.heads, "mlp_hidden": self.ica.mlp_hidden},
+            "optimizer": {"lr": train.lr, "beta1": train.beta1, "beta2": train.beta2},
+            "epochs": train.epochs,
+            "batch_size": train.batch_size,
             "seed": self.seed,
             "out": self.out,
         }
@@ -180,8 +163,6 @@ _SCHEMA = {
     "optimizer": dict,
     "epochs": int,
     "batch_size": int,
-    "extractor_width": int,
-    "pos_enc_scale": float,
     "seed": int,
     "out": str,
 }
@@ -209,6 +190,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("config: expected a JSON object")
     _reject_unknown(raw, set(_SCHEMA), "config")
     cfg = RunConfig()
+    cfg.seed = _take(raw, "seed", int, "config", cfg.seed)
+    cfg.out = _take(raw, "out", str, "config", cfg.out)
 
     ds = raw.get("dataset", {})
     if not isinstance(ds, dict):
@@ -220,10 +203,11 @@ def parse_config(raw: dict) -> RunConfig:
         cfg.dataset_paths = {"train_path": ds["train_path"], "test_path": ds["test_path"]}
     else:
         _reject_unknown(ds, _GENSPEC_KEYS, "config.dataset")
-        merged = GenSpec().to_dict()
-        merged.update(ds)
-        merged["_seed_explicit"] = "seed" in ds
-        cfg.dataset = merged
+        cfg.dataset.update(ds)
+        if "seed" not in ds:
+            # derive the dataset stream from the master seed so method arms
+            # compared under one seed share their data
+            cfg.dataset["seed"] = substream_seed(cfg.seed, "datagen")
     plan = raw.get("plan", {})
     _reject_unknown(plan, {"base", "inc"}, "config.plan")
     cfg.base = _take(plan, "base", int, "config.plan", cfg.base)
@@ -234,7 +218,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config.arm: {cfg.arm!r} not one of {sorted(ARMS)}")
 
     buf = raw.get("buffer")
-    if buf:
+    if buf is not None:
+        if not isinstance(buf, dict):
+            raise ConfigError("config.buffer: expected an object or null")
         _reject_unknown(buf, {"per_class", "total"}, "config.buffer")
         if len(buf) != 1:
             raise ConfigError("config.buffer: give exactly one of per_class/total")
@@ -244,62 +230,53 @@ def parse_config(raw: dict) -> RunConfig:
         cfg.buffer = (kind, size)
 
     loss = raw.get("loss", {})
-    _reject_unknown(
-        loss, {"lambda", "gamma_pos", "gamma_neg", "neg_margin", "per_session_average"}, "config.loss"
-    )
-    cfg.loss = LossConfig(
-        gamma_pos=_take(loss, "gamma_pos", float, "config.loss", 0.0),
-        gamma_neg=_take(loss, "gamma_neg", float, "config.loss", 4.0),
-        lam=_take(loss, "lambda", float, "config.loss", 100.0),
-        neg_margin=_take(loss, "neg_margin", float, "config.loss", 0.0),
-        per_session_average=_take(loss, "per_session_average", bool, "config.loss", False),
+    _reject_unknown(loss, {"lambda", "gamma_pos", "gamma_neg", "neg_margin"}, "config.loss")
+    loss_config = LossConfig(
+        gamma_pos=_take(loss, "gamma_pos", float, "config.loss", LossConfig.gamma_pos),
+        gamma_neg=_take(loss, "gamma_neg", float, "config.loss", LossConfig.gamma_neg),
+        lam=_take(loss, "lambda", float, "config.loss", LossConfig.lam),
+        neg_margin=_take(loss, "neg_margin", float, "config.loss", LossConfig.neg_margin),
     )
 
     dpl = raw.get("dpl", {})
     _reject_unknown(dpl, {"eta0", "mu", "eta_step", "tolerance", "eta_bounds", "max_iters"}, "config.dpl")
-    bounds = dpl.get("eta_bounds", [0.01, 0.99])
+    bounds = dpl.get("eta_bounds", list(DplConfig.eta_bounds))
     if not (isinstance(bounds, list) and len(bounds) == 2):
         raise ConfigError("config.dpl.eta_bounds: expected [low, high]")
     try:
-        cfg.dpl = DplConfig(
-            eta_init=_take(dpl, "eta0", float, "config.dpl", 0.8),
-            mu=_take(dpl, "mu", float, "config.dpl", 2.9),
-            eta_step=_take(dpl, "eta_step", float, "config.dpl", 1e-2),
-            tolerance=_take(dpl, "tolerance", float, "config.dpl", 1e-1),
+        dpl_config = DplConfig(
+            eta_init=_take(dpl, "eta0", float, "config.dpl", DplConfig.eta_init),
+            mu=_take(dpl, "mu", float, "config.dpl", DplConfig.mu),
+            eta_step=_take(dpl, "eta_step", float, "config.dpl", DplConfig.eta_step),
+            tolerance=_take(dpl, "tolerance", float, "config.dpl", DplConfig.tolerance),
             eta_bounds=(float(bounds[0]), float(bounds[1])),
-            max_iters=_take(dpl, "max_iters", int, "config.dpl", 500),
+            max_iters=_take(dpl, "max_iters", int, "config.dpl", DplConfig.max_iters),
         )
     except ValueError as e:
         raise ConfigError(f"config.dpl: {e}") from None
 
     ica = raw.get("ica", {})
-    _reject_unknown(ica, {"d", "l", "heads", "mlp_hidden", "eps_norm", "kr_init_from_kt"}, "config.ica")
-    d = _take(ica, "d", int, "config.ica", 32)
-    l = _take(ica, "l", int, "config.ica", d)
+    _reject_unknown(ica, {"d", "heads", "mlp_hidden"}, "config.ica")
     try:
         cfg.ica = IcaConfig(
-            d=d,
-            l=l,
-            heads=_take(ica, "heads", int, "config.ica", 4),
+            d=_take(ica, "d", int, "config.ica", cfg.ica.d),
+            heads=_take(ica, "heads", int, "config.ica", cfg.ica.heads),
             mlp_hidden=_take(ica, "mlp_hidden", int, "config.ica", 0),
-            eps_norm=_take(ica, "eps_norm", float, "config.ica", 1e-5),
-            kr_init_from_kt=_take(ica, "kr_init_from_kt", bool, "config.ica", False),
         )
     except ValueError as e:
         raise ConfigError(f"config.ica: {e}") from None
 
     opt = raw.get("optimizer", {})
     _reject_unknown(opt, {"lr", "beta1", "beta2"}, "config.optimizer")
-    cfg.lr = _take(opt, "lr", float, "config.optimizer", 1e-3)
-    cfg.beta1 = _take(opt, "beta1", float, "config.optimizer", 0.9)
-    cfg.beta2 = _take(opt, "beta2", float, "config.optimizer", 0.999)
-
-    cfg.epochs = _take(raw, "epochs", int, "config", 10)
-    cfg.batch_size = _take(raw, "batch_size", int, "config", 16)
-    cfg.extractor_width = _take(raw, "extractor_width", int, "config", 0)
-    cfg.pos_enc_scale = _take(raw, "pos_enc_scale", float, "config", 0.1)
-    cfg.seed = _take(raw, "seed", int, "config", 0)
-    cfg.out = _take(raw, "out", str, "config", "runs/out")
+    cfg.train = TrainConfig(
+        epochs=_take(raw, "epochs", int, "config", TrainConfig.epochs),
+        batch_size=_take(raw, "batch_size", int, "config", TrainConfig.batch_size),
+        lr=_take(opt, "lr", float, "config.optimizer", TrainConfig.lr),
+        beta1=_take(opt, "beta1", float, "config.optimizer", TrainConfig.beta1),
+        beta2=_take(opt, "beta2", float, "config.optimizer", TrainConfig.beta2),
+        loss=loss_config,
+        dpl=dpl_config,
+    )
 
     _validate_arm_buffer(cfg)
     return cfg
@@ -349,13 +326,8 @@ def _load_data(cfg: RunConfig):
         if train.class_names != test.class_names:
             raise DataError("train/test class tables differ")
         return train, test, train.class_names
-    ds = {k: v for k, v in cfg.dataset.items() if not k.startswith("_")}
-    if not cfg.dataset.get("_seed_explicit", True):
-        # derive the dataset stream from the master seed so method arms
-        # compared under one seed share their data
-        ds["seed"] = substream_seed(cfg.seed, "datagen")
     try:
-        spec = GenSpec(**ds)
+        spec = GenSpec(**cfg.dataset)
     except ValueError as e:
         raise ConfigError(f"config.dataset: {e}") from None
     return generate(spec)
@@ -374,18 +346,7 @@ def run(cfg: RunConfig) -> RunResult:
     assign_examples(plan, train, test)
     log.info("arm=%s sessions=%d train=%d test=%d", cfg.arm, plan.n_sessions, len(train), len(test))
 
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        loss=cfg.loss,
-        dpl=cfg.dpl,
-        extractor_width=cfg.extractor_width,
-        pos_enc_scale=cfg.pos_enc_scale,
-    )
-    outcomes = run_incremental(train, test, plan, cfg.flags(), cfg.ica, train_cfg, cfg.seed)
+    outcomes = run_incremental(train, test, plan, cfg.flags(), cfg.ica, cfg.train, cfg.seed)
 
     records = [o.metrics for o in outcomes]
     avg_map, last_map, last_cf1, last_of1 = aggregate(records)

@@ -21,7 +21,6 @@ and a two-entry softmax, so a step costs O(L + t) rather than O(t * L).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,28 +32,25 @@ from .tensor import Tensor, TensorError
 
 @dataclass
 class IcaConfig:
-    d: int = 384  # token dimension
-    l: int = 384  # attention embedding dimension (kept equal to d)
+    """Block shape. Tokens and the attention embedding share dimension d."""
+
+    d: int = 384  # token and attention embedding dimension
     heads: int = 8
     mlp_hidden: int = 0  # 0 -> 4*d
-    eps_norm: float = 1e-5
-    kr_init_from_kt: bool = False  # fresh random init by default
 
     def __post_init__(self):
         if self.mlp_hidden == 0:
             self.mlp_hidden = 4 * self.d
-        if self.d != self.l:
-            raise ValueError(f"token dim {self.d} must equal embedding dim {self.l}")
-        if self.l % self.heads != 0:
-            raise ValueError(f"embedding dim {self.l} not divisible by {self.heads} heads")
+        if self.d % self.heads != 0:
+            raise ValueError(f"embedding dim {self.d} not divisible by {self.heads} heads")
 
     @property
     def head_dim(self) -> int:
-        return self.l // self.heads
+        return self.d // self.heads
 
     @property
     def attn_scale(self) -> float:
-        return 1.0 / np.sqrt(self.l / self.heads)
+        return 1.0 / np.sqrt(self.d / self.heads)
 
 
 @dataclass
@@ -107,14 +103,14 @@ class IcaState:
 
 def init_ica(config: IcaConfig, rng: np.random.Generator, dtype=np.float64) -> IcaState:
     """Fresh block with the transfer token but no sessions yet."""
-    d, l, hid = config.d, config.l, config.mlp_hidden
+    d, hid = config.d, config.mlp_hidden
     state = IcaState(
         config=config,
-        w_q=T.uniform_param(rng, (d, l), dtype=dtype),
-        w_k=T.uniform_param(rng, (d, l), dtype=dtype),
-        w_v=T.uniform_param(rng, (d, l), dtype=dtype),
-        w_o=T.uniform_param(rng, (l, d), dtype=dtype),
-        b_o=T.uniform_param(rng, (d,), fan_in=l, dtype=dtype),
+        w_q=T.uniform_param(rng, (d, d), dtype=dtype),
+        w_k=T.uniform_param(rng, (d, d), dtype=dtype),
+        w_v=T.uniform_param(rng, (d, d), dtype=dtype),
+        w_o=T.uniform_param(rng, (d, d), dtype=dtype),
+        b_o=T.uniform_param(rng, (d,), fan_in=d, dtype=dtype),
         norm1_gain=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
         norm1_bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
         norm2_gain=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
@@ -132,12 +128,8 @@ def add_session(state: IcaState, rng: np.random.Generator) -> None:
     """Start a session: freeze existing retention tokens, append a new one."""
     for kr in state.kr_tokens:
         kr.requires_grad = False
-    cfg = state.config
-    if cfg.kr_init_from_kt:
-        new = Tensor(state.kt_token.data.copy(), requires_grad=True)
-    else:
-        new = T.uniform_param(rng, (cfg.d,), fan_in=cfg.d, dtype=state.kt_token.dtype)
-    state.kr_tokens.append(new)
+    d = state.config.d
+    state.kr_tokens.append(T.uniform_param(rng, (d,), fan_in=d, dtype=state.kt_token.dtype))
 
 
 def _as_batch(patches: Tensor):
@@ -154,18 +146,18 @@ class PatchSide(NamedTuple):
 
     kt: Tensor  # normalised transfer token, [d]
     patches: Tensor  # normalised patches, [B, L, d]
-    q: Tensor  # projected query, [l]
+    q: Tensor  # projected query, [d]
     block: Tensor  # attention_block over the patches, [B, heads, dh+1]
 
 
 def _norm1(state: IcaState, t: Tensor) -> Tensor:
-    return T.layer_norm(t, state.norm1_gain, state.norm1_bias, state.config.eps_norm)
+    return T.layer_norm(t, state.norm1_gain, state.norm1_bias)
 
 
 def _attend_patches(state: IcaState, kt: Tensor, patches: Tensor) -> PatchSide:
     """Project the query and attend over the patch rows (inputs pre-normalised)."""
     cfg = state.config
-    q = T.matmul(kt.reshape(1, cfg.d), state.w_q).reshape(cfg.l)
+    q = T.matmul(kt.reshape(1, cfg.d), state.w_q).reshape(cfg.d)
     block = T.attention_block(q, patches, state.w_k, state.w_v, cfg.heads, cfg.attn_scale)
     return PatchSide(kt, patches, q, block)
 
@@ -211,7 +203,7 @@ def cross_attention(
     subtracts the row max.
     """
     cfg = state.config
-    d, l, nh, dh = cfg.d, cfg.l, cfg.heads, cfg.head_dim
+    d, nh, dh = cfg.d, cfg.heads, cfg.head_dim
     if kt.shape != (d,) or kr.shape != (d,):
         raise TensorError(f"token shapes {kt.shape}/{kr.shape} do not match d={d}")
     p3, batched = _as_batch(patches)
@@ -232,7 +224,7 @@ def cross_attention(
         axis=1,
     )  # [B*heads, 2, dh+1]
     weights = T.softmax_rows(blocks.slice(2, dh, dh + 1).reshape(bsz * nh, 2))
-    z = T.weighted_rows_sum(weights, blocks.slice(2, 0, dh)).reshape(bsz, l)
+    z = T.weighted_rows_sum(weights, blocks.slice(2, 0, dh)).reshape(bsz, d)
     out = T.affine(z, state.w_o, state.b_o)  # [B, d]
     if attn_out is not None:
         attn_out.append(_attention_weights(state, shared.q, kr, p3))
@@ -265,7 +257,7 @@ def ica_forward(
         state, shared.kt, _norm1(state, kr), shared.patches, attn_out=attn_out, shared=shared
     )  # [B, d]
     e1 = T.add(T.repeat_rows(kt_row, bsz), ca)
-    h = T.layer_norm(e1, state.norm2_gain, state.norm2_bias, cfg.eps_norm)
+    h = T.layer_norm(e1, state.norm2_gain, state.norm2_bias)
     h = T.affine(h, state.mlp_w1, state.mlp_b1)
     h = T.gelu(h)
     h = T.affine(h, state.mlp_w2, state.mlp_b2)
@@ -283,26 +275,3 @@ def forward_all_sessions(state: IcaState, patches: Tensor, attn_out: list = None
         ica_forward(state, s, patches, attn_out=attn_out, shared=shared)
         for s in range(1, state.session_count + 1)
     ]
-
-
-def export_attention_weights(attn: np.ndarray, path: str) -> None:
-    """Write one forward pass's attention weights for offline visualisation.
-
-    Format: a one-line text header "<heads> <L+1>\\n" followed by the
-    row-major weights as little-endian 32-bit floats.
-    """
-    arr = np.asarray(attn)
-    if arr.ndim == 3:  # [B, heads, n] -> first item
-        arr = arr[0]
-    heads, n = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"{heads} {n}\n".encode())
-        fh.write(struct.pack(f"<{heads * n}f", *arr.astype(np.float32).reshape(-1)))
-
-
-def read_attention_weights(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode().split()
-        heads, n = int(header[0]), int(header[1])
-        payload = fh.read(4 * heads * n)
-    return np.array(struct.unpack(f"<{heads * n}f", payload), dtype=np.float32).reshape(heads, n)

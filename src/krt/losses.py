@@ -25,7 +25,6 @@ class LossConfig:
     gamma_neg: float = 4.0
     lam: float = 100.0  # weight of the token loss
     neg_margin: float = 0.0  # optional probability shift on negatives, off by default
-    per_session_average: bool = False  # alternative token-loss reduction
 
     def __post_init__(self):
         if self.gamma_pos < 0 or self.gamma_neg < 0:
@@ -88,15 +87,14 @@ def _flatten_batch(embeddings: list) -> Tensor:
     return T.concat(rows, axis=1) if len(rows) > 1 else rows[0]
 
 
-def token_loss(e_prev: list, e_curr: list, per_session_average: bool = False) -> Tensor:
+def token_loss(e_prev: list, e_curr: list) -> Tensor:
     """1 - cosine between old embeddings and the current model's prefix.
 
     e_prev holds t-1 per-session embeddings from the frozen previous model
     (constants); e_curr holds t from the current model, computed on the
     same batch. Each entry is [d] or [B,d]. Per item the prefix embeddings
     are concatenated into one vector and compared with a single cosine;
-    the batch mean is returned. `per_session_average` switches to averaging
-    one cosine per session instead.
+    the batch mean is returned.
     """
     if len(e_curr) != len(e_prev) + 1:
         raise ValueError(
@@ -104,22 +102,8 @@ def token_loss(e_prev: list, e_curr: list, per_session_average: bool = False) ->
         )
     if not e_prev:
         raise ValueError("token loss needs at least one previous-session embedding")
-    prev = [_as_constant(e).detach() for e in e_prev]
-    curr = e_curr[: len(e_prev)]
-
-    if per_session_average:
-        losses = []
-        for p, c in zip(prev, curr):
-            p2 = p.reshape(1, p.size) if p.ndim == 1 else p
-            c2 = c.reshape(1, c.size) if c.ndim == 1 else c
-            losses.append(T.add(T.scale(T.cosine_similarity(c2, p2).mean(), -1.0), 1.0))
-        acc = losses[0]
-        for term in losses[1:]:
-            acc = T.add(acc, term)
-        return T.scale(acc, 1.0 / len(losses))
-
-    prev_flat = _flatten_batch(prev)
-    curr_flat = _flatten_batch(curr)
+    prev_flat = _flatten_batch([_as_constant(e).detach() for e in e_prev])
+    curr_flat = _flatten_batch(e_curr[: len(e_prev)])
     cos = T.cosine_similarity(curr_flat, prev_flat)  # [B]
     return T.add(T.scale(cos.mean(), -1.0), 1.0)
 

@@ -14,7 +14,6 @@ buffer policy.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,8 +28,6 @@ from .losses import LossConfig, asl_loss, kd_pooled_loss, token_loss, total_loss
 from .metrics import EvalBatch, MetricsRecord, evaluate
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
-
-CHECKPOINT_MAGIC = b"KRT1"
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +185,23 @@ def init_model(
     ica_config: IcaConfig,
     flags: ArmFlags,
     rng: np.random.Generator,
-    extractor_width: int = 0,
-    pos_enc_scale: float = 0.1,
 ) -> ModelState:
     """Fresh model with no sessions.
 
     The patch extractor is one 3x3 local-mixing convolution plus gelu; its
-    output width defaults to 8x the input channels, which gives prototypes
-    room to decorrelate before token projection. Position encodings are
-    fixed sinusoids, scaled down so content dominates the keys at init.
+    output width is 8x the input channels, which gives prototypes room to
+    decorrelate before token projection. Position encodings are fixed
+    sinusoids, scaled by 0.1 so content dominates the keys at init.
     """
     h, w, c = grid
     d = ica_config.d
-    width = extractor_width if extractor_width > 0 else 8 * c
+    width = 8 * c
     model = ModelState(
         conv_w=T.uniform_param(rng, (9 * c, width)),
         conv_b=T.uniform_param(rng, (width,), fan_in=9 * c),
         proj_w=T.uniform_param(rng, (width, d)),
         proj_b=T.uniform_param(rng, (d,), fan_in=width),
-        pos_enc=Tensor(pos_enc_scale * sinusoidal_positions(h * w, d)[None, :, :]),
+        pos_enc=Tensor(0.1 * sinusoidal_positions(h * w, d)[None, :, :]),
         ica=ica_mod.init_ica(ica_config, rng) if flags.use_ica else None,
         heads=[],
         flags=flags,
@@ -393,8 +388,6 @@ class TrainConfig:
     beta2: float = 0.999
     loss: LossConfig = field(default_factory=LossConfig)
     dpl: DplConfig = field(default_factory=DplConfig)
-    extractor_width: int = 0  # 0 -> 8x input channels
-    pos_enc_scale: float = 0.1
 
 
 @dataclass
@@ -562,8 +555,7 @@ def train_session(
                 out = forward_logits(model, features[sel])
                 loss = total_loss(
                     asl_loss(T.sigmoid(out.logits), targets[sel], config.loss),
-                    token_loss(e_prev, out.embeddings, config.loss.per_session_average)
-                    if use_token else None,
+                    token_loss(e_prev, out.embeddings) if use_token else None,
                     config.loss,
                     session=t,
                 )
@@ -609,54 +601,6 @@ def _pseudo_recall(items, train: Dataset, old_classes: set) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: magic, manifest of named shapes, little-endian f32 payloads
-
-
-def save_checkpoint(model: ModelState, path: str) -> None:
-    named = model.named_parameters()
-    manifest = "".join(
-        f"{name} {','.join(str(s) for s in tensor.shape)}\n" for name, tensor in named
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(manifest)))
-        fh.write(manifest)
-        for _, tensor in named:
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
-
-
-def load_checkpoint(path: str) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic)")
-        (manifest_len,) = struct.unpack("<I", fh.read(4))
-        manifest = fh.read(manifest_len).decode("utf-8")
-        params = {}
-        for line in manifest.splitlines():
-            name, shape_txt = line.rsplit(" ", 1)
-            shape = tuple(int(s) for s in shape_txt.split(",") if s)
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * count)
-            if len(raw) != 4 * count:
-                raise ValueError(f"{path}: truncated payload for {name}")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after payload")
-    return params
-
-
-def apply_checkpoint(model: ModelState, params: dict) -> None:
-    for name, tensor in model.named_parameters():
-        if name not in params:
-            raise ValueError(f"checkpoint missing parameter {name}")
-        if params[name].shape != tensor.shape:
-            raise ValueError(
-                f"checkpoint shape {params[name].shape} != model shape {tensor.shape} for {name}"
-            )
-        tensor.data = params[name].copy()
-
-
-# ---------------------------------------------------------------------------
 # full incremental run
 
 
@@ -675,14 +619,7 @@ def run_incremental(
     if not plan.train_indices:
         assign_examples(plan, train, test)
     rngs = {name: substream_rng(master_seed, name) for name in ("init", "shuffle", "buffer")}
-    model = init_model(
-        (train.grid_h, train.grid_w, train.channels),
-        ica_config,
-        flags,
-        rngs["init"],
-        extractor_width=config.extractor_width,
-        pos_enc_scale=config.pos_enc_scale,
-    )
+    model = init_model((train.grid_h, train.grid_w, train.channels), ica_config, flags, rngs["init"])
     buffer = RehearsalBuffer(flags.buffer_policy)
     snapshot = None
     outcomes = []

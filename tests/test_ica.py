@@ -7,11 +7,9 @@ from krt.ica import (
     IcaState,
     add_session,
     cross_attention,
-    export_attention_weights,
     forward_all_sessions,
     ica_forward,
     init_ica,
-    read_attention_weights,
 )
 from krt.optim import Adam
 from krt.tensor import Tape, Tensor, backward
@@ -21,7 +19,7 @@ from oracles import attention_oracle, finite_diff_grad, max_rel_err
 
 def small_state(seed=0, d=16, heads=2, sessions=1, mlp_hidden=0) -> IcaState:
     rng = np.random.default_rng(seed)
-    state = init_ica(IcaConfig(d=d, l=d, heads=heads, mlp_hidden=mlp_hidden), rng)
+    state = init_ica(IcaConfig(d=d, heads=heads, mlp_hidden=mlp_hidden), rng)
     for _ in range(sessions):
         add_session(state, rng)
     return state
@@ -29,20 +27,16 @@ def small_state(seed=0, d=16, heads=2, sessions=1, mlp_hidden=0) -> IcaState:
 
 class TestConfig:
     def test_default_scale_divisor(self):
-        cfg = IcaConfig(d=384, l=384, heads=8)
+        cfg = IcaConfig(d=384, heads=8)
         assert abs(1.0 / cfg.attn_scale - np.sqrt(48.0)) < 1e-12
         assert abs(1.0 / cfg.attn_scale - 6.9282) < 1e-4
 
     def test_dims_must_divide(self):
         with pytest.raises(ValueError):
-            IcaConfig(d=10, l=10, heads=3)
-
-    def test_d_equals_l_enforced(self):
-        with pytest.raises(ValueError):
-            IcaConfig(d=16, l=32, heads=2)
+            IcaConfig(d=10, heads=3)
 
     def test_mlp_hidden_defaults_to_4d(self):
-        assert IcaConfig(d=16, l=16, heads=2).mlp_hidden == 64
+        assert IcaConfig(d=16, heads=2).mlp_hidden == 64
 
 
 class TestCrossAttention:
@@ -206,7 +200,7 @@ class TestSessions:
 
     def test_add_session_contract(self):
         rng = np.random.default_rng(21)
-        state = init_ica(IcaConfig(d=16, l=16, heads=2), rng)
+        state = init_ica(IcaConfig(d=16, heads=2), rng)
         block_before = [p.data.copy() for p in state.block_parameters()]
         for _ in range(3):
             add_session(state, rng)
@@ -224,12 +218,6 @@ class TestSessions:
             assert np.array_equal(prev, kr.data)
         assert np.array_equal(kt_before, state.kt_token.data)
         assert state.kt_token.requires_grad
-
-    def test_kr_init_from_kt_switch(self):
-        rng = np.random.default_rng(24)
-        state = init_ica(IcaConfig(d=16, l=16, heads=2, kr_init_from_kt=True), rng)
-        add_session(state, rng)
-        assert np.array_equal(state.kr_tokens[0].data, state.kt_token.data)
 
     def test_gradients_over_all_sessions_match_finite_differences(self):
         # t=3 on a batch of two images: the shared patch block's backward must
@@ -278,6 +266,8 @@ class TestFreezing:
     def test_frozen_tokens_receive_no_gradient_and_never_move(self):
         state = small_state(seed=25, sessions=3)
         frozen_data = [kr.data.copy() for kr in state.kr_tokens[:2]]
+        live_before = state.kr_tokens[2].data.copy()
+        kt_before = state.kt_token.data.copy()
         patches = Tensor(np.random.default_rng(26).standard_normal((4, 16)))
         opt = Adam(state.trainable_parameters(), lr=1e-2)
         for _ in range(5):
@@ -292,8 +282,8 @@ class TestFreezing:
             assert kr.grad is None
             assert np.array_equal(before, kr.data)
         # the live token and the transfer token did move
-        assert state.kr_tokens[2].grad is None or True
-        assert not np.array_equal(frozen_data[0], state.kt_token.data)
+        assert not np.array_equal(live_before, state.kr_tokens[2].data)
+        assert not np.array_equal(kt_before, state.kt_token.data)
 
     def test_zero_lr_training_is_identity(self):
         state = small_state(seed=27, sessions=2)
@@ -311,16 +301,3 @@ class TestFreezing:
         for b, a in zip(before, after):
             assert np.array_equal(b, a.data)
 
-
-class TestAttentionExport:
-    def test_round_trip(self, tmp_path):
-        state = small_state(seed=29, sessions=1)
-        patches = Tensor(np.random.default_rng(30).standard_normal((4, 16)))
-        captured = []
-        ica_forward(state, 1, patches, attn_out=captured)
-        path = tmp_path / "attn.bin"
-        export_attention_weights(captured[0], str(path))
-        loaded = read_attention_weights(str(path))
-        assert loaded.shape == (2, 5)  # heads x (L+1)
-        assert np.allclose(loaded, captured[0][0].astype(np.float32))
-        assert np.allclose(loaded.sum(axis=1), 1.0, atol=1e-6)

@@ -13,16 +13,13 @@ from krt.protocol import (
     ArmFlags,
     RehearsalBuffer,
     TrainConfig,
-    apply_checkpoint,
     assign_examples,
     build_plan,
     evaluate_cumulative,
     expand_for_session,
     forward_logits,
     init_model,
-    load_checkpoint,
     run_incremental,
-    save_checkpoint,
     snapshot_model,
     teacher_pass,
     train_session,
@@ -50,7 +47,7 @@ def tiny_config(epochs=2):
 
 
 def tiny_ica(d=8, heads=2):
-    return IcaConfig(d=d, l=d, heads=heads, mlp_hidden=2 * d)
+    return IcaConfig(d=d, heads=heads, mlp_hidden=2 * d)
 
 
 class TestBuildPlan:
@@ -361,31 +358,3 @@ class TestRunIncremental:
         # later sessions evaluate over more classes
         assert len(outcomes[2].metrics.per_class_ap) == 6
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = substream_rng(17, "init")
-        model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
-        expand_for_session(model, 3, rng)
-        expand_for_session(model, 2, rng)
-        path = tmp_path / "model.krt"
-        save_checkpoint(model, str(path))
-        params = load_checkpoint(str(path))
-        assert path.read_bytes()[:4] == b"KRT1"
-        names = {n for n, _ in model.named_parameters()}
-        assert set(params) == names
-        assert "ica.kr.1" in params and "head.1.w" in params
-        # apply to a fresh model of the same architecture
-        rng2 = substream_rng(18, "init")
-        other = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng2)
-        expand_for_session(other, 3, rng2)
-        expand_for_session(other, 2, rng2)
-        apply_checkpoint(other, params)
-        for (_, a), (_, b) in zip(model.named_parameters(), other.named_parameters()):
-            assert np.allclose(a.data, b.data, atol=1e-7)  # f32 payload precision
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "x.krt"
-        p.write_bytes(b"AAAA" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(str(p))
