@@ -169,6 +169,8 @@ _SCHEMA = {
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
@@ -194,8 +196,7 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.out = _take(raw, "out", str, "config", cfg.out)
 
     ds = raw.get("dataset", {})
-    if not isinstance(ds, dict):
-        raise ConfigError("config.dataset: expected an object")
+    _reject_unknown(ds, _GENSPEC_KEYS | {"train_path", "test_path"}, "config.dataset")
     if "train_path" in ds or "test_path" in ds:
         _reject_unknown(ds, {"train_path", "test_path"}, "config.dataset")
         if "train_path" not in ds or "test_path" not in ds:

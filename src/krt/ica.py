@@ -17,6 +17,8 @@ softmax([lse_r, lse_patches]) . [c_r, c_patches], exactly (the online-softmax
 merge of Milakov & Gimelshein, arXiv 1805.02867). The patch block is
 computed once per forward (`patch_side`); each session adds a one-row block
 and a two-entry softmax, so a step costs O(L + t) rather than O(t * L).
+The one-row block's context is v_r up to rounding, because
+`attention_block` pools rows before the value projection.
 """
 
 from __future__ import annotations
@@ -171,10 +173,10 @@ def patch_side(state: IcaState, patches: Tensor) -> PatchSide:
 def _attention_weights(state: IcaState, q: Tensor, kr: Tensor, patches: Tensor) -> np.ndarray:
     """[B, heads, L+1] softmax weights, retention token first; off the tape."""
     cfg = state.config
-    bsz, seq_len, d = patches.shape
+    bsz, _, d = patches.shape
     seq = np.concatenate([np.broadcast_to(kr.data, (bsz, 1, d)), patches.data], axis=1)
-    keys = (seq @ state.w_k.data).reshape(bsz, seq_len + 1, cfg.heads, cfg.head_dim)
-    s = np.einsum("bnhk,hk->bhn", keys, q.data.reshape(cfg.heads, cfg.head_dim)) * cfg.attn_scale
+    a = T.absorb_query(q.data, state.w_k.data, cfg.heads)  # [d, heads]
+    s = (seq @ a).transpose(0, 2, 1) * cfg.attn_scale
     e = np.exp(s - s.max(axis=2, keepdims=True))
     return e / e.sum(axis=2, keepdims=True)
 
@@ -195,8 +197,8 @@ def cross_attention(
     list, the softmax weights are appended to it as a [B, heads, L+1] array.
 
     `shared` carries the patch block, computed here when not given. The
-    one-row block of kr has context exactly v_r and lse exactly its score
-    s_r. Merging it with the patch block through softmax_rows over
+    one-row block of kr has context v_r up to rounding and lse exactly its
+    score s_r. Merging it with the patch block through softmax_rows over
     [lse_r, lse_patches] and weighted_rows_sum over [c_r, c_patches] is the
     softmax over {kr} and the patches (see the module docstring), and stays
     finite however far the two lse values lie apart, because softmax_rows

@@ -579,6 +579,18 @@ def weighted_rows_sum(weights: Tensor, values: Tensor) -> Tensor:
     return _result(np.einsum("bn,bnm->bm", weights.data, values.data), [weights, values], bwd)
 
 
+def absorb_query(q: np.ndarray, w_k: np.ndarray, heads: int) -> np.ndarray:
+    """[d, heads] = w_k @ Q, where Q:[l, heads] is q split block-diagonally by head.
+
+    Row x's head-h score is x @ a[:, h], the dot product of its key x @ w_k
+    with q over the head's dims, without forming the key.
+    """
+    l = q.shape[0]
+    q_cols = np.zeros((l, heads), dtype=q.dtype)
+    q_cols[np.arange(l), np.arange(l) // (l // heads)] = q
+    return w_k @ q_cols
+
+
 def attention_block(
     q: Tensor, rows: Tensor, w_k: Tensor, w_v: Tensor, heads: int, scale: float
 ) -> Tensor:
@@ -590,6 +602,14 @@ def attention_block(
     head's softmax-weighted value context, then the log-sum-exp of its
     scores. Two blocks' results merge exactly into attention over the union
     of their rows: the contexts weighted by the softmax of the two lse values.
+
+    With one query no row needs its own key or value. The key projection
+    absorbs the query (`absorb_query`, [d, heads]), so the scores are one
+    [B*n, d] @ [d, heads] product; the rows are pooled by each head's
+    softmax before the value projection, which then maps B*heads pooled rows
+    instead of B*n. That is the weight absorption of DeepSeek-V2's MLA
+    (arXiv 2405.04434) for a single query, and it brings forward and
+    backward from O(B*n*d*l) to O(B*n*d*heads + B*heads*d*l).
     """
     if rows.ndim != 3 or w_k.ndim != 2 or w_v.shape != w_k.shape or q.shape != (w_k.shape[1],):
         raise TensorError(
@@ -604,40 +624,44 @@ def attention_block(
         raise TensorError(f"attention_block: {l} query dims do not split into {heads} heads")
     dh = l // heads
     scale = float(scale)
-    # block-diagonal [l, heads] query: one matmul scores every head at once
     head_of = np.arange(l) // dh
-    q_cols = np.zeros((l, heads), dtype=q.data.dtype)
-    q_cols[np.arange(l), head_of] = q.data
-    x = rows.data.reshape(bsz * n, d)
-    keys = x @ w_k.data  # [B*n, l]
-    vals = (x @ w_v.data).reshape(bsz, n, heads, dh)
-    s = (keys @ q_cols).reshape(bsz, n, heads) * scale
+    x = rows.data
+    a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
+    s = (x.reshape(bsz * n, d) @ a).reshape(bsz, n, heads) * scale
     m = s.max(axis=1, keepdims=True)
     e = np.exp(s - m)
     z = e.sum(axis=1, keepdims=True)
     p = e / z  # [B, n, heads]
+    pooled = np.matmul(p.transpose(0, 2, 1), x)  # [B, heads, d]
+    w_v_heads = w_v.data.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
     out = np.empty((bsz, heads, dh + 1), dtype=x.dtype)
-    out[..., :dh] = np.einsum("bnh,bnhk->bhk", p, vals)
+    out[..., :dh] = np.matmul(pooled.transpose(1, 0, 2), w_v_heads).transpose(1, 0, 2)
     out[..., dh] = (m + np.log(z))[:, 0, :]
 
-    def bwd(g, q=q, rows=rows, w_k=w_k, w_v=w_v, x=x, keys=keys, vals=vals, p=p):
+    def bwd(g, q=q, rows=rows, w_k=w_k, w_v=w_v, x=x, a=a, p=p, pooled=pooled):
         g_ctx, g_lse = g[..., :dh], g[..., dh]
-        d_p = np.einsum("bhk,bnhk->bnh", g_ctx, vals)
+        # [B, heads, d]: the context gradient taken back through the value projection
+        d_pooled = np.matmul(
+            g_ctx.transpose(1, 0, 2), w_v_heads.transpose(0, 2, 1)
+        ).transpose(1, 0, 2)
+        d_p = np.matmul(x, d_pooled.transpose(0, 2, 1))  # [B, n, heads]
         # d lse / d s = p, so the lse gradient joins the softmax's
         d_s = p * (d_p - (p * d_p).sum(axis=1, keepdims=True) + g_lse[:, None, :]) * scale
         d_s = d_s.reshape(bsz * n, heads)
-        d_keys = d_s @ q_cols.T
-        d_vals = (p[..., None] * g_ctx[:, None]).reshape(bsz * n, l)
         out = []
-        if q.requires_grad:
-            out.append((q, (keys.T @ d_s)[np.arange(l), head_of]))
+        if q.requires_grad or w_k.requires_grad:
+            d_a = x.reshape(bsz * n, d).T @ d_s  # [d, heads]
+            d_a_cols = d_a[:, head_of]  # [d, l]
+            if q.requires_grad:
+                out.append((q, (w_k.data * d_a_cols).sum(axis=0)))
+            if w_k.requires_grad:
+                out.append((w_k, d_a_cols * q.data))
         if rows.requires_grad:
-            d_x = d_keys @ w_k.data.T + d_vals @ w_v.data.T
-            out.append((rows, d_x.reshape(rows.shape)))
-        if w_k.requires_grad:
-            out.append((w_k, x.T @ d_keys))
+            d_x = (d_s @ a.T).reshape(rows.shape) + np.matmul(p, d_pooled)
+            out.append((rows, d_x))
         if w_v.requires_grad:
-            out.append((w_v, x.T @ d_vals))
+            d_w_v = np.matmul(pooled.transpose(1, 2, 0), g_ctx.transpose(1, 0, 2))
+            out.append((w_v, d_w_v.transpose(1, 0, 2).reshape(d, l)))
         return out
 
     return _result(out, [q, rows, w_k, w_v], bwd)

@@ -56,6 +56,21 @@ def test_removed_keys_are_config_errors(override, path, tmp_path, capsys):
     assert capsys.readouterr().err == f"E_CONFIG: {path}: unknown key\n"
 
 
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ("plan=5", "config.plan"),
+        ("loss=5", "config.loss"),
+        ("dpl=2", "config.dpl"),
+        ("optimizer=3", "config.optimizer"),
+        ("ica=[1]", "config.ica"),
+    ],
+)
+def test_non_object_sections_are_config_errors(override, path, tmp_path, capsys):
+    assert main(TINY_RUN + ["--set", override, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"E_CONFIG: {path}: expected an object\n"
+
+
 def test_buffer_on_an_arm_that_forbids_it_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--arm", "krt", "--buffer-per-class", "5", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("E_CONFIG: config.buffer:")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,36 @@ def fd_check(build, seeds=range(20), rtol=1e-4, step=FD_STEP):
             err = max_rel_err(leaf.grad, num)
             assert err < rtol, f"grad mismatch {err:.2e} (seed {seed})"
         tape.clear()
+
+
+def rel_err(got, want):
+    """Worst elementwise |got - want|, relative to |want| where that exceeds 1."""
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
+
+
+def projected_block_grads(q, rows, w_k, w_v, heads, scale, coef):
+    """Gradients of sum(coef * attention_block(...)) for q, rows, w_k and w_v.
+
+    Computed the direct way: every row is projected to its key and value,
+    and the gradients flow back through those projections.
+    """
+    bsz, n, d = rows.shape
+    l = q.shape[0]
+    dh = l // heads
+    x = rows.reshape(bsz * n, d)
+    keys = (x @ w_k).reshape(bsz, n, heads, dh)
+    vals = (x @ w_v).reshape(bsz, n, heads, dh)
+    s = np.einsum("bnhk,hk->bnh", keys, q.reshape(heads, dh)) * scale
+    p = np.exp(s - s.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    g_ctx, g_lse = coef[..., :dh], coef[..., dh]
+    d_p = np.einsum("bhk,bnhk->bnh", g_ctx, vals)
+    d_s = p * (d_p - (p * d_p).sum(axis=1, keepdims=True) + g_lse[:, None, :]) * scale
+    d_keys = (d_s[..., None] * q.reshape(heads, dh)).reshape(bsz * n, l)
+    d_vals = (p[..., None] * g_ctx[:, None]).reshape(bsz * n, l)
+    d_q = np.einsum("bnh,bnhk->hk", d_s, keys).reshape(l)
+    d_rows = (d_keys @ w_k.T + d_vals @ w_v.T).reshape(rows.shape)
+    return d_q, d_rows, x.T @ d_keys, x.T @ d_vals
 
 
 def rand_leaf(rng, *shape):
@@ -310,8 +342,55 @@ class TestAttentionBlock:
         got = T.attention_block(Tensor(q), Tensor(row), Tensor(w_k), Tensor(w_v), heads, 0.7).data
         v = (row[:, 0] @ w_v).reshape(2, heads, dh)
         s = ((row[:, 0] @ w_k).reshape(2, heads, dh) * q.reshape(heads, dh)).sum(-1) * 0.7
-        assert np.array_equal(got[..., :dh], v)
+        assert np.max(np.abs(got[..., :dh] - v) / np.maximum(np.abs(v), 1.0)) < 1e-12
         assert np.max(np.abs(got[..., dh] - s)) < 1e-12
+
+    def test_paper_shape_matches_oracle_and_projected_gradients(self):
+        rng = np.random.default_rng(33)
+        bsz, n, d, heads = 2, 196, 128, 8
+        scale = 1.0 / np.sqrt(d // heads)
+        arrays = (
+            rng.standard_normal(d),
+            rng.standard_normal((bsz, n, d)),
+            rng.standard_normal((d, d)) / np.sqrt(d),
+            rng.standard_normal((d, d)) / np.sqrt(d),
+        )
+        coef = rng.standard_normal((bsz, heads, d // heads + 1))
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape():
+            out = T.attention_block(*leaves, heads, scale)
+            loss = T.mul(out, Tensor(coef)).sum()
+        backward(loss)
+        assert rel_err(out.data, attention_block_oracle(*arrays, heads, scale)) < 1e-12
+        want = projected_block_grads(*arrays, heads, scale, coef)
+        for leaf, grad in zip(leaves, want):
+            assert rel_err(leaf.grad, grad) < 1e-12
+
+    def test_each_gradient_is_independent_of_which_inputs_need_one(self):
+        rng = np.random.default_rng(34)
+        arrays = (
+            rng.standard_normal(6),
+            rng.standard_normal((3, 5, 4)),
+            rng.standard_normal((4, 6)),
+            rng.standard_normal((4, 6)),
+        )
+        coef = Tensor(rng.standard_normal((3, 2, 4)))
+
+        def grads(wanted):
+            leaves = [Tensor(a, requires_grad=i in wanted) for i, a in enumerate(arrays)]
+            with Tape():
+                loss = T.mul(T.attention_block(*leaves, 2, 0.8), coef).sum()
+            backward(loss)
+            return [leaf.grad for leaf in leaves]
+
+        full = grads(range(4))
+        for k in range(1, 5):
+            for wanted in itertools.combinations(range(4), k):
+                for i, grad in enumerate(grads(wanted)):
+                    if i in wanted:
+                        assert np.array_equal(grad, full[i]), (wanted, i)
+                    else:
+                        assert grad is None, (wanted, i)
 
     def test_shape_errors(self):
         q, rows, w = Tensor(np.ones(4)), Tensor(np.ones((1, 2, 3))), Tensor(np.ones((3, 4)))
