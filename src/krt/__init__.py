@@ -11,7 +11,7 @@ from ._version import VERSION as __version__
 from .tensor import Tensor, Tape, backward
 from .dpl import DplConfig, PseudoLabelReport, dynamic_threshold_search, session_target
 from .ica import IcaConfig, IcaState
-from .losses import LossConfig, LossBreakdown, asl_loss, token_loss, kd_pooled_loss, total_loss
+from .losses import LossConfig, asl_loss, token_loss, kd_pooled_loss, total_loss
 from .metrics import EvalBatch, MetricsRecord, average_precision, evaluate, aggregate
 from .datagen import GenSpec, LabeledExample, Dataset, generate
 from .protocol import SessionPlan, ModelState, RehearsalBuffer, build_plan, train_session
@@ -28,7 +28,6 @@ __all__ = [
     "IcaConfig",
     "IcaState",
     "LossConfig",
-    "LossBreakdown",
     "asl_loss",
     "token_loss",
     "kd_pooled_loss",

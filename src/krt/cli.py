@@ -5,9 +5,14 @@ results.json / summary.csv / curves.tsv into the output directory.
 `krt compare` tabulates several results files of the same plan.
 `krt dpl` runs the pseudo-labeler standalone over a score CSV + label JSONL.
 
-Config is strict JSON (unknown keys rejected, errors carry field paths);
-any field can be overridden with --set key.path=value, and the common ones
-have dedicated flags. Precedence: flags > config file > defaults.
+Config is strict JSON: unknown keys are rejected, every value is
+type-checked, and errors carry field paths. `_KEYS` is the one list of
+settable keys. Each row maps a JSON path to the dataclass field it sets,
+whose annotation gives the type, and names its dedicated `krt run` flag, if
+it has one. `parse_config`, `RunConfig.echo` and the `run` flags all walk
+that table; only `buffer` and the `dataset` train_path/test_path
+alternative are read by hand. Any key can be overridden with
+--set key.path=value. Precedence: flags > config file > defaults.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime error.
 """
 
@@ -20,9 +25,8 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 from ._version import VERSION
 from .datagen import DatasetFormatError, GenSpec, generate, load_dataset
@@ -37,8 +41,8 @@ from .dpl import (
 )
 from .ica import IcaConfig
 from .losses import LossConfig
-from .metrics import MetricsRecord, aggregate
-from .protocol import ArmFlags, SessionPlan, TrainConfig, assign_examples, build_plan, run_incremental
+from .metrics import aggregate
+from .protocol import ArmFlags, TrainConfig, assign_examples, build_plan, run_incremental
 from .seeds import substream_seed
 
 log = logging.getLogger("krt")
@@ -57,6 +61,9 @@ _ARM_TABLE = {
     "upper_bound": (False, True, False, "forbid"),
 }
 
+# `krt run`'s block is smaller than IcaConfig's paper default (d=384)
+_RUN_ICA_SHAPE = {"d": 32, "heads": 4}
+
 
 class ConfigError(ValueError):
     pass
@@ -68,13 +75,13 @@ class DataError(ValueError):
 
 @dataclass
 class RunConfig:
-    dataset: dict = field(default_factory=lambda: GenSpec().to_dict())
+    dataset: GenSpec = field(default_factory=GenSpec)
     dataset_paths: dict = None  # {"train_path", "test_path"} alternative
     base: int = 0
     inc: int = 5
     arm: str = "krt"
     buffer: tuple = ("none",)
-    ica: IcaConfig = field(default_factory=lambda: IcaConfig(d=32, heads=4))
+    ica: IcaConfig = field(default_factory=lambda: IcaConfig(**_RUN_ICA_SHAPE))
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
     out: str = "runs/out"
@@ -85,33 +92,22 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The config as `parse_config` reads it back."""
-        train, loss, dpl = self.train, self.train.loss, self.train.dpl
-        return {
-            "dataset": self.dataset_paths or self.dataset,
-            "plan": {"base": self.base, "inc": self.inc},
-            "arm": self.arm,
-            "buffer": None if self.buffer[0] == "none" else {self.buffer[0]: self.buffer[1]},
-            "loss": {
-                "lambda": loss.lam,
-                "gamma_pos": loss.gamma_pos,
-                "gamma_neg": loss.gamma_neg,
-                "neg_margin": loss.neg_margin,
-            },
-            "dpl": {
-                "eta0": dpl.eta_init,
-                "mu": dpl.mu,
-                "eta_step": dpl.eta_step,
-                "tolerance": dpl.tolerance,
-                "eta_bounds": list(dpl.eta_bounds),
-                "max_iters": dpl.max_iters,
-            },
-            "ica": {"d": self.ica.d, "heads": self.ica.heads, "mlp_hidden": self.ica.mlp_hidden},
-            "optimizer": {"lr": train.lr, "beta1": train.beta1, "beta2": train.beta2},
-            "epochs": train.epochs,
-            "batch_size": train.batch_size,
-            "seed": self.seed,
-            "out": self.out,
+        owners = {
+            RunConfig: self,
+            GenSpec: self.dataset,
+            IcaConfig: self.ica,
+            TrainConfig: self.train,
+            LossConfig: self.train.loss,
+            DplConfig: self.train.dpl,
         }
+        out = {}
+        for key in _KEYS:
+            value = getattr(owners[key.owner], key.attr)
+            _put(out, key.path, list(value) if isinstance(value, tuple) else value)
+        if self.dataset_paths:
+            out["dataset"] = dict(self.dataset_paths)
+        out["buffer"] = None if self.buffer[0] == "none" else {self.buffer[0]: self.buffer[1]}
+        return out
 
 
 @dataclass
@@ -124,48 +120,69 @@ class RunResult:
     wall_clock_sec: float
     version: str = VERSION
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "sessions": self.sessions,
-            "aggregates": self.aggregates,
-            "dpl_reports": self.dpl_reports,
-            "pseudo_recall": self.pseudo_recall,
-            "wall_clock_sec": self.wall_clock_sec,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunResult":
-        return RunResult(
-            config=d["config"],
-            sessions=d["sessions"],
-            aggregates=d["aggregates"],
-            dpl_reports=d["dpl_reports"],
-            pseudo_recall=d["pseudo_recall"],
-            wall_clock_sec=d["wall_clock_sec"],
-            version=d["version"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # strict config parsing
 
-_GENSPEC_KEYS = set(GenSpec().to_dict())
-_SCHEMA = {
-    "dataset": dict,
-    "plan": dict,
-    "arm": str,
-    "buffer": (dict, type(None)),
-    "loss": dict,
-    "dpl": dict,
-    "ica": dict,
-    "optimizer": dict,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "out": str,
-}
+
+class Key(NamedTuple):
+    """One settable config leaf."""
+
+    path: str  # JSON path, e.g. "loss.lambda"
+    owner: type  # the dataclass whose field it sets
+    attr: str  # that field
+    flag: Optional[str] = None  # dedicated `krt run` flag
+    choices: Optional[tuple] = None  # the allowed values, where they are few
+
+    @property
+    def kind(self):
+        return get_type_hints(self.owner)[self.attr]
+
+
+_KEYS = (
+    *(Key(f"dataset.{f.name}", GenSpec, f.name) for f in fields(GenSpec)),
+    Key("plan.base", RunConfig, "base", "--base"),
+    Key("plan.inc", RunConfig, "inc", "--inc"),
+    Key("arm", RunConfig, "arm", "--arm", ARMS),
+    Key("loss.lambda", LossConfig, "lam", "--lambda"),
+    Key("loss.gamma_pos", LossConfig, "gamma_pos", "--gamma-pos"),
+    Key("loss.gamma_neg", LossConfig, "gamma_neg", "--gamma-neg"),
+    Key("loss.neg_margin", LossConfig, "neg_margin"),
+    Key("dpl.eta0", DplConfig, "eta_init", "--eta0"),
+    Key("dpl.mu", DplConfig, "mu", "--mu"),
+    Key("dpl.eta_step", DplConfig, "eta_step"),
+    Key("dpl.tolerance", DplConfig, "tolerance"),
+    Key("dpl.eta_bounds", DplConfig, "eta_bounds"),
+    Key("dpl.max_iters", DplConfig, "max_iters"),
+    Key("ica.d", IcaConfig, "d"),
+    Key("ica.heads", IcaConfig, "heads"),
+    Key("ica.mlp_hidden", IcaConfig, "mlp_hidden"),
+    Key("optimizer.lr", TrainConfig, "lr"),
+    Key("optimizer.beta1", TrainConfig, "beta1"),
+    Key("optimizer.beta2", TrainConfig, "beta2"),
+    Key("epochs", TrainConfig, "epochs", "--epochs"),
+    Key("batch_size", TrainConfig, "batch_size"),
+    Key("seed", RunConfig, "seed", "--seed"),
+    Key("out", RunConfig, "out", "--out"),
+)
+
+
+def _put(tree: dict, path: str, value) -> None:
+    *parents, leaf = path.split(".")
+    for name in parents:
+        tree = tree.setdefault(name, {})
+    tree[leaf] = value
+
+
+def _key_tree() -> dict:
+    """The table's paths as nested dicts of Keys; None marks a leaf read by hand."""
+    tree = {"buffer": None, "dataset": {"train_path": None, "test_path": None}}
+    for key in _KEYS:
+        _put(tree, key.path, key)
+    return tree
+
+
+_TREE = _key_tree()
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
@@ -176,109 +193,86 @@ def _reject_unknown(obj: dict, allowed, path: str):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _take(obj: dict, key: str, kind, path: str, default):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        raise ConfigError(f"{path}.{key}: expected {getattr(kind, '__name__', kind)}")
-    return val
+def _typed(value, kind, path: str):
+    """`value` checked against the annotation `kind`; ints widen to float."""
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        if not (isinstance(value, list) and len(value) == len(items)):
+            raise ConfigError(f"{path}: expected [{', '.join(k.__name__ for k in items)}]")
+        return tuple(_typed(v, k, path) for v, k in zip(value, items))
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{path}: expected {kind.__name__}")
+    return value
+
+
+def _read_leaves(node: dict, tree: dict, path: str, values: dict) -> None:
+    """Check `node` against `tree` and collect each table leaf's value into `values`."""
+    _reject_unknown(node, tree, path)
+    for name, value in node.items():
+        sub, where = tree[name], f"{path}.{name}"
+        if isinstance(sub, Key):
+            values[sub] = _typed(value, sub.kind, where)
+            if sub.choices and values[sub] not in sub.choices:
+                raise ConfigError(f"{where}: {value!r} not one of {sorted(sub.choices)}")
+        elif sub is not None:
+            _read_leaves(value, sub, where, values)
+
+
+def _read_buffer(buf) -> tuple:
+    if buf is None:
+        return ("none",)
+    if not isinstance(buf, dict):
+        raise ConfigError("config.buffer: expected an object or null")
+    _reject_unknown(buf, {"per_class", "total"}, "config.buffer")
+    if len(buf) != 1:
+        raise ConfigError("config.buffer: give exactly one of per_class/total")
+    kind, size = next(iter(buf.items()))
+    if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
+        raise ConfigError(f"config.buffer.{kind}: expected a positive integer")
+    return (kind, size)
+
+
+def _read_dataset_paths(ds: dict) -> dict:
+    _reject_unknown(ds, {"train_path", "test_path"}, "config.dataset")
+    if "train_path" not in ds or "test_path" not in ds:
+        raise ConfigError("config.dataset: need both train_path and test_path")
+    return {name: _typed(ds[name], str, f"config.dataset.{name}") for name in ds}
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    _reject_unknown(raw, set(_SCHEMA), "config")
-    cfg = RunConfig()
-    cfg.seed = _take(raw, "seed", int, "config", cfg.seed)
-    cfg.out = _take(raw, "out", str, "config", cfg.out)
+    values = {}
+    _read_leaves(raw, _TREE, "config", values)
 
+    def build(owner, where: str, **defaults):
+        given = {key.attr: value for key, value in values.items() if key.owner is owner}
+        try:
+            return owner(**{**defaults, **given})
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None
+
+    cfg = build(
+        RunConfig,
+        "config",
+        buffer=_read_buffer(raw.get("buffer")),
+        ica=build(IcaConfig, "config.ica", **_RUN_ICA_SHAPE),
+        train=build(
+            TrainConfig,
+            "config",
+            loss=build(LossConfig, "config.loss"),
+            dpl=build(DplConfig, "config.dpl"),
+        ),
+    )
     ds = raw.get("dataset", {})
-    _reject_unknown(ds, _GENSPEC_KEYS | {"train_path", "test_path"}, "config.dataset")
     if "train_path" in ds or "test_path" in ds:
-        _reject_unknown(ds, {"train_path", "test_path"}, "config.dataset")
-        if "train_path" not in ds or "test_path" not in ds:
-            raise ConfigError("config.dataset: need both train_path and test_path")
-        cfg.dataset_paths = {"train_path": ds["train_path"], "test_path": ds["test_path"]}
+        cfg.dataset_paths = _read_dataset_paths(ds)
     else:
-        _reject_unknown(ds, _GENSPEC_KEYS, "config.dataset")
-        cfg.dataset.update(ds)
-        if "seed" not in ds:
-            # derive the dataset stream from the master seed so method arms
-            # compared under one seed share their data
-            cfg.dataset["seed"] = substream_seed(cfg.seed, "datagen")
-    plan = raw.get("plan", {})
-    _reject_unknown(plan, {"base", "inc"}, "config.plan")
-    cfg.base = _take(plan, "base", int, "config.plan", cfg.base)
-    cfg.inc = _take(plan, "inc", int, "config.plan", cfg.inc)
-
-    cfg.arm = _take(raw, "arm", str, "config", cfg.arm)
-    if cfg.arm not in ARMS:
-        raise ConfigError(f"config.arm: {cfg.arm!r} not one of {sorted(ARMS)}")
-
-    buf = raw.get("buffer")
-    if buf is not None:
-        if not isinstance(buf, dict):
-            raise ConfigError("config.buffer: expected an object or null")
-        _reject_unknown(buf, {"per_class", "total"}, "config.buffer")
-        if len(buf) != 1:
-            raise ConfigError("config.buffer: give exactly one of per_class/total")
-        kind, size = next(iter(buf.items()))
-        if not isinstance(size, int) or size <= 0:
-            raise ConfigError(f"config.buffer.{kind}: expected a positive integer")
-        cfg.buffer = (kind, size)
-
-    loss = raw.get("loss", {})
-    _reject_unknown(loss, {"lambda", "gamma_pos", "gamma_neg", "neg_margin"}, "config.loss")
-    loss_config = LossConfig(
-        gamma_pos=_take(loss, "gamma_pos", float, "config.loss", LossConfig.gamma_pos),
-        gamma_neg=_take(loss, "gamma_neg", float, "config.loss", LossConfig.gamma_neg),
-        lam=_take(loss, "lambda", float, "config.loss", LossConfig.lam),
-        neg_margin=_take(loss, "neg_margin", float, "config.loss", LossConfig.neg_margin),
-    )
-
-    dpl = raw.get("dpl", {})
-    _reject_unknown(dpl, {"eta0", "mu", "eta_step", "tolerance", "eta_bounds", "max_iters"}, "config.dpl")
-    bounds = dpl.get("eta_bounds", list(DplConfig.eta_bounds))
-    if not (isinstance(bounds, list) and len(bounds) == 2):
-        raise ConfigError("config.dpl.eta_bounds: expected [low, high]")
-    try:
-        dpl_config = DplConfig(
-            eta_init=_take(dpl, "eta0", float, "config.dpl", DplConfig.eta_init),
-            mu=_take(dpl, "mu", float, "config.dpl", DplConfig.mu),
-            eta_step=_take(dpl, "eta_step", float, "config.dpl", DplConfig.eta_step),
-            tolerance=_take(dpl, "tolerance", float, "config.dpl", DplConfig.tolerance),
-            eta_bounds=(float(bounds[0]), float(bounds[1])),
-            max_iters=_take(dpl, "max_iters", int, "config.dpl", DplConfig.max_iters),
-        )
-    except ValueError as e:
-        raise ConfigError(f"config.dpl: {e}") from None
-
-    ica = raw.get("ica", {})
-    _reject_unknown(ica, {"d", "heads", "mlp_hidden"}, "config.ica")
-    try:
-        cfg.ica = IcaConfig(
-            d=_take(ica, "d", int, "config.ica", cfg.ica.d),
-            heads=_take(ica, "heads", int, "config.ica", cfg.ica.heads),
-            mlp_hidden=_take(ica, "mlp_hidden", int, "config.ica", 0),
-        )
-    except ValueError as e:
-        raise ConfigError(f"config.ica: {e}") from None
-
-    opt = raw.get("optimizer", {})
-    _reject_unknown(opt, {"lr", "beta1", "beta2"}, "config.optimizer")
-    cfg.train = TrainConfig(
-        epochs=_take(raw, "epochs", int, "config", TrainConfig.epochs),
-        batch_size=_take(raw, "batch_size", int, "config", TrainConfig.batch_size),
-        lr=_take(opt, "lr", float, "config.optimizer", TrainConfig.lr),
-        beta1=_take(opt, "beta1", float, "config.optimizer", TrainConfig.beta1),
-        beta2=_take(opt, "beta2", float, "config.optimizer", TrainConfig.beta2),
-        loss=loss_config,
-        dpl=dpl_config,
-    )
-
+        # derive the dataset stream from the master seed so method arms
+        # compared under one seed share their data
+        cfg.dataset = build(GenSpec, "config.dataset", seed=substream_seed(cfg.seed, "datagen"))
     _validate_arm_buffer(cfg)
     return cfg
 
@@ -327,11 +321,7 @@ def _load_data(cfg: RunConfig):
         if train.class_names != test.class_names:
             raise DataError("train/test class tables differ")
         return train, test, train.class_names
-    try:
-        spec = GenSpec(**cfg.dataset)
-    except ValueError as e:
-        raise ConfigError(f"config.dataset: {e}") from None
-    return generate(spec)
+    return generate(cfg.dataset)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -371,7 +361,7 @@ def run(cfg: RunConfig) -> RunResult:
 def _write_outputs(out_dir: str, result: RunResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "results.json"), "w") as fh:
-        json.dump(result.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(asdict(result), fh, sort_keys=True, indent=2)
         fh.write("\n")
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
         fh.write("session,map,cf1,of1\n")
@@ -386,10 +376,11 @@ def _write_outputs(out_dir: str, result: RunResult) -> None:
 def load_result(path: str) -> RunResult:
     try:
         with open(path) as fh:
-            return RunResult.from_dict(json.load(fh))
+            d = json.load(fh)
+        return RunResult(**{f.name: d[f.name] for f in fields(RunResult)})
     except OSError as e:
         raise DataError(str(e)) from None
-    except (KeyError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: not a results file ({e})") from None
 
 
@@ -471,19 +462,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one incremental run")
     p_run.add_argument("--config", help="JSON config file")
-    p_run.add_argument("--arm", choices=ARMS)
-    p_run.add_argument("--base", type=int)
-    p_run.add_argument("--inc", type=int)
+    for key in _KEYS:
+        if key.flag:
+            p_run.add_argument(key.flag, dest=key.path, type=key.kind, choices=key.choices)
     p_run.add_argument("--buffer-per-class", type=int)
     p_run.add_argument("--buffer-total", type=int)
-    p_run.add_argument("--lambda", dest="lam", type=float)
-    p_run.add_argument("--eta0", type=float)
-    p_run.add_argument("--mu", type=float)
-    p_run.add_argument("--gamma-pos", type=float)
-    p_run.add_argument("--gamma-neg", type=float)
-    p_run.add_argument("--epochs", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out")
     p_run.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE",
                        help="override any config field")
 
@@ -494,27 +477,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dpl.add_argument("--scores", required=True, help="CSV with a class-id header row")
     p_dpl.add_argument("--labels", required=True, help="JSONL of {image_id, labels}")
     p_dpl.add_argument("--out", required=True, help="merged JSONL output path")
-    p_dpl.add_argument("--eta0", type=float, default=0.8)
-    p_dpl.add_argument("--mu", type=float, default=2.9)
+    p_dpl.add_argument("--eta0", type=float, default=DplConfig.eta_init)
+    p_dpl.add_argument("--mu", type=float, default=DplConfig.mu)
     p_dpl.add_argument("--total-classes", type=int)
     return parser
 
 
 def _flag_overrides(args) -> list:
-    pairs = [
-        ("arm", args.arm, "arm"),
-        ("base", args.base, "plan.base"),
-        ("inc", args.inc, "plan.inc"),
-        ("lam", args.lam, "loss.lambda"),
-        ("eta0", args.eta0, "dpl.eta0"),
-        ("mu", args.mu, "dpl.mu"),
-        ("gamma_pos", args.gamma_pos, "loss.gamma_pos"),
-        ("gamma_neg", args.gamma_neg, "loss.gamma_neg"),
-        ("epochs", args.epochs, "epochs"),
-        ("seed", args.seed, "seed"),
-        ("out", args.out, "out"),
-    ]
-    overrides = [f"{path}={json.dumps(val)}" for _, val, path in pairs if val is not None]
+    given = [(key.path, getattr(args, key.path)) for key in _KEYS if key.flag]
+    overrides = [f"{path}={json.dumps(val)}" for path, val in given if val is not None]
     if args.buffer_per_class is not None and args.buffer_total is not None:
         raise ConfigError("give only one of --buffer-per-class / --buffer-total")
     if args.buffer_per_class is not None:
@@ -557,12 +528,12 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             print(compare(args.results))
         elif args.command == "dpl":
+            try:
+                dpl_config = DplConfig(eta_init=args.eta0, mu=args.mu)
+            except ValueError as e:
+                raise ConfigError(f"dpl: {e}") from None
             report = dpl_standalone(
-                args.scores,
-                args.labels,
-                args.out,
-                DplConfig(eta_init=args.eta0, mu=args.mu),
-                total_classes=args.total_classes,
+                args.scores, args.labels, args.out, dpl_config, total_classes=args.total_classes
             )
             print(json.dumps(report, sort_keys=True))
         return 0

@@ -41,6 +41,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.grid_h, self.grid_w, self.channels, self.n_train, self.n_test) < 1:
+            raise ValueError("grid_h, grid_w, channels, n_train and n_test must be positive")
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
         if not 1.0 <= self.avg_labels_per_image <= self.n_classes:
@@ -49,20 +51,6 @@ class GenSpec:
             )
         if self.avg_labels_per_image > self.grid_h * self.grid_w:
             raise ValueError("more labels per image than grid cells")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "grid_h": self.grid_h,
-            "grid_w": self.grid_w,
-            "channels": self.channels,
-            "avg_labels_per_image": self.avg_labels_per_image,
-            "noise_sigma": self.noise_sigma,
-            "co_occurrence": self.co_occurrence,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "seed": self.seed,
-        }
 
 
 @dataclass

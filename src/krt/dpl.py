@@ -26,7 +26,7 @@ class DplConfig:
     mu: float = 2.9
     eta_step: float = 1e-2
     tolerance: float = 1e-1
-    eta_bounds: tuple = (0.01, 0.99)
+    eta_bounds: tuple[float, float] = (0.01, 0.99)
     max_iters: int = 500
 
     def __post_init__(self):
@@ -34,6 +34,9 @@ class DplConfig:
             raise ValueError(f"eta_init {self.eta_init} outside (0, 1)")
         if self.eta_step <= 0 or self.tolerance <= 0:
             raise ValueError("eta_step and tolerance must be positive")
+        low, high = self.eta_bounds
+        if low > high:
+            raise ValueError(f"eta_bounds low {low} above high {high}")
 
 
 @dataclass

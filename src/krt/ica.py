@@ -23,7 +23,7 @@ The one-row block's context is v_r up to rounding, because
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,10 @@ class IcaConfig:
     mlp_hidden: int = 0  # 0 -> 4*d
 
     def __post_init__(self):
+        if self.d < 1 or self.heads < 1:
+            raise ValueError(f"d {self.d} and heads {self.heads} must be positive")
+        if self.mlp_hidden < 0:
+            raise ValueError(f"mlp_hidden {self.mlp_hidden} must be non-negative")
         if self.mlp_hidden == 0:
             self.mlp_hidden = 4 * self.d
         if self.d % self.heads != 0:
@@ -91,16 +95,18 @@ class IcaState:
 
     def block_parameters(self) -> list:
         """Shared-block weights, excluding tokens."""
-        return [
-            self.w_q, self.w_k, self.w_v, self.w_o, self.b_o,
-            self.norm1_gain, self.norm1_bias, self.norm2_gain, self.norm2_bias,
-            self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2,
-        ]
+        return [t for name, t in tensor_fields(self) if name != "kt_token"]
 
     def trainable_parameters(self) -> list:
         params = self.block_parameters() + [self.kt_token]
         params += [kr for kr in self.kr_tokens if kr.requires_grad]
         return params
+
+
+def tensor_fields(record) -> list:
+    """(name, tensor) for each Tensor-valued field of a dataclass, in field order."""
+    pairs = [(f.name, getattr(record, f.name)) for f in fields(record)]
+    return [(name, value) for name, value in pairs if isinstance(value, Tensor)]
 
 
 def init_ica(config: IcaConfig, rng: np.random.Generator, dtype=np.float64) -> IcaState:

@@ -33,17 +33,6 @@ class LossConfig:
             raise ValueError("token loss weight must be non-negative")
 
 
-@dataclass
-class LossBreakdown:
-    asl: float
-    token: Optional[float] = None
-    kd: Optional[float] = None
-    total: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"asl": self.asl, "token": self.token, "kd": self.kd, "total": self.total}
-
-
 def _as_constant(t) -> Tensor:
     return t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=np.float64))
 

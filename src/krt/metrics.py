@@ -52,16 +52,6 @@ class MetricsRecord:
             "per_class_ap": self.per_class_ap,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "MetricsRecord":
-        return MetricsRecord(
-            session=d["session"],
-            map=d["map"],
-            cf1=d["cf1"],
-            of1=d["of1"],
-            per_class_ap=list(d["per_class_ap"]),
-        )
-
 
 def average_precision(scores, truths) -> float:
     """AP in [0, 1]; ties keep input order (stable descending sort)."""

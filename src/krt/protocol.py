@@ -23,7 +23,7 @@ from . import ica as ica_mod
 from . import tensor as T
 from .datagen import Dataset
 from .dpl import DplConfig, PseudoLabelReport, dynamic_threshold_search, session_target
-from .ica import IcaConfig, IcaState
+from .ica import IcaConfig, IcaState, tensor_fields
 from .losses import LossConfig, asl_loss, kd_pooled_loss, token_loss, total_loss
 from .metrics import EvalBatch, MetricsRecord, evaluate
 from .optim import Adam
@@ -141,32 +141,13 @@ class ModelState:
         return sum(h[1].size for h in self.heads)
 
     def trainable_parameters(self) -> list:
-        params = [self.conv_w, self.conv_b, self.proj_w, self.proj_b]
-        if self.ica is not None:
-            params += self.ica.trainable_parameters()
-        for w, b in self.heads:
-            params += [w, b]
-        return params
+        return [t for _, t in self.named_parameters() if t.requires_grad]
 
     def named_parameters(self) -> list:
-        named = [
-            ("conv.w", self.conv_w),
-            ("conv.b", self.conv_b),
-            ("proj.w", self.proj_w),
-            ("proj.b", self.proj_b),
-        ]
+        named = [(name, t) for name, t in tensor_fields(self) if name != "pos_enc"]
         if self.ica is not None:
-            s = self.ica
-            named += [
-                ("ica.w_q", s.w_q), ("ica.w_k", s.w_k), ("ica.w_v", s.w_v),
-                ("ica.w_o", s.w_o), ("ica.b_o", s.b_o),
-                ("ica.norm1.gain", s.norm1_gain), ("ica.norm1.bias", s.norm1_bias),
-                ("ica.norm2.gain", s.norm2_gain), ("ica.norm2.bias", s.norm2_bias),
-                ("ica.mlp.w1", s.mlp_w1), ("ica.mlp.b1", s.mlp_b1),
-                ("ica.mlp.w2", s.mlp_w2), ("ica.mlp.b2", s.mlp_b2),
-                ("ica.kt", s.kt_token),
-            ]
-            named += [(f"ica.kr.{i}", kr) for i, kr in enumerate(s.kr_tokens)]
+            named += [(f"ica.{name}", t) for name, t in tensor_fields(self.ica)]
+            named += [(f"ica.kr.{i}", kr) for i, kr in enumerate(self.ica.kr_tokens)]
         for i, (w, b) in enumerate(self.heads):
             named += [(f"head.{i}.w", w), (f"head.{i}.b", b)]
         return named
@@ -273,31 +254,17 @@ def snapshot_model(model: ModelState) -> ModelState:
     def const(t: Tensor) -> Tensor:
         return Tensor(t.data.copy())
 
+    def copy_of(record, **rest):
+        return replace(record, **{name: const(t) for name, t in tensor_fields(record)}, **rest)
+
     snap_ica = None
     if model.ica is not None:
-        s = model.ica
-        snap_ica = IcaState(
-            config=s.config,
-            w_q=const(s.w_q), w_k=const(s.w_k), w_v=const(s.w_v),
-            w_o=const(s.w_o), b_o=const(s.b_o),
-            norm1_gain=const(s.norm1_gain), norm1_bias=const(s.norm1_bias),
-            norm2_gain=const(s.norm2_gain), norm2_bias=const(s.norm2_bias),
-            mlp_w1=const(s.mlp_w1), mlp_b1=const(s.mlp_b1),
-            mlp_w2=const(s.mlp_w2), mlp_b2=const(s.mlp_b2),
-            kt_token=const(s.kt_token),
-            kr_tokens=[const(kr) for kr in s.kr_tokens],
-        )
-    return ModelState(
-        conv_w=const(model.conv_w),
-        conv_b=const(model.conv_b),
-        proj_w=const(model.proj_w),
-        proj_b=const(model.proj_b),
-        pos_enc=const(model.pos_enc),
+        snap_ica = copy_of(model.ica, kr_tokens=[const(kr) for kr in model.ica.kr_tokens])
+    return copy_of(
+        model,
         ica=snap_ica,
         heads=[(const(w), const(b)) for w, b in model.heads],
         flags=replace(model.flags),
-        grid=model.grid,
-        d=model.d,
     )
 
 
@@ -388,6 +355,17 @@ class TrainConfig:
     beta2: float = 0.999
     loss: LossConfig = field(default_factory=LossConfig)
     dpl: DplConfig = field(default_factory=DplConfig)
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError(
+                f"epochs {self.epochs} and batch_size {self.batch_size} must be positive"
+            )
+        if self.lr < 0 or not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(
+                f"lr {self.lr} must be non-negative, "
+                f"beta1 {self.beta1} and beta2 {self.beta2} in [0, 1)"
+            )
 
 
 @dataclass

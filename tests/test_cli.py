@@ -1,14 +1,20 @@
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import krt
-from krt.cli import main, parse_config
+from krt import DplConfig, GenSpec, IcaConfig, LossConfig, cli
+from krt.cli import RunConfig, main, parse_config
+from krt.protocol import TrainConfig
 from krt.seeds import substream_seed
 
 
@@ -114,3 +120,158 @@ def _echo_round_trip_configs():
 def test_echo_parses_back_to_the_same_config(raw):
     cfg = parse_config(raw)
     assert parse_config(cfg.echo()).echo() == cfg.echo()
+
+
+DATASET_SIZES = "config.dataset: grid_h, grid_w, channels, n_train and n_test must be positive"
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("dpl.eta_bounds=[null,1]", "config.dpl.eta_bounds: expected float"),
+        ('dpl.eta_bounds=["0.1",0.9]', "config.dpl.eta_bounds: expected float"),
+        ("dpl.eta_bounds=[true,0.9]", "config.dpl.eta_bounds: expected float"),
+        ("dpl.eta_bounds=[0.9,0.1]", "config.dpl: eta_bounds low 0.9 above high 0.1"),
+        ("dpl.eta_bounds=[0.1]", "config.dpl.eta_bounds: expected [float, float]"),
+        ("batch_size=0", "config: epochs 1 and batch_size 0 must be positive"),
+        ("epochs=0", "config: epochs 0 and batch_size 16 must be positive"),
+        (
+            "optimizer.beta1=1",
+            "config: lr 0.001 must be non-negative, beta1 1.0 and beta2 0.999 in [0, 1)",
+        ),
+        ("ica.heads=0", "config.ica: d 8 and heads 0 must be positive"),
+        ("ica.d=0", "config.ica: d 0 and heads 2 must be positive"),
+        ("ica.mlp_hidden=-1", "config.ica: mlp_hidden -1 must be non-negative"),
+        ("dataset.n_train=1.5", "config.dataset.n_train: expected int"),
+        ('dataset.n_train="x"', "config.dataset.n_train: expected int"),
+        ("dataset.channels=0", DATASET_SIZES),
+        ("dataset.n_test=0", DATASET_SIZES),
+        ('dataset={"train_path": 0, "test_path": 1}', "config.dataset.train_path: expected str"),
+        ('dataset={"train_path": null, "test_path": "t"}', "config.dataset.train_path: expected str"),
+        ("loss.gamma_neg=-1", "config.loss: focusing parameters must be non-negative"),
+        ("epochs=true", "config.epochs: expected int"),
+        ('buffer={"total": true}', "config.buffer.total: expected a positive integer"),
+    ],
+)
+def test_bad_values_fail_at_the_boundary(override, message, tmp_path, capsys):
+    assert main(TINY_RUN + ["--set", override, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"E_CONFIG: {message}\n"
+
+
+def test_dpl_command_rejects_a_threshold_outside_the_unit_interval(tmp_path, capsys):
+    argv = ["dpl", "--scores", "s.csv", "--labels", "l.jsonl", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--eta0", "1.5"]) == 2
+    assert capsys.readouterr().err == "E_CONFIG: dpl: eta_init 1.5 outside (0, 1)\n"
+
+
+@pytest.mark.parametrize("content", ['{"version": "0", "config": {}}', "[1, 2]"])
+def test_compare_reports_a_file_that_is_not_a_results_file(content, tmp_path, capsys):
+    bad = tmp_path / "results.json"
+    bad.write_text(content)
+    assert main(["compare", str(bad), str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"E_DATA: {bad}: not a results file")
+
+
+def test_run_flags_are_the_documented_set(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags == set(
+        "--config --arm --base --inc --buffer-per-class --buffer-total --lambda --eta0 --mu "
+        "--gamma-pos --gamma-neg --epochs --seed --out --set".split()
+    )
+
+
+# every leaf `krt run` accepts besides `buffer` and the dataset file paths
+SETTABLE_PATHS = {
+    *(f"dataset.{name}" for name in (
+        "n_classes", "grid_h", "grid_w", "channels", "avg_labels_per_image", "noise_sigma",
+        "co_occurrence", "n_train", "n_test", "seed",
+    )),
+    "plan.base", "plan.inc", "arm",
+    "loss.lambda", "loss.gamma_pos", "loss.gamma_neg", "loss.neg_margin",
+    "dpl.eta0", "dpl.mu", "dpl.eta_step", "dpl.tolerance", "dpl.eta_bounds", "dpl.max_iters",
+    "ica.d", "ica.heads", "ica.mlp_hidden",
+    "optimizer.lr", "optimizer.beta1", "optimizer.beta2",
+    "epochs", "batch_size", "seed", "out",
+}
+
+
+def test_every_section_field_is_reached_by_exactly_one_table_path():
+    assert {key.path for key in cli._KEYS} == SETTABLE_PATHS
+    assert len(cli._KEYS) == len(SETTABLE_PATHS)
+    reached = [(key.owner, key.attr) for key in cli._KEYS]
+    assert len(set(reached)) == len(reached)
+    for owner in (TrainConfig, LossConfig, DplConfig, IcaConfig, GenSpec):
+        subsections = {"loss", "dpl"} if owner is TrainConfig else set()
+        names = {f.name for f in dataclasses.fields(owner)} - subsections
+        assert {attr for o, attr in reached if o is owner} == names, owner.__name__
+    assert {attr for o, attr in reached if o is RunConfig} <= {f.name for f in dataclasses.fields(RunConfig)}
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_non_negative = st.one_of(st.integers(0, 100), st.floats(0, 100))
+_unit = st.floats(0.01, 0.99)
+# values the section dataclasses accept; other paths draw any value of their type
+_VALID = {
+    "dataset.n_classes": st.integers(3, 40),
+    "dataset.grid_h": st.integers(2, 16),
+    "dataset.grid_w": st.integers(2, 16),
+    "dataset.channels": st.integers(1, 64),
+    "dataset.avg_labels_per_image": st.floats(1, 2),
+    "dataset.n_train": st.integers(1, 10**6),
+    "dataset.n_test": st.integers(1, 10**6),
+    "loss.lambda": _non_negative,
+    "loss.gamma_pos": _non_negative,
+    "loss.gamma_neg": _non_negative,
+    "dpl.eta0": _unit,
+    "dpl.eta_step": st.floats(1e-4, 0.5),
+    "dpl.tolerance": st.floats(1e-4, 0.5),
+    "dpl.eta_bounds": st.tuples(st.floats(0, 0.5), st.floats(0.5, 1)).map(list),
+    "ica.d": st.sampled_from([8, 16, 32]),
+    "ica.heads": st.sampled_from([1, 2, 4, 8]),
+    "ica.mlp_hidden": st.integers(1, 512),
+    "optimizer.lr": st.floats(0, 1),
+    "optimizer.beta1": st.floats(0, 0.999),
+    "optimizer.beta2": st.floats(0, 0.999),
+    "epochs": st.integers(1, 1000),
+    "batch_size": st.integers(1, 256),
+    "out": st.text(max_size=20),
+}
+_BY_KIND = {int: st.integers(-(2**40), 2**40), float: st.one_of(st.integers(-1000, 1000), _finite)}
+
+
+def _valid_value(key):
+    if key.choices:
+        return st.sampled_from(key.choices)
+    return _VALID.get(key.path, _BY_KIND.get(key.kind))
+
+
+def _get(tree, path):
+    for name in path.split("."):
+        tree = tree[name]
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echo_holds_every_table_value_and_parses_back(data):
+    raw = {}
+    for key in cli._KEYS:
+        if data.draw(st.booleans(), label=f"give {key.path}"):
+            cli._put(raw, key.path, data.draw(_valid_value(key), label=key.path))
+    requirement = cli._ARM_TABLE[raw.get("arm", RunConfig.arm)][3]
+    if requirement == "require" or requirement == "allow" and data.draw(st.booleans()):
+        raw["buffer"] = {data.draw(st.sampled_from(["per_class", "total"])): data.draw(st.integers(1, 50))}
+    echoed = parse_config(raw).echo()
+    for key in cli._KEYS:
+        try:
+            given_value = _get(raw, key.path)
+        except KeyError:
+            continue
+        held = _get(echoed, key.path)
+        assert held == given_value, key.path
+        assert type(held) is (float if key.kind is float else type(given_value)), key.path
+    assert echoed["buffer"] == raw.get("buffer")
+    assert parse_config(echoed).echo() == echoed

@@ -52,6 +52,11 @@ class TestGeneratePseudoLabels:
 
 
 class TestThresholdSearch:
+    def test_low_bound_above_high_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="eta_bounds low 0.9 above high 0.1"):
+            DplConfig(eta_bounds=(0.9, 0.1))
+        assert DplConfig(eta_bounds=(0.5, 0.5)).eta_bounds == (0.5, 0.5)
+
     def test_immediate_convergence_keeps_eta_init(self):
         # beta(0.8) = 1.0; target hit with zero adjustments
         scores = np.array([[0.9, 0.3], [0.81, 0.79]])
