@@ -51,6 +51,8 @@ class GenSpec:
             )
         if self.avg_labels_per_image > self.grid_h * self.grid_w:
             raise ValueError("more labels per image than grid cells")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma {self.noise_sigma} must be non-negative")
 
 
 @dataclass

@@ -34,6 +34,8 @@ class DplConfig:
             raise ValueError(f"eta_init {self.eta_init} outside (0, 1)")
         if self.eta_step <= 0 or self.tolerance <= 0:
             raise ValueError("eta_step and tolerance must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters {self.max_iters} must be positive")
         low, high = self.eta_bounds
         if low > high:
             raise ValueError(f"eta_bounds low {low} above high {high}")

@@ -34,7 +34,8 @@ class LossConfig:
 
 
 def _as_constant(t) -> Tensor:
-    return t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=np.float64))
+    """A Tensor as is; an array keeps its float dtype, so a float32 model stays float32."""
+    return t if isinstance(t, Tensor) else Tensor(t)
 
 
 def asl_loss(probs: Tensor, targets, config: LossConfig = None) -> Tensor:
@@ -44,7 +45,7 @@ def asl_loss(probs: Tensor, targets, config: LossConfig = None) -> Tensor:
     a same-shaped 0/1 array treated as a constant.
     """
     config = config or LossConfig()
-    y = np.asarray(targets if not isinstance(targets, Tensor) else targets.data, dtype=np.float64)
+    y = np.asarray(targets if not isinstance(targets, Tensor) else targets.data, dtype=probs.dtype)
     if y.shape != probs.shape:
         raise ValueError(f"targets shape {y.shape} != probs shape {probs.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
@@ -56,7 +57,7 @@ def asl_loss(probs: Tensor, targets, config: LossConfig = None) -> Tensor:
     if config.neg_margin > 0.0:
         # negatives judged on max(p - margin, 0); needs gamma_neg >= 1
         shifted = T.add(probs, -config.neg_margin)
-        gate = Tensor((shifted.data > 0.0).astype(np.float64))
+        gate = Tensor((shifted.data > 0.0).astype(probs.dtype))
         p_neg = T.mul(shifted, gate)
     else:
         p_neg = probs

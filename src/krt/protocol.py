@@ -10,6 +10,12 @@ both pseudo-labeling and the retention losses and are never mutated.
 
 Method arms differ only in flags: use_dpl, use_ica, use_kd, and the
 buffer policy.
+
+The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
+`init_model`). Everything after init reads the dtype from the model's own
+parameters, so parameters, activations, gradients, Adam moments, teacher
+outputs and eval scores all stay float32. The tensor ops are dtype-generic
+and keep float64 as the reference dtype of the gradient and oracle tests.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .metrics import EvalBatch, MetricsRecord, evaluate
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 
+MODEL_DTYPE = np.float32
 
 # ---------------------------------------------------------------------------
 # session planning
@@ -140,6 +147,10 @@ class ModelState:
     def n_outputs(self) -> int:
         return sum(h[1].size for h in self.heads)
 
+    @property
+    def dtype(self):
+        return self.proj_w.dtype
+
     def trainable_parameters(self) -> list:
         return [t for _, t in self.named_parameters() if t.requires_grad]
 
@@ -172,18 +183,20 @@ def init_model(
     The patch extractor is one 3x3 local-mixing convolution plus gelu; its
     output width is 8x the input channels, which gives prototypes room to
     decorrelate before token projection. Position encodings are fixed
-    sinusoids, scaled by 0.1 so content dominates the keys at init.
+    sinusoids, scaled by 0.1 so content dominates the keys at init. Every
+    tensor is MODEL_DTYPE.
     """
     h, w, c = grid
     d = ica_config.d
     width = 8 * c
+    dt = MODEL_DTYPE
     model = ModelState(
-        conv_w=T.uniform_param(rng, (9 * c, width)),
-        conv_b=T.uniform_param(rng, (width,), fan_in=9 * c),
-        proj_w=T.uniform_param(rng, (width, d)),
-        proj_b=T.uniform_param(rng, (d,), fan_in=width),
-        pos_enc=Tensor(0.1 * sinusoidal_positions(h * w, d)[None, :, :]),
-        ica=ica_mod.init_ica(ica_config, rng) if flags.use_ica else None,
+        conv_w=T.uniform_param(rng, (9 * c, width), dtype=dt),
+        conv_b=T.uniform_param(rng, (width,), fan_in=9 * c, dtype=dt),
+        proj_w=T.uniform_param(rng, (width, d), dtype=dt),
+        proj_b=T.uniform_param(rng, (d,), fan_in=width, dtype=dt),
+        pos_enc=Tensor(0.1 * sinusoidal_positions(h * w, d)[None, :, :], dtype=dt),
+        ica=ica_mod.init_ica(ica_config, rng, dtype=dt) if flags.use_ica else None,
         heads=[],
         flags=flags,
         grid=grid,
@@ -198,8 +211,8 @@ def expand_for_session(model: ModelState, n_new_classes: int, rng: np.random.Gen
         ica_mod.add_session(model.ica, rng)
     model.heads.append(
         (
-            T.uniform_param(rng, (model.d, n_new_classes)),
-            T.uniform_param(rng, (n_new_classes,), fan_in=model.d),
+            T.uniform_param(rng, (model.d, n_new_classes), dtype=model.dtype),
+            T.uniform_param(rng, (n_new_classes,), fan_in=model.d, dtype=model.dtype),
         )
     )
 
@@ -215,7 +228,7 @@ def forward_logits(model: ModelState, images: np.ndarray, attn_out: list = None)
     """Patch extraction, projection, position encoding, then the head stack."""
     if model.session_count == 0:
         raise ValueError("model has no sessions yet")
-    x = Tensor(np.asarray(images, dtype=np.float64))
+    x = Tensor(np.asarray(images, dtype=model.dtype))
     if x.ndim == 3:
         x = x.reshape(1, *x.shape)
     bsz, h, w, c = x.shape
@@ -245,7 +258,7 @@ def forward_logits(model: ModelState, images: np.ndarray, attn_out: list = None)
 
 def _global_pool(patches: Tensor) -> Tensor:
     bsz, length, _ = patches.shape
-    ones = Tensor(np.full((bsz, length), 1.0 / length))
+    ones = Tensor(np.full((bsz, length), 1.0 / length, dtype=patches.dtype))
     return T.weighted_rows_sum(ones, patches)
 
 

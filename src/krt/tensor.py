@@ -2,7 +2,9 @@
 
 Only the operations the cross-attention model and its losses need are
 implemented. Arrays are numpy (float32 or float64), gradients are recorded
-on an explicit Tape and replayed in exact reverse execution order.
+on an explicit Tape and replayed in exact reverse execution order. Every op
+computes in its inputs' dtype: the model runs in float32 (see `protocol`),
+and the finite-difference and oracle tests run the same ops in float64.
 
 Broadcasting is deliberately restricted to scalar-times-tensor; anything
 else requires an explicit reshape/repeat. Every op output is checked for
@@ -304,9 +306,12 @@ def sigmoid(a: Tensor) -> Tensor:
     """Logistic function with outputs clamped to [eps, 1-eps], eps=1e-7.
 
     Clamping keeps subsequent logs finite; the gradient uses the clamped
-    output, so it is ~eps (not exactly zero) in deep saturation.
+    output, so it is ~eps (not exactly zero) in deep saturation. exp(-x)
+    overflows to inf below x = -88.7 in float32 (-709 in float64); the
+    quotient is then 0, which the clamp lifts to eps.
     """
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-a.data))
     s = np.clip(s, SIGMOID_EPS, 1.0 - SIGMOID_EPS)
 
     def bwd(g, a=a, s=s):

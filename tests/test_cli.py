@@ -30,6 +30,27 @@ def test_python_dash_m_krt_prints_help():
     assert "usage: krt" in proc.stdout
 
 
+def test_results_are_identical_across_process_restarts(tmp_path):
+    src = str(Path(krt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "krt"] + TINY_RUN + ["--arm", "krt", "--seed", "7"]
+    results = []
+    for name in ("a", "b"):
+        # one relative --out from two directories, so the echoed configs match
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run(
+            argv + ["--out", "run"], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads((cwd / "run" / "results.json").read_text()))
+    for r in results:
+        assert r.pop("wall_clock_sec") >= 0
+    assert results[0]["dpl_reports"]  # the run reached a DPL session
+    assert results[0] == results[1]
+
+
 def _load_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -149,6 +170,9 @@ DATASET_SIZES = "config.dataset: grid_h, grid_w, channels, n_train and n_test mu
         ('dataset={"train_path": 0, "test_path": 1}', "config.dataset.train_path: expected str"),
         ('dataset={"train_path": null, "test_path": "t"}', "config.dataset.train_path: expected str"),
         ("loss.gamma_neg=-1", "config.loss: focusing parameters must be non-negative"),
+        ("dpl.max_iters=0", "config.dpl: max_iters 0 must be positive"),
+        ("dpl.max_iters=-1", "config.dpl: max_iters -1 must be positive"),
+        ("dataset.noise_sigma=-1", "config.dataset: noise_sigma -1.0 must be non-negative"),
         ("epochs=true", "config.epochs: expected int"),
         ('buffer={"total": true}', "config.buffer.total: expected a positive integer"),
     ],
@@ -222,6 +246,7 @@ _VALID = {
     "dataset.avg_labels_per_image": st.floats(1, 2),
     "dataset.n_train": st.integers(1, 10**6),
     "dataset.n_test": st.integers(1, 10**6),
+    "dataset.noise_sigma": _non_negative,
     "loss.lambda": _non_negative,
     "loss.gamma_pos": _non_negative,
     "loss.gamma_neg": _non_negative,
@@ -229,6 +254,7 @@ _VALID = {
     "dpl.eta_step": st.floats(1e-4, 0.5),
     "dpl.tolerance": st.floats(1e-4, 0.5),
     "dpl.eta_bounds": st.tuples(st.floats(0, 0.5), st.floats(0.5, 1)).map(list),
+    "dpl.max_iters": st.integers(1, 10**6),
     "ica.d": st.sampled_from([8, 16, 32]),
     "ica.heads": st.sampled_from([1, 2, 4, 8]),
     "ica.mlp_hidden": st.integers(1, 512),

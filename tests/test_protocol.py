@@ -358,3 +358,69 @@ class TestRunIncremental:
         # later sessions evaluate over more classes
         assert len(outcomes[2].metrics.per_class_ap) == 6
 
+
+
+class TestModelDtype:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ArmFlags(),  # krt: ICA, DPL and the token loss
+            ArmFlags(buffer_policy=("per_class", 3)),  # krt_r
+            ArmFlags(use_dpl=False, use_ica=False, use_kd=True),  # kd_baseline
+        ],
+        ids=["krt", "krt_r", "kd_baseline"],
+    )
+    def test_training_teacher_and_eval_stay_float32(self, monkeypatch, flags):
+        train, test, names = tiny_data()
+        plan = build_plan(names, base=3, inc=3)
+        seen = {"optimizers": [], "records": set(), "grads": set(), "teacher": set()}
+
+        class RecordingTape(T.Tape):
+            def clear(self):
+                seen["records"] |= {out.dtype for out, _ in self._records}
+                super().clear()
+
+        class RecordingAdam(protocol.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen["optimizers"].append(self)
+
+            def step(self):
+                seen["grads"] |= {p.grad.dtype for p in self.params if p.grad is not None}
+                super().step()
+
+        def recording_teacher(*args, **kwargs):
+            probs, embeddings, pooled = real_teacher(*args, **kwargs)
+            arrays = [probs, *embeddings] + ([] if pooled is None else [pooled])
+            seen["teacher"] |= {a.dtype for a in arrays}
+            return probs, embeddings, pooled
+
+        def checked_session(model, *args, **kwargs):
+            outcome = real_session(model, *args, **kwargs)
+            opt = seen["optimizers"][-1]
+            snap = outcome.snapshot
+            arrays = [t.data for _, t in model.named_parameters()] + opt._m + opt._v
+            arrays += [t.data for _, t in snap.named_parameters()] + [snap.pos_enc.data]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+            return outcome
+
+        real_teacher, real_session = protocol.teacher_pass, protocol.train_session
+        monkeypatch.setattr(protocol, "Tape", RecordingTape)
+        monkeypatch.setattr(protocol, "Adam", RecordingAdam)
+        monkeypatch.setattr(protocol, "teacher_pass", recording_teacher)
+        monkeypatch.setattr(protocol, "train_session", checked_session)
+        outcomes = run_incremental(train, test, plan, flags, tiny_ica(), tiny_config(1), 3)
+        assert len(outcomes) == 2 and len(seen["optimizers"]) == 2
+        f32 = {np.dtype(np.float32)}
+        assert seen["records"] == f32
+        assert seen["grads"] == f32
+        assert seen["teacher"] == f32
+
+    def test_float64_images_are_cast_to_the_model_dtype(self):
+        train, _, _ = tiny_data()
+        rng = substream_rng(21, "init")
+        model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
+        expand_for_session(model, 3, rng)
+        out = forward_logits(model, train.features_array([0, 1]).astype(np.float64))
+        assert out.logits.dtype == np.float32
+        assert all(e.dtype == np.float32 for e in out.embeddings)
