@@ -16,6 +16,12 @@ The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
 parameters, so parameters, activations, gradients, Adam moments, teacher
 outputs and eval scores all stay float32. The tensor ops are dtype-generic
 and keep float64 as the reference dtype of the gradient and oracle tests.
+
+In float32, results repeat only at a fixed BLAS thread count: the GEMMs
+sum in an order that depends on the thread split, and a float32 rounding
+difference can flip a pseudo-label or an mAP rank. The accuracy guard's
+`incr_paper` config gives last mAP 11.7548 with one OpenBLAS thread and
+11.7502 with two; the float64 model gave the same mAPs at both counts.
 """
 
 from __future__ import annotations

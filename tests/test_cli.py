@@ -33,7 +33,9 @@ def test_python_dash_m_krt_prints_help():
 def test_results_are_identical_across_process_restarts(tmp_path):
     src = str(Path(krt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    # float32 results repeat only at one BLAS thread count (see krt.protocol)
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, "PYTHONPATH": path, **threads}
     argv = [sys.executable, "-m", "krt"] + TINY_RUN + ["--arm", "krt", "--seed", "7"]
     results = []
     for name in ("a", "b"):

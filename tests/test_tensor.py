@@ -522,9 +522,26 @@ class TestDeterminismAndSafety:
             Tensor([np.nan])
 
     def test_float32_supported(self):
+        # ops keep their input dtype: float32 for the model, float64 for the gradient tests
         x = Tensor(np.ones((2, 2), dtype=np.float32))
         y = T.mul(x, x)
         assert y.dtype == np.float32
+        rng = np.random.default_rng(7)
+        for dtype in (np.float32, np.float64):
+
+            def leaf(*shape):
+                return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+            q, rows, w_k, w_v = leaf(8), leaf(2, 5, 6), leaf(6, 8), leaf(6, 8)
+            x, gain, bias = leaf(3, 6), leaf(6), leaf(6)
+            with Tape():
+                att = T.attention_block(q, rows, w_k, w_v, heads=2, scale=0.5)
+                act = T.gelu(T.layer_norm(x, gain, bias))
+                loss = T.add(T.sum_all(att), T.sum_all(act))
+            backward(loss)
+            leaves = [q, rows, w_k, w_v, x, gain, bias]
+            assert all(t.dtype == dtype for t in leaves + [att, act, loss])
+            assert all(t.grad.dtype == dtype for t in leaves)
 
     def test_float32_sigmoid_saturates_without_overflow_warning(self):
         with warnings.catch_warnings():
@@ -532,27 +549,6 @@ class TestDeterminismAndSafety:
             out = T.sigmoid(Tensor(np.array([-100.0, 100.0], dtype=np.float32)))
         assert out.dtype == np.float32
         assert np.array_equal(out.data, np.array([1e-7, 1 - 1e-7], dtype=np.float32))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_fused_ops_keep_their_input_dtype(self, dtype):
-        rng = np.random.default_rng(7)
-
-        def leaf(*shape):
-            return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
-
-        q, rows, w_k, w_v = leaf(8), leaf(2, 5, 6), leaf(6, 8), leaf(6, 8)
-        x, gain, bias = leaf(3, 6), leaf(6), leaf(6)
-        with Tape():
-            outs = [
-                T.attention_block(q, rows, w_k, w_v, heads=2, scale=0.5),
-                T.layer_norm(x, gain, bias),
-            ]
-            loss = T.add(T.sum_all(outs[0]), T.sum_all(T.gelu(outs[1])))
-        backward(loss)
-        for t in outs + [q, rows, w_k, w_v, x, gain, bias]:
-            assert t.dtype == dtype
-        for t in [q, rows, w_k, w_v, x, gain, bias]:
-            assert t.grad.dtype == dtype
 
 
 class TestInit:
