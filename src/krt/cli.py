@@ -320,6 +320,9 @@ def _load_data(cfg: RunConfig):
             raise DataError(str(e)) from None
         if train.class_names != test.class_names:
             raise DataError("train/test class tables differ")
+        grids = [(d.grid_h, d.grid_w, d.channels) for d in (train, test)]
+        if grids[0] != grids[1]:
+            raise DataError(f"train grid {grids[0]} and test grid {grids[1]} differ")
         return train, test, train.class_names
     return generate(cfg.dataset)
 

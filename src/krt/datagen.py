@@ -223,6 +223,10 @@ def load_dataset(path: str) -> Dataset:
         (image_id,) = struct.unpack("<Q", take(8))
         labels = _bits_to_labels(take(bitset_len), k)
         feats = np.frombuffer(take(feat_len), dtype="<f4").reshape(h, w, c).copy()
+        if not labels:
+            raise DatasetFormatError(f"{path}: image {image_id} has no labels")
+        if not np.all(np.isfinite(feats)):
+            raise DatasetFormatError(f"{path}: image {image_id} has non-finite features")
         examples.append(LabeledExample(image_id=image_id, features=feats, labels=labels))
     if off != len(payload):
         raise DatasetFormatError(f"{path}: {len(payload) - off} trailing bytes")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,8 @@ def _validate_scores(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a matrix, got shape {scores.shape}")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("non-finite scores")
     if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
         raise ValueError("scores outside [0, 1]")
     return scores
@@ -194,9 +197,12 @@ def read_score_csv(path: str):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric score") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{lineno}: non-finite score")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no score rows")
     return [h.strip() for h in header], np.array(rows, dtype=np.float64)
@@ -214,9 +220,10 @@ def read_labels_jsonl(path: str):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: bad JSON ({e.msg})") from None
-            if "image_id" not in obj or "labels" not in obj:
-                raise ValueError(f"{path}:{lineno}: need image_id and labels fields")
-            records.append((obj["image_id"], list(obj["labels"])))
+            labels = obj.get("labels") if isinstance(obj, dict) else None
+            if not isinstance(labels, list) or "image_id" not in obj:
+                raise ValueError(f"{path}:{lineno}: need an object with image_id and a labels list")
+            records.append((obj["image_id"], labels))
     if not records:
         raise ValueError(f"{path}: no label records")
     return records

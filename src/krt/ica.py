@@ -14,9 +14,29 @@ context c = sum_i softmax(s)_i v_i and its log-sum-exp lse = log sum_i
 exp(s_i). Softmax over the union gives each block the total weight
 exp(lse_block) / (exp(lse_r) + exp(lse_patches)), so the union's context is
 softmax([lse_r, lse_patches]) . [c_r, c_patches], exactly (the online-softmax
-merge of Milakov & Gimelshein, arXiv 1805.02867). The patch block is
-computed once per forward (`patch_side`); each session adds a one-row block
-and a two-entry softmax, so a step costs O(L + t) rather than O(t * L).
+merge of Milakov & Gimelshein, arXiv 1805.02867). Column 0 of those
+two-entry weights is the attention mass on the retention token.
+
+`forward_all_sessions` is the one forward path. The query and the patch
+block run once. Each retention token's one-row block runs once per
+session. The merge then pairs every (session, image, head) with its two
+blocks, session-major, in one softmax and one weighted sum. `w_o`, the
+transfer-token residual, norm2, the MLP and the last residual run once on
+the [t, B, d] stack, whose per-session [B, d] slices are the embeddings.
+A forward thus records a fixed set of taped ops plus at most five per
+session, and costs O(L + t) rather than O(t * L).
+
+Old sessions' embeddings must keep their bits when a session is added
+(frozen tokens, unchanged weights). Two layouts that look equivalent
+break that, because a float GEMM rounds each output row in a way that
+depends on the call's shape:
+- The tail's products go through `affine` on the [t, B, d] stack, which
+  is one np.matmul that runs the same BLAS call on each [B, d] slice as a
+  rank-2 call would. A flat [t*B, d] product is one bigger GEMM, and its
+  rows round differently from the [B, d] product at some shapes.
+- The retention blocks stay one call per token. A single call over all t
+  tokens scores them in one [t, d] GEMM instead of t one-row products,
+  which round differently.
 The one-row block's context is v_r up to rounding, because
 `attention_block` pools rows before the value projection.
 """
@@ -24,7 +44,6 @@ The one-row block's context is v_r up to rounding, because
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -140,146 +159,49 @@ def add_session(state: IcaState, rng: np.random.Generator) -> None:
     state.kr_tokens.append(T.uniform_param(rng, (d,), fan_in=d, dtype=state.kt_token.dtype))
 
 
-def _as_batch(patches: Tensor):
-    """Accept [L,d] or [B,L,d]; return ([B,L,d] tensor, had_batch flag)."""
-    if patches.ndim == 2:
-        return patches.reshape(1, *patches.shape), False
-    if patches.ndim == 3:
-        return patches, True
-    raise TensorError(f"patches must be [L,d] or [B,L,d], got {patches.shape}")
-
-
-class PatchSide(NamedTuple):
-    """What every session's attention shares: the query and the patch block."""
-
-    kt: Tensor  # normalised transfer token, [d]
-    patches: Tensor  # normalised patches, [B, L, d]
-    q: Tensor  # projected query, [d]
-    block: Tensor  # attention_block over the patches, [B, heads, dh+1]
-
-
 def _norm1(state: IcaState, t: Tensor) -> Tensor:
     return T.layer_norm(t, state.norm1_gain, state.norm1_bias)
 
 
-def _attend_patches(state: IcaState, kt: Tensor, patches: Tensor) -> PatchSide:
-    """Project the query and attend over the patch rows (inputs pre-normalised)."""
-    cfg = state.config
-    q = T.matmul(kt.reshape(1, cfg.d), state.w_q).reshape(cfg.d)
-    block = T.attention_block(q, patches, state.w_k, state.w_v, cfg.heads, cfg.attn_scale)
-    return PatchSide(kt, patches, q, block)
+def forward_all_sessions(state: IcaState, patches: Tensor) -> list:
+    """[B, d] embeddings of [B, L, d] patches, one per session, in session order.
 
-
-def patch_side(state: IcaState, patches: Tensor) -> PatchSide:
-    """The session-independent half of ICA for [L,d] or [B,L,d] patches."""
-    p3 = _as_batch(patches)[0]
-    return _attend_patches(state, _norm1(state, state.kt_token), _norm1(state, p3))
-
-
-def _attention_weights(state: IcaState, q: Tensor, kr: Tensor, patches: Tensor) -> np.ndarray:
-    """[B, heads, L+1] softmax weights, retention token first; off the tape."""
-    cfg = state.config
-    bsz, _, d = patches.shape
-    seq = np.concatenate([np.broadcast_to(kr.data, (bsz, 1, d)), patches.data], axis=1)
-    a = T.absorb_query(q.data, state.w_k.data, cfg.heads)  # [d, heads]
-    s = (seq @ a).transpose(0, 2, 1) * cfg.attn_scale
-    e = np.exp(s - s.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True)
-
-
-def cross_attention(
-    state: IcaState,
-    kt: Tensor,
-    kr: Tensor,
-    patches: Tensor,
-    attn_out: list = None,
-    shared: PatchSide = None,
-) -> Tensor:
-    """Single-query multi-head cross-attention over {kr} and the patches.
-
-    `kt` is the query row; keys/values are the retention token prepended to
-    the patch rows. Inputs are expected pre-normalised by the caller.
-    Returns [d] for [L,d] patches, [B,d] for [B,L,d]. When `attn_out` is a
-    list, the softmax weights are appended to it as a [B, heads, L+1] array.
-
-    `shared` carries the patch block, computed here when not given. The
-    one-row block of kr has context v_r up to rounding and lse exactly its
-    score s_r. Merging it with the patch block through softmax_rows over
-    [lse_r, lse_patches] and weighted_rows_sum over [c_r, c_patches] is the
-    softmax over {kr} and the patches (see the module docstring), and stays
-    finite however far the two lse values lie apart, because softmax_rows
-    subtracts the row max.
+    Session s's embedding is e1 + MLP(norm2(e1)), where e1 = kt + w_o .
+    attention(norm1(kt) over {norm1(kr_s)} and norm1(patches)) + b_o.
     """
     cfg = state.config
     d, nh, dh = cfg.d, cfg.heads, cfg.head_dim
-    if kt.shape != (d,) or kr.shape != (d,):
-        raise TensorError(f"token shapes {kt.shape}/{kr.shape} do not match d={d}")
-    p3, batched = _as_batch(patches)
-    bsz, _, pd = p3.shape
-    if pd != d:
-        raise TensorError(f"patch dim {pd} does not match d={d}")
-    if shared is None:
-        shared = _attend_patches(state, kt, p3)
+    if patches.ndim != 3 or patches.shape[2] != d:
+        raise TensorError(f"patches must be [B, L, {d}], got {patches.shape}")
+    bsz, t = patches.shape[0], state.session_count
+    rows = t * bsz * nh
 
-    own = T.attention_block(
-        shared.q, kr.reshape(1, 1, d), state.w_k, state.w_v, nh, cfg.attn_scale
-    )  # [1, heads, dh+1]
-    blocks = T.concat(
-        [
-            T.repeat_rows(own, bsz).reshape(bsz * nh, 1, dh + 1),
-            shared.block.reshape(bsz * nh, 1, dh + 1),
-        ],
-        axis=1,
-    )  # [B*heads, 2, dh+1]
-    weights = T.softmax_rows(blocks.slice(2, dh, dh + 1).reshape(bsz * nh, 2))
-    z = T.weighted_rows_sum(weights, blocks.slice(2, 0, dh)).reshape(bsz, d)
-    out = T.affine(z, state.w_o, state.b_o)  # [B, d]
-    if attn_out is not None:
-        attn_out.append(_attention_weights(state, shared.q, kr, p3))
-    return out if batched else out.reshape(d)
+    def block(q: Tensor, x: Tensor) -> Tensor:
+        return T.attention_block(q, x, state.w_k, state.w_v, nh, cfg.attn_scale)
+
+    q = T.matmul(_norm1(state, state.kt_token).reshape(1, d), state.w_q).reshape(d)
+    patch_block = block(q, _norm1(state, patches))  # [B, heads, dh+1]
+    own = [
+        T.repeat_rows(block(q, _norm1(state, kr.reshape(1, 1, d))), bsz)  # [B, heads, dh+1]
+        for kr in state.kr_tokens
+    ]
+    pairs = T.concat([T.concat(own, axis=0), T.concat([patch_block] * t, axis=0)], axis=2)
+    pairs = pairs.reshape(rows, 2, dh + 1)  # (retention token, patches) per session, image, head
+    weights = T.softmax_rows(pairs.slice(2, dh, dh + 1).reshape(rows, 2))
+    z = T.weighted_rows_sum(weights, pairs.slice(2, 0, dh)).reshape(t, bsz, d)
+
+    kt = T.repeat_rows(state.kt_token.reshape(1, d), t * bsz).reshape(t, bsz, d)
+    e1 = T.add(kt, T.affine(z, state.w_o, state.b_o))
+    h = T.layer_norm(e1, state.norm2_gain, state.norm2_bias)
+    h = T.affine(T.gelu(T.affine(h, state.mlp_w1, state.mlp_b1)), state.mlp_w2, state.mlp_b2)
+    e = T.add(e1, h).reshape(t * bsz, d)
+    return [e.slice(0, s * bsz, (s + 1) * bsz) for s in range(t)]
 
 
-def ica_forward(
-    state: IcaState,
-    session_index: int,
-    patches: Tensor,
-    attn_out: list = None,
-    shared: PatchSide = None,
-) -> Tensor:
-    """Session-specific embedding: pre-norm attention plus MLP, both residual.
-
-    `shared` is `patch_side(state, patches)`, computed here when not given.
-    """
+def ica_forward(state: IcaState, session_index: int, patches: Tensor) -> Tensor:
+    """Session `session_index`'s [B, d] embedding (1-based); see forward_all_sessions."""
     if not 1 <= session_index <= state.session_count:
         raise TensorError(
             f"session index {session_index} out of range 1..{state.session_count}"
         )
-    cfg = state.config
-    if shared is None:
-        shared = patch_side(state, patches)
-    bsz = shared.patches.shape[0]
-
-    kt_row = state.kt_token.reshape(1, cfg.d)
-    kr = state.kr_tokens[session_index - 1]
-    ca = cross_attention(
-        state, shared.kt, _norm1(state, kr), shared.patches, attn_out=attn_out, shared=shared
-    )  # [B, d]
-    e1 = T.add(T.repeat_rows(kt_row, bsz), ca)
-    h = T.layer_norm(e1, state.norm2_gain, state.norm2_bias)
-    h = T.affine(h, state.mlp_w1, state.mlp_b1)
-    h = T.gelu(h)
-    h = T.affine(h, state.mlp_w2, state.mlp_b2)
-    e = T.add(e1, h)
-    return e if patches.ndim == 3 else e.reshape(cfg.d)
-
-
-def forward_all_sessions(state: IcaState, patches: Tensor, attn_out: list = None) -> list:
-    """Embeddings for every session seen so far, in session order.
-
-    The patch block is computed once and shared by all sessions.
-    """
-    shared = patch_side(state, patches)
-    return [
-        ica_forward(state, s, patches, attn_out=attn_out, shared=shared)
-        for s in range(1, state.session_count + 1)
-    ]
+    return forward_all_sessions(state, patches)[session_index - 1]

@@ -230,7 +230,7 @@ class ForwardOut:
     pooled: Optional[Tensor]  # [B, d] global average over patch tokens
 
 
-def forward_logits(model: ModelState, images: np.ndarray, attn_out: list = None) -> ForwardOut:
+def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
     """Patch extraction, projection, position encoding, then the head stack."""
     if model.session_count == 0:
         raise ValueError("model has no sessions yet")
@@ -248,7 +248,7 @@ def forward_logits(model: ModelState, images: np.ndarray, attn_out: list = None)
 
     pooled = None
     if model.flags.use_ica:
-        embeddings = ica_mod.forward_all_sessions(model.ica, patches, attn_out=attn_out)
+        embeddings = ica_mod.forward_all_sessions(model.ica, patches)
         per_session = embeddings
         if model.flags.use_kd:
             pooled = _global_pool(patches)

@@ -468,10 +468,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x:[n,k], w:[k,m], b:[m] (a fused linear layer)."""
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+    """x @ w + b for x:[..., n, k], w:[k, m], b:[m] (a fused linear layer).
+
+    A stacked x is one np.matmul, which runs on each [n, k] slice the same
+    BLAS call as a rank-2 affine of that slice, so every slice's output is
+    bit for bit the rank-2 result. The weight and bias gradients sum over
+    all slices at once, which reassociates their sums.
+    """
+    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1:
         raise TensorError(f"affine: bad ranks {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    k, m = w.shape
+    if x.shape[-1] != k or b.shape[0] != m:
         raise TensorError(f"affine: dims differ, {x.shape} @ {w.shape} + {b.shape}")
 
     def bwd(g, x=x, w=w, b=b):
@@ -479,12 +486,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             out.append((x, g @ w.data.T))
         if w.requires_grad:
-            out.append((w, x.data.T @ g))
+            out.append((w, x.data.reshape(-1, k).T @ g.reshape(-1, m)))
         if b.requires_grad:
-            out.append((b, g.sum(axis=0)))
+            out.append((b, g.reshape(-1, m).sum(axis=0)))
         return out
 
-    return _result(x.data @ w.data + b.data, [x, w, b], bwd)
+    return _result(np.matmul(x.data, w.data) + b.data, [x, w, b], bwd)
 
 
 def softmax_rows(a: Tensor) -> Tensor:

@@ -4,6 +4,8 @@ Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the library paths it verifies.
 """
 
+import math
+
 import numpy as np
 
 FD_STEP = 1e-5
@@ -83,6 +85,43 @@ def attention_oracle(kt, kr, patches, w_q, w_k, w_v, w_o, b_o, heads: int) -> np
     for j in range(d):
         out[j] = sum(z[i] * w_o[i, j] for i in range(l)) + b_o[j]
     return out
+
+
+def layer_norm_oracle(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
+    """One vector's layer norm with explicit sums."""
+    d = len(x)
+    mu = sum(float(x[i]) for i in range(d)) / d
+    var = sum((float(x[i]) - mu) ** 2 for i in range(d)) / d
+    inv = 1.0 / math.sqrt(var + eps)
+    return np.array([(float(x[i]) - mu) * inv * gain[i] + bias[i] for i in range(d)])
+
+
+def ica_embedding_oracle(state, session_index: int, patches) -> np.ndarray:
+    """One image's embedding for one session (1-based), all in loops.
+
+    norm1 of the transfer token, the retention token and every patch, then
+    `attention_oracle`, the transfer-token residual, norm2, and an MLP with
+    exact GELU through math.erf, plus the last residual. patches: [L, d].
+    """
+    def data(name):
+        return getattr(state, name).data
+
+    heads = state.config.heads
+    g1, b1 = data("norm1_gain"), data("norm1_bias")
+    kt = state.kt_token.data
+    kr = state.kr_tokens[session_index - 1].data
+    rows = np.array([layer_norm_oracle(patches[i], g1, b1) for i in range(patches.shape[0])])
+    ca = attention_oracle(
+        layer_norm_oracle(kt, g1, b1), layer_norm_oracle(kr, g1, b1), rows,
+        data("w_q"), data("w_k"), data("w_v"), data("w_o"), data("b_o"), heads=heads,
+    )
+    e1 = np.array([kt[j] + ca[j] for j in range(len(kt))])
+    h = layer_norm_oracle(e1, data("norm2_gain"), data("norm2_bias"))
+    w1, c1, w2, c2 = data("mlp_w1"), data("mlp_b1"), data("mlp_w2"), data("mlp_b2")
+    d, hid = w1.shape
+    u = [sum(h[i] * w1[i, j] for i in range(d)) + c1[j] for j in range(hid)]
+    u = [x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in u]
+    return np.array([e1[j] + sum(u[i] * w2[i, j] for i in range(hid)) + c2[j] for j in range(d)])
 
 
 def attention_block_oracle(q, rows, w_k, w_v, heads: int, scale: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import krt
 from krt import DplConfig, GenSpec, IcaConfig, LossConfig, cli
 from krt.cli import RunConfig, main, parse_config
+from krt.datagen import generate, save_dataset
 from krt.protocol import TrainConfig
 from krt.seeds import substream_seed
 
@@ -112,6 +114,60 @@ def test_missing_dataset_file_is_a_data_error(tmp_path, capsys):
     argv = ["run", "--set", f"dataset={json.dumps(paths)}", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("E_DATA: ")
+
+
+BAD_DATA_SPEC = GenSpec(n_classes=4, grid_h=4, grid_w=4, channels=4, n_train=8, n_test=4)
+
+
+def _nan_feature(test):
+    test.examples[0].features[0, 0, 0] = np.nan
+    return test
+
+
+def _no_labels(test):
+    test.examples[0].labels = set()
+    return test
+
+
+def _other_grid(test):
+    return generate(dataclasses.replace(BAD_DATA_SPEC, grid_h=5))[1]
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_nan_feature, "test.bin: image 8 has non-finite features"),
+        (_no_labels, "test.bin: image 8 has no labels"),
+        (_other_grid, "train grid (4, 4, 4) and test grid (5, 4, 4) differ"),
+    ],
+    ids=["nan_feature", "empty_label_set", "grid_mismatch"],
+)
+def test_bad_dataset_files_fail_at_load(spoil, message, tmp_path, capsys):
+    train, test, _ = generate(BAD_DATA_SPEC)
+    paths = {"train_path": str(tmp_path / "train.bin"), "test_path": str(tmp_path / "test.bin")}
+    save_dataset(train, paths["train_path"])
+    save_dataset(spoil(test), paths["test_path"])
+    argv = TINY_RUN + ["--set", f"dataset={json.dumps(paths)}", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("E_DATA: ") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "scores, labels, message",
+    [
+        ("c0,c1\n0.5,nan\n", '{"image_id": 1, "labels": []}\n', "s.csv:2: non-finite score"),
+        ("c0,c1\n0.5,0.2\n", "5\n", "l.jsonl:1: need an object with image_id and a labels list"),
+    ],
+    ids=["nan_score", "non_object_label_line"],
+)
+def test_dpl_command_rejects_bad_input_files(scores, labels, message, tmp_path, capsys):
+    (tmp_path / "s.csv").write_text(scores)
+    (tmp_path / "l.jsonl").write_text(labels)
+    argv = ["dpl", "--scores", str(tmp_path / "s.csv"), "--labels", str(tmp_path / "l.jsonl")]
+    assert main(argv + ["--out", str(tmp_path / "out.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("E_DATA: ") and message in err, err
 
 
 def test_compare_rejects_runs_on_data_from_different_master_seeds(tmp_path, capsys):

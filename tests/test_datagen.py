@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krt.datagen import (
     Dataset,
     DatasetFormatError,
     GenSpec,
+    LabeledExample,
     class_prototypes,
     generate,
     load_dataset,
@@ -121,6 +124,34 @@ class TestSaveLoad:
             assert a.image_id == b.image_id
             assert a.labels == b.labels
             assert a.features.dtype == b.features.dtype == np.float32
+            assert np.array_equal(a.features, b.features)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_valid_dataset_round_trips(self, tmp_path_factory, data):
+        k = data.draw(st.integers(1, 20))
+        h, w, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+        names = data.draw(st.lists(st.text(max_size=8), min_size=k, max_size=k))
+        floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        examples = [
+            LabeledExample(
+                image_id=data.draw(st.integers(0, 2**64 - 1)),
+                features=np.array(
+                    data.draw(st.lists(floats, min_size=h * w * c, max_size=h * w * c)),
+                    dtype=np.float32,
+                ).reshape(h, w, c),
+                labels=data.draw(st.sets(st.integers(0, k - 1), min_size=1)),
+            )
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        path = tmp_path_factory.mktemp("round_trip") / "data.mlds"
+        save_dataset(Dataset(names, h, w, c, examples), str(path))
+        loaded = load_dataset(str(path))
+        assert loaded.class_names == names
+        assert (loaded.grid_h, loaded.grid_w, loaded.channels) == (h, w, c)
+        assert [e.image_id for e in loaded.examples] == [e.image_id for e in examples]
+        assert [e.labels for e in loaded.examples] == [e.labels for e in examples]
+        for a, b in zip(examples, loaded.examples):
             assert np.array_equal(a.features, b.features)
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):

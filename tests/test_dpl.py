@@ -47,8 +47,9 @@ class TestGeneratePseudoLabels:
         assert sets == [{1}, {0}]
 
     def test_score_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            generate_pseudo_labels(np.array([[1.2]]), eta=0.5)
+        for bad in (1.2, np.nan):
+            with pytest.raises(ValueError):
+                generate_pseudo_labels(np.array([[bad]]), eta=0.5)
 
 
 class TestThresholdSearch:

@@ -285,11 +285,26 @@ class TestShapeOps:
         fd_check(build, seeds=range(10))
 
     def test_affine_gradients(self):
-        def build(rng):
-            x, w, b = rand_leaf(rng, 4, 3), rand_leaf(rng, 3, 5), rand_leaf(rng, 5)
-            return [x, w, b], lambda: project(rng, T.affine(x, w, b))
+        for x_shape in ((4, 3), (2, 4, 3)):  # a matrix, and a stack of them
 
-        fd_check(build)
+            def build(rng, x_shape=x_shape):
+                x, w, b = rand_leaf(rng, *x_shape), rand_leaf(rng, 3, 5), rand_leaf(rng, 5)
+                return [x, w, b], lambda: project(rng, T.affine(x, w, b))
+
+            fd_check(build)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 12])
+    def test_stacked_affine_equals_per_slice_affine(self, dtype, rows):
+        # np.matmul runs each slice's product as the rank-2 call would, so
+        # a [t, B, k] stack gives the per-slice outputs bit for bit
+        rng = np.random.default_rng(rows)
+        x = Tensor(rng.standard_normal((5, rows, 128)).astype(dtype))
+        w = Tensor(rng.standard_normal((128, 96)).astype(dtype))
+        b = Tensor(rng.standard_normal(96).astype(dtype))
+        stacked = T.affine(x, w, b).data
+        for i in range(5):
+            assert np.array_equal(stacked[i], T.affine(Tensor(x.data[i]), w, b).data)
 
     def test_weighted_rows_sum_gradients(self):
         def build(rng):
