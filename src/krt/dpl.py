@@ -209,7 +209,10 @@ def read_score_csv(path: str):
 
 
 def read_labels_jsonl(path: str):
-    """Label file: one JSON object {"image_id": ..., "labels": [...]} per line."""
+    """Label file: one JSON object {"image_id": ..., "labels": [...]} per line.
+
+    Labels are class ids, strings or integers.
+    """
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -223,6 +226,11 @@ def read_labels_jsonl(path: str):
             labels = obj.get("labels") if isinstance(obj, dict) else None
             if not isinstance(labels, list) or "image_id" not in obj:
                 raise ValueError(f"{path}:{lineno}: need an object with image_id and a labels list")
+            for label in labels:
+                if not isinstance(label, (str, int)) or isinstance(label, bool):
+                    raise ValueError(
+                        f"{path}:{lineno}: label {json.dumps(label)} is not a string or an integer"
+                    )
             records.append((obj["image_id"], labels))
     if not records:
         raise ValueError(f"{path}: no label records")

@@ -19,12 +19,15 @@ two-entry weights is the attention mass on the retention token.
 
 `forward_all_sessions` is the one forward path. The query and the patch
 block run once. Each retention token's one-row block runs once per
-session. The merge then pairs every (session, image, head) with its two
-blocks, session-major, in one softmax and one weighted sum. `w_o`, the
-transfer-token residual, norm2, the MLP and the last residual run once on
-the [t, B, d] stack, whose per-session [B, d] slices are the embeddings.
-A forward thus records a fixed set of taped ops plus at most five per
-session, and costs O(L + t) rather than O(t * L).
+session. norm1 sits inside the block op (`T.attention_block` takes its
+gain and bias), so the normalised [B, L, d] patches are never formed and
+the patch side is one taped op. The merge then pairs every (session,
+image, head) with its two blocks, session-major, in one softmax and one
+weighted sum. `w_o`, the transfer-token residual, norm2, the MLP and the
+last residual run once on the [t, B, d] stack, whose per-session [B, d]
+slices are the embeddings. A forward thus records a fixed set of taped
+ops plus at most four per session, and costs O(L + t) rather than
+O(t * L).
 
 Old sessions' embeddings must keep their bits when a session is added
 (frozen tokens, unchanged weights). Two layouts that look equivalent
@@ -159,15 +162,13 @@ def add_session(state: IcaState, rng: np.random.Generator) -> None:
     state.kr_tokens.append(T.uniform_param(rng, (d,), fan_in=d, dtype=state.kt_token.dtype))
 
 
-def _norm1(state: IcaState, t: Tensor) -> Tensor:
-    return T.layer_norm(t, state.norm1_gain, state.norm1_bias)
-
-
 def forward_all_sessions(state: IcaState, patches: Tensor) -> list:
     """[B, d] embeddings of [B, L, d] patches, one per session, in session order.
 
     Session s's embedding is e1 + MLP(norm2(e1)), where e1 = kt + w_o .
     attention(norm1(kt) over {norm1(kr_s)} and norm1(patches)) + b_o.
+    norm1 of the patches and of each kr_s runs inside their block's
+    `T.attention_block`, so the patches feed one taped op.
     """
     cfg = state.config
     d, nh, dh = cfg.d, cfg.heads, cfg.head_dim
@@ -176,13 +177,15 @@ def forward_all_sessions(state: IcaState, patches: Tensor) -> list:
     bsz, t = patches.shape[0], state.session_count
     rows = t * bsz * nh
 
-    def block(q: Tensor, x: Tensor) -> Tensor:
-        return T.attention_block(q, x, state.w_k, state.w_v, nh, cfg.attn_scale)
+    g1, b1 = state.norm1_gain, state.norm1_bias
 
-    q = T.matmul(_norm1(state, state.kt_token).reshape(1, d), state.w_q).reshape(d)
-    patch_block = block(q, _norm1(state, patches))  # [B, heads, dh+1]
+    def block(q: Tensor, x: Tensor) -> Tensor:
+        return T.attention_block(q, x, g1, b1, state.w_k, state.w_v, nh, cfg.attn_scale)
+
+    q = T.matmul(T.layer_norm(state.kt_token, g1, b1).reshape(1, d), state.w_q).reshape(d)
+    patch_block = block(q, patches)  # [B, heads, dh+1]
     own = [
-        T.repeat_rows(block(q, _norm1(state, kr.reshape(1, 1, d))), bsz)  # [B, heads, dh+1]
+        T.repeat_rows(block(q, kr.reshape(1, 1, d)), bsz)  # [B, heads, dh+1]
         for kr in state.kr_tokens
     ]
     pairs = T.concat([T.concat(own, axis=0), T.concat([patch_block] * t, axis=0)], axis=2)

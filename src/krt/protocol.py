@@ -19,9 +19,11 @@ and keep float64 as the reference dtype of the gradient and oracle tests.
 
 In float32, results repeat only at a fixed BLAS thread count: the GEMMs
 sum in an order that depends on the thread split, and a float32 rounding
-difference can flip a pseudo-label or an mAP rank. The accuracy guard's
-`incr_paper` config gives last mAP 11.7548 with one OpenBLAS thread and
-11.7502 with two; the float64 model gave the same mAPs at both counts.
+difference can flip a pseudo-label or an mAP rank. `T.attention_block`
+sums its key gradient in a fixed order; the other products have not been
+examined. On a 2-core Xeon the accuracy guard's `incr_paper` config gives
+avg mAP 20.9215 with one OpenBLAS thread and 20.9220 with two; the
+float64 model gave the same mAPs at both counts.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
     feats = T.gelu(T.conv3x3_same(x, model.conv_w, model.conv_b))
     patches = T.affine(feats.reshape(bsz * h * w, width), model.proj_w, model.proj_b)
     patches = patches.reshape(bsz, h * w, model.d)
-    patches = T.add(patches, T.repeat_rows(model.pos_enc, bsz))
+    patches = T.add(patches, model.pos_enc)
 
     pooled = None
     if model.flags.use_ica:

@@ -6,9 +6,10 @@ on an explicit Tape and replayed in exact reverse execution order. Every op
 computes in its inputs' dtype: the model runs in float32 (see `protocol`),
 and the finite-difference and oracle tests run the same ops in float64.
 
-Broadcasting is deliberately restricted to scalar-times-tensor; anything
-else requires an explicit reshape/repeat. Every op output is checked for
-NaN/Inf and raises instead of propagating silently.
+Broadcasting is deliberately restricted to a python scalar operand and,
+in `add`, a second operand of leading extent 1; anything else requires an
+explicit reshape/repeat. Every op output is checked for NaN/Inf and raises
+instead of propagating silently.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 SIGMOID_EPS = 1e-7  # probabilities are clamped to [eps, 1-eps] before any log
+LN_EPS = 1e-5  # LayerNorm variance floor
 
 _ACTIVE_TAPE: Optional["Tape"] = None
 
@@ -87,7 +89,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars are the only permitted broadcast
+    # arithmetic sugar; scalar operands broadcast
     def __add__(self, other):
         return add(self, other)
 
@@ -229,7 +231,11 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; `b` may be a python scalar."""
+    """Elementwise sum; `b` may be a python scalar, or of shape (1, *a.shape[1:]).
+
+    A leading-extent-1 `b` is added to every slice a[i]; its gradient is
+    the output gradient summed over axis 0.
+    """
     if not isinstance(b, Tensor):
         c = float(b)
 
@@ -237,14 +243,16 @@ def add(a: Tensor, b) -> Tensor:
             return [(a, g)] if a.requires_grad else []
 
         return _result(a.data + c, [a], bwd_s)
-    _check_same_shape(a, b, "add")
+    broadcast = a.ndim > 0 and a.shape != b.shape and b.shape == (1,) + a.shape[1:]
+    if not broadcast:
+        _check_same_shape(a, b, "add")
 
     def bwd(g, a=a, b=b):
         out = []
         if a.requires_grad:
             out.append((a, g))
         if b.requires_grad:
-            out.append((b, g))
+            out.append((b, g.sum(axis=0, keepdims=True) if broadcast else g))
         return out
 
     return _result(a.data + b.data, [a, b], bwd)
@@ -268,7 +276,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar (the one permitted broadcast)."""
+    """Multiply by a python scalar."""
     c = float(c)
 
     def bwd(g, a=a):
@@ -511,7 +519,20 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _result(s, [a], bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def _normalise_rows(x: np.ndarray, eps: float):
+    """(xhat, inv) over the last axis: xhat = (x - mean) * inv, inv = 1/sqrt(var + eps).
+
+    Centres once and takes the variance as the mean square of the centred
+    rows, which is np.var's own arithmetic, so the statistics are np.var's
+    to the bit and `layer_norm` and `attention_block` share xhat exactly.
+    """
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xc *= inv
+    return xc, inv
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
     """Normalise over the last dimension, then apply gain and bias."""
     if eps <= 0:
         raise TensorError("layer_norm eps must be positive")
@@ -520,10 +541,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise TensorError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last dim {d}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    xhat, inv = _normalise_rows(a.data, eps)
 
     def bwd(g, a=a, gain=gain, bias=bias, xhat=xhat, inv=inv, d=d):
         out = []
@@ -604,29 +622,54 @@ def absorb_query(q: np.ndarray, w_k: np.ndarray, heads: int) -> np.ndarray:
 
 
 def attention_block(
-    q: Tensor, rows: Tensor, w_k: Tensor, w_v: Tensor, heads: int, scale: float
+    q: Tensor,
+    rows: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    w_k: Tensor,
+    w_v: Tensor,
+    heads: int,
+    scale: float,
 ) -> Tensor:
-    """Single-query multi-head attention over one block of key/value rows.
+    """Single-query multi-head attention over one block of layer-normed rows.
 
-    q:[l] is the projected query, rows:[B,n,d] the block's rows, w_k/w_v:[d,l]
+    q:[l] is the projected query, rows:[B,n,d] the block's raw rows,
+    gain/bias:[d] the LayerNorm applied to them (eps `LN_EPS`), and w_k/w_v:[d,l]
     the key/value projections. Head h scores q[h*dh:(h+1)*dh] (dh = l/heads)
-    against each row's key, times `scale`. Returns [B, heads, dh+1]: each
-    head's softmax-weighted value context, then the log-sum-exp of its
-    scores. Two blocks' results merge exactly into attention over the union
-    of their rows: the contexts weighted by the softmax of the two lse values.
+    against the key of each normalised row, times `scale`. Returns
+    [B, heads, dh+1]: each head's softmax-weighted value context, then the
+    log-sum-exp of its scores. Two blocks' results merge exactly into
+    attention over the union of their rows: the contexts weighted by the
+    softmax of the two lse values.
 
     With one query no row needs its own key or value. The key projection
-    absorbs the query (`absorb_query`, [d, heads]), so the scores are one
+    absorbs the query (`absorb_query`, a:[d, heads]), so the scores are one
     [B*n, d] @ [d, heads] product; the rows are pooled by each head's
     softmax before the value projection, which then maps B*heads pooled rows
     instead of B*n. That is the weight absorption of DeepSeek-V2's MLA
     (arXiv 2405.04434) for a single query, and it brings forward and
     backward from O(B*n*d*l) to O(B*n*d*heads + B*heads*d*l).
+
+    The LayerNorm y = xhat * gain + bias is absorbed the same way and never
+    formed: y @ a = xhat @ (gain[:, None] * a) + bias @ a, and since each
+    head's softmax weights p sum to one, p^T y = gain * (p^T xhat) + bias.
+    xhat is `layer_norm`'s to the bit. The backward forms one [B, n, d]
+    gradient for the rows and takes the LayerNorm's row means from
+    [B, heads, n] products; the absorbed key gradient xhat^T d_s is
+    summed per image and then over images, in an order that does not depend
+    on the BLAS thread count.
     """
-    if rows.ndim != 3 or w_k.ndim != 2 or w_v.shape != w_k.shape or q.shape != (w_k.shape[1],):
+    if (
+        rows.ndim != 3
+        or w_k.ndim != 2
+        or w_v.shape != w_k.shape
+        or q.shape != (w_k.shape[1],)
+        or gain.shape != (w_k.shape[0],)
+        or bias.shape != gain.shape
+    ):
         raise TensorError(
-            f"attention_block: bad shapes q {q.shape}, rows {rows.shape}, "
-            f"w_k {w_k.shape}, w_v {w_v.shape}"
+            f"attention_block: bad shapes q {q.shape}, rows {rows.shape}, gain {gain.shape}, "
+            f"bias {bias.shape}, w_k {w_k.shape}, w_v {w_v.shape}"
         )
     bsz, n, d = rows.shape
     l = q.shape[0]
@@ -637,46 +680,74 @@ def attention_block(
     dh = l // heads
     scale = float(scale)
     head_of = np.arange(l) // dh
-    x = rows.data
+    xhat, inv = _normalise_rows(rows.data, LN_EPS)
+    g, beta = gain.data, bias.data
     a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
-    s = (x.reshape(bsz * n, d) @ a).reshape(bsz, n, heads) * scale
-    m = s.max(axis=1, keepdims=True)
+    ga = g[:, None] * a
+    # scores and weights are laid out [B, heads, n], so the softmax reduces along rows
+    xga = (xhat.reshape(bsz * n, d) @ ga).reshape(bsz, n, heads).transpose(0, 2, 1).copy()
+    s = (xga + (beta @ a)[:, None]) * scale
+    m = s.max(axis=2, keepdims=True)
     e = np.exp(s - m)
-    z = e.sum(axis=1, keepdims=True)
-    p = e / z  # [B, n, heads]
-    pooled = np.matmul(p.transpose(0, 2, 1), x)  # [B, heads, d]
+    z = e.sum(axis=2, keepdims=True)
+    p = e / z  # [B, heads, n]
+    px = np.matmul(p, xhat)  # [B, heads, d]
+    pooled = px * g + beta
     w_v_heads = w_v.data.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
-    out = np.empty((bsz, heads, dh + 1), dtype=x.dtype)
+    out = np.empty((bsz, heads, dh + 1), dtype=xhat.dtype)
     out[..., :dh] = np.matmul(pooled.transpose(1, 0, 2), w_v_heads).transpose(1, 0, 2)
-    out[..., dh] = (m + np.log(z))[:, 0, :]
+    out[..., dh] = (m + np.log(z))[..., 0]
 
-    def bwd(g, q=q, rows=rows, w_k=w_k, w_v=w_v, x=x, a=a, p=p, pooled=pooled):
-        g_ctx, g_lse = g[..., :dh], g[..., dh]
+    def bwd(g_out, q=q, rows=rows, gain=gain, bias=bias, w_k=w_k, w_v=w_v):
+        g_ctx, g_lse = g_out[..., :dh], g_out[..., dh]
         # [B, heads, d]: the context gradient taken back through the value projection
         d_pooled = np.matmul(
             g_ctx.transpose(1, 0, 2), w_v_heads.transpose(0, 2, 1)
         ).transpose(1, 0, 2)
-        d_p = np.matmul(x, d_pooled.transpose(0, 2, 1))  # [B, n, heads]
+        d_px = d_pooled * g
+        d_p = np.matmul(xhat, d_px.transpose(0, 2, 1)).transpose(0, 2, 1).copy()  # [B, heads, n]
         # d lse / d s = p, so the lse gradient joins the softmax's
-        d_s = p * (d_p - (p * d_p).sum(axis=1, keepdims=True) + g_lse[:, None, :]) * scale
-        d_s = d_s.reshape(bsz * n, heads)
+        d_s = p * (d_p - (p * d_p).sum(axis=2, keepdims=True) + g_lse[..., None]) * scale
         out = []
+        if q.requires_grad or w_k.requires_grad or gain.requires_grad:
+            # per image, then over images: one [heads, B*n] @ [B*n, d] product
+            # would split its long sum by the BLAS thread count at some B
+            d_ga = np.matmul(d_s, xhat).sum(axis=0).T  # [d, heads]
         if q.requires_grad or w_k.requires_grad:
-            d_a = x.reshape(bsz * n, d).T @ d_s  # [d, heads]
+            d_a = d_ga * g[:, None] + np.outer(beta, d_s.sum(axis=(0, 2)))
             d_a_cols = d_a[:, head_of]  # [d, l]
             if q.requires_grad:
                 out.append((q, (w_k.data * d_a_cols).sum(axis=0)))
             if w_k.requires_grad:
                 out.append((w_k, d_a_cols * q.data))
         if rows.requires_grad:
-            d_x = (d_s @ a.T).reshape(rows.shape) + np.matmul(p, d_pooled)
+            # d loss / d xhat is gy = d_s^T (g*a)^T + p^T (g*d_pooled), one
+            # product of the stacked [d_s; p] with [(g*a)^T; g*d_pooled]. The
+            # LayerNorm backward is inv * (gy - m1 - xhat * m2), whose row means
+            # m1 = mean(gy) and m2 = mean(gy * xhat) come from [B, heads, n]
+            # products; a last stacked row of m1 against -1 subtracts m1 in the
+            # same product, which leaves the xhat term alone to a second pass
+            k = 2 * heads
+            lhs = np.empty((bsz, k + 1, n), dtype=xhat.dtype)
+            lhs[:, :heads], lhs[:, heads:k] = d_s, p
+            rhs = np.empty((bsz, k + 1, d), dtype=xhat.dtype)
+            rhs[:, :heads], rhs[:, heads:k], rhs[:, k] = ga.T, d_px, -1.0
+            lhs[:, k] = (lhs[:, :k] * rhs[:, :k].mean(axis=2)[..., None]).sum(axis=1)
+            m2 = ((d_s * xga).sum(axis=1) + (p * d_p).sum(axis=1)) / d
+            lhs *= inv.reshape(bsz, 1, n)
+            d_x = np.matmul(lhs.transpose(0, 2, 1), rhs)
+            d_x -= xhat * (inv * m2[..., None])
             out.append((rows, d_x))
+        if gain.requires_grad:
+            out.append((gain, (d_ga * a).sum(axis=1) + (d_pooled * px).sum(axis=(0, 1))))
+        if bias.requires_grad:
+            out.append((bias, a @ d_s.sum(axis=(0, 2)) + d_pooled.sum(axis=(0, 1))))
         if w_v.requires_grad:
             d_w_v = np.matmul(pooled.transpose(1, 2, 0), g_ctx.transpose(1, 0, 2))
             out.append((w_v, d_w_v.transpose(1, 0, 2).reshape(d, l)))
         return out
 
-    return _result(out, [q, rows, w_k, w_v], bwd)
+    return _result(out, [q, rows, gain, bias, w_k, w_v], bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,18 @@ def test_bad_dataset_files_fail_at_load(spoil, message, tmp_path, capsys):
     [
         ("c0,c1\n0.5,nan\n", '{"image_id": 1, "labels": []}\n', "s.csv:2: non-finite score"),
         ("c0,c1\n0.5,0.2\n", "5\n", "l.jsonl:1: need an object with image_id and a labels list"),
+        (
+            "c0,c1\n0.5,0.2\n0.1,0.9\n",
+            '{"image_id": 1, "labels": ["c0"]}\n{"image_id": 2, "labels": [[1]]}\n',
+            "l.jsonl:2: label [1] is not a string or an integer",
+        ),
+        (
+            "c0,c1\n0.5,0.2\n",
+            '{"image_id": 1, "labels": [true]}\n',
+            "l.jsonl:1: label true is not a string or an integer",
+        ),
     ],
-    ids=["nan_score", "non_object_label_line"],
+    ids=["nan_score", "non_object_label_line", "list_label", "bool_label"],
 )
 def test_dpl_command_rejects_bad_input_files(scores, labels, message, tmp_path, capsys):
     (tmp_path / "s.csv").write_text(scores)

@@ -77,12 +77,14 @@ class TestCrossAttention:
         noise = np.random.default_rng(36).standard_normal((1, 5, 4))
         patches = np.array([1.0, 1.0, -1.0, -1.0]) + 1e-3 * noise
 
-        def norm1(x):
-            return T.layer_norm(Tensor(x), state.norm1_gain, state.norm1_bias)
+        g1, b1 = state.norm1_gain, state.norm1_bias
+        q = T.layer_norm(Tensor(token), g1, b1)
 
-        q, scale = norm1(token), state.config.attn_scale
-        own = T.attention_block(q, norm1(token[None, None]), state.w_k, state.w_v, 2, scale)
-        rest = T.attention_block(q, norm1(patches), state.w_k, state.w_v, 2, scale)
+        def block(rows):
+            scale = state.config.attn_scale
+            return T.attention_block(q, Tensor(rows), g1, b1, state.w_k, state.w_v, 2, scale)
+
+        own, rest = block(token[None, None]), block(patches)
         assert np.all(own.data[..., -1] - rest.data[..., -1] > 800)
         assert_matches_oracle(state, patches, 1e-12)
 
@@ -221,17 +223,25 @@ class TestSessions:
             err = max_rel_err(leaf.grad, num)
             assert err < 1e-4, f"t={sessions} {name}: {err:.2e}"
 
-    @pytest.mark.parametrize("shape", [(1, 11, 8), (2, 11, 8)])
-    def test_patch_sized_tape_records_do_not_grow_with_sessions(self, shape):
-        # L=11 matches no other extent, so these records are the patch-side work
-        def patch_records(sessions):
+    @pytest.mark.parametrize("bsz", [1, 2])
+    def test_one_taped_op_reads_the_patches_at_any_session_count(self, bsz):
+        # norm1 sits inside the block op, so the patch side is one record
+        # however many sessions share it
+        def patch_readers(sessions):
             state = small_state(seed=33, d=8, heads=2, sessions=sessions, mlp_hidden=32)
-            patches = Tensor(np.random.default_rng(34).standard_normal(shape), requires_grad=True)
+            rng = np.random.default_rng(34)
+            patches = Tensor(rng.standard_normal((bsz, 11, 8)), requires_grad=True)
             with Tape() as tape:
                 forward_all_sessions(state, patches)
-            return sum(11 in out.shape for out, _ in tape._records)
+            return [
+                out
+                for out, bwd in tape._records
+                if any(inp is patches for inp, _ in bwd(np.ones_like(out.data)))
+            ]
 
-        assert patch_records(1) == patch_records(6) > 0
+        for sessions in (1, 6):
+            readers = patch_readers(sessions)
+            assert [out.shape for out in readers] == [(bsz, 2, 5)], sessions
 
     def test_each_added_session_adds_at_most_six_tape_records(self):
         # every retention token trainable: the most records a session can add

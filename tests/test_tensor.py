@@ -13,6 +13,7 @@ from oracles import (
     FD_STEP,
     attention_block_oracle,
     finite_diff_grad,
+    layer_norm_oracle,
     matmul_oracle,
     max_rel_err,
 )
@@ -40,10 +41,11 @@ def rel_err(got, want):
 
 
 def projected_block_grads(q, rows, w_k, w_v, heads, scale, coef):
-    """Gradients of sum(coef * attention_block(...)) for q, rows, w_k and w_v.
+    """Gradients of sum(coef * attention over `rows`) for q, rows, w_k and w_v.
 
-    Computed the direct way: every row is projected to its key and value,
-    and the gradients flow back through those projections.
+    `rows` are the block's normalised rows. Computed the direct way: every
+    row is projected to its key and value, and the gradients flow back
+    through those projections.
     """
     bsz, n, d = rows.shape
     l = q.shape[0]
@@ -157,6 +159,15 @@ class TestLayerNorm:
         assert np.max(np.abs(out.data.mean(axis=-1))) < 1e-12
         assert np.max(np.abs(out.data.var(axis=-1) - 1.0)) < 1e-4  # eps-limited
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_statistics_are_np_var_to_the_bit(self, dtype):
+        rng = np.random.default_rng(6)
+        x = (rng.standard_normal((4, 196, 128)) * 3 + 1).astype(dtype)
+        g, b = rng.standard_normal(128).astype(dtype), rng.standard_normal(128).astype(dtype)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        want = (x - x.mean(axis=-1, keepdims=True)) * inv * g + b
+        assert np.array_equal(T.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data, want)
+
     def test_eps_must_be_positive(self):
         with pytest.raises(T.TensorError):
             T.layer_norm(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=0.0)
@@ -202,6 +213,20 @@ class TestElementwise:
     def test_add_shape_mismatch(self):
         with pytest.raises(T.TensorError, match=r"\(2,\).*\(3,\)"):
             T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leading_one_broadcast_equals_repeat_then_add(self, dtype):
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.standard_normal((5, 7, 3)).astype(dtype))
+        b = Tensor(rng.standard_normal((1, 7, 3)).astype(dtype))
+        assert np.array_equal(T.add(a, b).data, T.add(a, T.repeat_rows(b, 5)).data)
+
+    def test_leading_one_broadcast_gradients(self):
+        def build(rng):
+            a, b = rand_leaf(rng, 3, 4, 2), rand_leaf(rng, 1, 4, 2)
+            return [a, b], lambda: project(rng, T.add(a, b))
+
+        fd_check(build)
 
     def test_scalar_broadcast_allowed(self):
         x = Tensor([1.0, 2.0])
@@ -332,64 +357,84 @@ class TestShapeOps:
         assert np.array_equal(out.data, x)
 
 
+def layer_normed(rows, gain, bias):
+    """`layer_norm_oracle` on every row of a [B, n, d] array."""
+    return np.array([[layer_norm_oracle(r, gain, bias) for r in image] for image in rows])
+
+
+def block_arrays(rng, bsz, n, d, heads, dh):
+    """q, rows, gain, bias, w_k, w_v for one block, in `attention_block`'s order."""
+    l = heads * dh
+    return (
+        rng.standard_normal(l),
+        rng.standard_normal((bsz, n, d)) * 2.0 + 0.5,
+        rng.standard_normal(d),
+        rng.standard_normal(d),
+        rng.standard_normal((d, l)) / np.sqrt(d),
+        rng.standard_normal((d, l)) / np.sqrt(d),
+    )
+
+
+def block_oracle(q, rows, gain, bias, w_k, w_v, heads, scale):
+    return attention_block_oracle(q, layer_normed(rows, gain, bias), w_k, w_v, heads, scale)
+
+
 class TestAttentionBlock:
-    def test_matches_per_head_oracle(self):
+    def test_matches_layer_norm_then_per_head_oracle(self):
         rng = np.random.default_rng(31)
         for trial in range(30):
             bsz, n = int(rng.integers(1, 4)), int(rng.integers(1, 7))
             heads, dh, d = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
-            l = heads * dh
-            q, rows = rng.standard_normal(l), rng.standard_normal((bsz, n, d))
-            w_k, w_v = rng.standard_normal((d, l)), rng.standard_normal((d, l))
+            arrays = block_arrays(rng, bsz, n, d, heads, dh)
             # every fifth trial puts scores in the hundreds, where exp overflows unshifted
             scale = 400.0 if trial % 5 == 0 else float(rng.uniform(0.1, 2.0))
-            got = T.attention_block(
-                Tensor(q), Tensor(rows), Tensor(w_k), Tensor(w_v), heads, scale
-            ).data
-            want = attention_block_oracle(q, rows, w_k, w_v, heads, scale)
+            got = T.attention_block(*[Tensor(a) for a in arrays], heads, scale).data
+            want = block_oracle(*arrays, heads, scale)
             assert got.shape == (bsz, heads, dh + 1)
-            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-10
+            assert rel_err(got, want) < 1e-10
 
     def test_one_row_block_is_its_value_and_score(self):
         rng = np.random.default_rng(32)
         heads, dh, d = 3, 2, 5
-        q, row = rng.standard_normal(heads * dh), rng.standard_normal((2, 1, d))
-        w_k, w_v = rng.standard_normal((d, heads * dh)), rng.standard_normal((d, heads * dh))
-        got = T.attention_block(Tensor(q), Tensor(row), Tensor(w_k), Tensor(w_v), heads, 0.7).data
-        v = (row[:, 0] @ w_v).reshape(2, heads, dh)
-        s = ((row[:, 0] @ w_k).reshape(2, heads, dh) * q.reshape(heads, dh)).sum(-1) * 0.7
-        assert np.max(np.abs(got[..., :dh] - v) / np.maximum(np.abs(v), 1.0)) < 1e-12
+        q, row, gain, bias, w_k, w_v = block_arrays(rng, 2, 1, d, heads, dh)
+        got = T.attention_block(
+            *[Tensor(a) for a in (q, row, gain, bias, w_k, w_v)], heads, 0.7
+        ).data
+        y = layer_normed(row, gain, bias)[:, 0]
+        v = (y @ w_v).reshape(2, heads, dh)
+        s = ((y @ w_k).reshape(2, heads, dh) * q.reshape(heads, dh)).sum(-1) * 0.7
+        assert rel_err(got[..., :dh], v) < 1e-12
         assert np.max(np.abs(got[..., dh] - s)) < 1e-12
 
     def test_paper_shape_matches_oracle_and_projected_gradients(self):
+        # the reference gradients take the direct projections back to the
+        # normalised rows, then through `layer_norm`'s own backward
         rng = np.random.default_rng(33)
         bsz, n, d, heads = 2, 196, 128, 8
         scale = 1.0 / np.sqrt(d // heads)
-        arrays = (
-            rng.standard_normal(d),
-            rng.standard_normal((bsz, n, d)),
-            rng.standard_normal((d, d)) / np.sqrt(d),
-            rng.standard_normal((d, d)) / np.sqrt(d),
-        )
+        arrays = block_arrays(rng, bsz, n, d, heads, d // heads)
+        q, rows, gain, bias, w_k, w_v = arrays
         coef = rng.standard_normal((bsz, heads, d // heads + 1))
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         with Tape():
             out = T.attention_block(*leaves, heads, scale)
             loss = T.mul(out, Tensor(coef)).sum()
         backward(loss)
-        assert rel_err(out.data, attention_block_oracle(*arrays, heads, scale)) < 1e-12
-        want = projected_block_grads(*arrays, heads, scale, coef)
+        assert rel_err(out.data, block_oracle(*arrays, heads, scale)) < 1e-12
+
+        ln_leaves = [Tensor(a, requires_grad=True) for a in (rows, gain, bias)]
+        y = T.layer_norm(*ln_leaves).data
+        d_q, d_y, d_w_k, d_w_v = projected_block_grads(q, y, w_k, w_v, heads, scale, coef)
+        with Tape():
+            loss = T.mul(T.layer_norm(*ln_leaves), Tensor(d_y)).sum()
+        backward(loss)
+        want = [d_q] + [leaf.grad for leaf in ln_leaves] + [d_w_k, d_w_v]
         for leaf, grad in zip(leaves, want):
             assert rel_err(leaf.grad, grad) < 1e-12
 
     def test_each_gradient_is_independent_of_which_inputs_need_one(self):
         rng = np.random.default_rng(34)
-        arrays = (
-            rng.standard_normal(6),
-            rng.standard_normal((3, 5, 4)),
-            rng.standard_normal((4, 6)),
-            rng.standard_normal((4, 6)),
-        )
+        arrays = block_arrays(rng, 3, 5, 4, 2, 3)
         coef = Tensor(rng.standard_normal((3, 2, 4)))
 
         def grads(wanted):
@@ -399,9 +444,9 @@ class TestAttentionBlock:
             backward(loss)
             return [leaf.grad for leaf in leaves]
 
-        full = grads(range(4))
-        for k in range(1, 5):
-            for wanted in itertools.combinations(range(4), k):
+        full = grads(range(6))
+        for k in range(1, 7):
+            for wanted in itertools.combinations(range(6), k):
                 for i, grad in enumerate(grads(wanted)):
                     if i in wanted:
                         assert np.array_equal(grad, full[i]), (wanted, i)
@@ -410,12 +455,17 @@ class TestAttentionBlock:
 
     def test_shape_errors(self):
         q, rows, w = Tensor(np.ones(4)), Tensor(np.ones((1, 2, 3))), Tensor(np.ones((3, 4)))
+        g = Tensor(np.ones(3))
         with pytest.raises(T.TensorError):
-            T.attention_block(q, Tensor(np.ones((2, 3))), w, w, 2, 1.0)
+            T.attention_block(q, Tensor(np.ones((2, 3))), g, g, w, w, 2, 1.0)
         with pytest.raises(T.TensorError):
-            T.attention_block(Tensor(np.ones(5)), rows, w, w, 2, 1.0)
+            T.attention_block(Tensor(np.ones(5)), rows, g, g, w, w, 2, 1.0)
         with pytest.raises(T.TensorError):
-            T.attention_block(q, rows, w, w, 3, 1.0)
+            T.attention_block(q, rows, g, g, w, w, 3, 1.0)
+        with pytest.raises(T.TensorError):
+            T.attention_block(q, rows, Tensor(np.ones(4)), g, w, w, 2, 1.0)
+        with pytest.raises(T.TensorError):
+            T.attention_block(q, rows, g, Tensor(np.ones(2)), w, w, 2, 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -429,21 +479,21 @@ class TestAttentionBlock:
     )
     def test_gradients_match_finite_differences(self, bsz, n, heads, dh, d, lse_only, seed):
         rng = np.random.default_rng(seed)
-        q = rand_leaf(rng, heads * dh)
-        rows = rand_leaf(rng, bsz, n, d)
-        w_k, w_v = rand_leaf(rng, d, heads * dh), rand_leaf(rng, d, heads * dh)
+        leaves = [Tensor(a, requires_grad=True) for a in block_arrays(rng, bsz, n, d, heads, dh)]
         coef = rng.standard_normal((bsz, heads, dh + 1))
         if lse_only:
             coef[..., :dh] = 0.0  # the gradient arrives on the lse column alone
 
         def forward():
-            out = T.attention_block(q, rows, w_k, w_v, heads, 0.6)
+            out = T.attention_block(*leaves, heads, 0.6)
             return T.mul(out, Tensor(coef)).sum()
 
         with Tape():
             loss = forward()
         backward(loss)
-        for leaf in (q, rows, w_k, w_v):
+        # at d=2 the normalised rows are +-1 up to eps, so their gradient is of
+        # eps's order, below the rounding noise of central differences
+        for leaf in leaves if d != 2 else leaves[:1] + leaves[2:]:
             num = finite_diff_grad(lambda: forward().item(), leaf.data)
             # central differences carry ~1e-10 of rounding noise (eps * |loss| / step),
             # so entries near zero are held to an absolute 1e-10
@@ -550,7 +600,7 @@ class TestDeterminismAndSafety:
             q, rows, w_k, w_v = leaf(8), leaf(2, 5, 6), leaf(6, 8), leaf(6, 8)
             x, gain, bias = leaf(3, 6), leaf(6), leaf(6)
             with Tape():
-                att = T.attention_block(q, rows, w_k, w_v, heads=2, scale=0.5)
+                att = T.attention_block(q, rows, gain, bias, w_k, w_v, heads=2, scale=0.5)
                 act = T.gelu(T.layer_norm(x, gain, bias))
                 loss = T.add(T.sum_all(att), T.sum_all(act))
             backward(loss)
