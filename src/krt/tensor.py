@@ -6,10 +6,17 @@ on an explicit Tape and replayed in exact reverse execution order. Every op
 computes in its inputs' dtype: the model runs in float32 (see `protocol`),
 and the finite-difference and oracle tests run the same ops in float64.
 
-Broadcasting is deliberately restricted to a python scalar operand and,
-in `add`, a second operand of leading extent 1; anything else requires an
-explicit reshape/repeat. Every op output is checked for NaN/Inf and raises
-instead of propagating silently.
+Broadcasting is deliberately restricted to a python scalar operand;
+anything else requires an explicit reshape/repeat. Every op output is
+checked for NaN/Inf and raises instead of propagating silently.
+
+The model's patch-sized work is two fused ops with analytic backwards, so
+no [B, h*w, d] intermediate is taped: `patch_embed` (3x3 conv, exact GELU,
+projection and position code, bit for bit the chain of those ops) and
+`attention_block` (norm1 and single-query attention over the patch rows).
+Shared arithmetic lives in private helpers (`_gelu_phi`, `_gelu_slope`,
+`_normalise_rows`), so a fused op and its standalone counterpart agree by
+construction. `conv3x3_same` remains as `patch_embed`'s test reference.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -52,7 +60,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise TensorError("non-finite values in tensor data")
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
@@ -231,11 +239,7 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; `b` may be a python scalar, or of shape (1, *a.shape[1:]).
-
-    A leading-extent-1 `b` is added to every slice a[i]; its gradient is
-    the output gradient summed over axis 0.
-    """
+    """Elementwise sum; `b` may be a python scalar."""
     if not isinstance(b, Tensor):
         c = float(b)
 
@@ -243,16 +247,14 @@ def add(a: Tensor, b) -> Tensor:
             return [(a, g)] if a.requires_grad else []
 
         return _result(a.data + c, [a], bwd_s)
-    broadcast = a.ndim > 0 and a.shape != b.shape and b.shape == (1,) + a.shape[1:]
-    if not broadcast:
-        _check_same_shape(a, b, "add")
+    _check_same_shape(a, b, "add")
 
     def bwd(g, a=a, b=b):
         out = []
         if a.requires_grad:
             out.append((a, g))
         if b.requires_grad:
-            out.append((b, g.sum(axis=0, keepdims=True) if broadcast else g))
+            out.append((b, g))
         return out
 
     return _result(a.data + b.data, [a, b], bwd)
@@ -328,19 +330,35 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(s, [a], bwd)
 
 
+def _gelu_phi(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the normal CDF, in one new array."""
+    phi = x * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+def _gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d gelu / dx = phi + (x / sqrt(2 pi)) * exp(-x^2 / 2), given phi = _gelu_phi(x)."""
+    pdf = x * -0.5
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    slope = x * _INV_SQRT2PI
+    slope *= pdf
+    slope += phi
+    return slope
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact gaussian error linear unit, x * Phi(x)."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * phi
+    phi = _gelu_phi(x)
 
     def bwd(g, a=a, x=x, phi=phi):
-        if not a.requires_grad:
-            return []
-        d = phi + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return [(a, g * d)]
+        return [(a, g * _gelu_slope(x, phi))] if a.requires_grad else []
 
-    return _result(out, [a], bwd)
+    return _result(x * phi, [a], bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -763,13 +781,8 @@ def _im2col3(x: np.ndarray) -> np.ndarray:
     b, h, w, c = x.shape
     padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
     padded[:, 1:-1, 1:-1, :] = x
-    cols = np.empty((b, h, w, 9 * c), dtype=x.dtype)
-    k = 0
-    for dy in range(3):
-        for dx in range(3):
-            cols[..., k * c : (k + 1) * c] = padded[:, dy : dy + h, dx : dx + w, :]
-            k += 1
-    return cols.reshape(b * h * w, 9 * c)
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # [B, h, w, c, dy, dx]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
 
 
 def _col2im3(cols: np.ndarray, shape) -> np.ndarray:
@@ -811,6 +824,80 @@ def conv3x3_same(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return out2
 
     return _result(out, [x, w, b], bwd)
+
+
+def patch_embed(
+    images: Tensor,
+    conv_w: Tensor,
+    conv_b: Tensor,
+    proj_w: Tensor,
+    proj_b: Tensor,
+    pos: Tensor,
+) -> Tensor:
+    """The patch stem as one op: [B,h,w,c] images -> [B, h*w, d] patch rows.
+
+    Each grid cell's row is gelu(conv3x3_same(images, conv_w, conv_b)) at
+    that cell, projected by proj_w:[m, d] and proj_b:[d], plus its row of
+    the position code pos:[1, h*w, d]. Output and the gradients of the four
+    weights are bit for bit those of the taped chain conv3x3_same, gelu,
+    affine and add: every step is the same numpy arithmetic on arrays of the
+    same shapes (gelu's through `_gelu_phi` and `_gelu_slope`), done in place
+    where the chain allocated a new array.
+
+    images and pos are constants. The backward keeps the conv output z and
+    Phi(z) only; it rebuilds the 3x3 columns from the images and gelu(z) as
+    z * Phi(z). The one output check also covers z and gelu(z): a non-finite
+    entry there makes its whole output row non-finite.
+    """
+    if images.ndim != 4:
+        raise TensorError(f"patch_embed expects images [B,h,w,c], got {images.shape}")
+    bsz, h, wd, c = images.shape
+    m = conv_w.shape[-1]
+    d = proj_w.shape[-1]
+    if (
+        conv_w.shape != (9 * c, m)
+        or conv_b.shape != (m,)
+        or proj_w.shape != (m, d)
+        or proj_b.shape != (d,)
+        or pos.shape != (1, h * wd, d)
+    ):
+        raise TensorError(
+            f"patch_embed: bad shapes images {images.shape}, conv {conv_w.shape}/{conv_b.shape}, "
+            f"proj {proj_w.shape}/{proj_b.shape}, pos {pos.shape}"
+        )
+    if images.requires_grad or pos.requires_grad:
+        raise TensorError("patch_embed: images and pos are constants; they get no gradient")
+    taped = _ACTIVE_TAPE is not None and any(
+        t.requires_grad for t in (conv_w, conv_b, proj_w, proj_b)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
+        z = _im2col3(images.data) @ conv_w.data
+        z += conv_b.data
+        phi = _gelu_phi(z)
+        # tape-free, gelu(z) overwrites Phi(z); the backward needs both z and Phi(z)
+        feats = z * phi if taped else np.multiply(phi, z, out=phi)
+        out = feats @ proj_w.data
+        out += proj_b.data
+        out = out.reshape(bsz, h * wd, d)
+        out += pos.data
+
+    def bwd(g, images=images, conv_w=conv_w, conv_b=conv_b, proj_w=proj_w, proj_b=proj_b):
+        res = []
+        g2 = g.reshape(-1, d)
+        if proj_w.requires_grad:
+            res.append((proj_w, (z * phi).T @ g2))
+        if proj_b.requires_grad:
+            res.append((proj_b, g2.sum(axis=0)))
+        if conv_w.requires_grad or conv_b.requires_grad:
+            g_z = g2 @ proj_w.data.T
+            g_z *= _gelu_slope(z, phi)
+            if conv_w.requires_grad:
+                res.append((conv_w, _im2col3(images.data).T @ g_z))
+            if conv_b.requires_grad:
+                res.append((conv_b, g_z.sum(axis=0)))
+        return res
+
+    return _result(out, [conv_w, conv_b, proj_w, proj_b], bwd)
 
 
 # ---------------------------------------------------------------------------

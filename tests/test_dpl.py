@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krt.dpl import (
     DplConfig,
@@ -204,6 +206,53 @@ class TestThresholdSearch:
             else:
                 outcomes.add("bound")
         assert outcomes == {"converged", "cap", "bound"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        k=st.integers(1, 6),
+        etas=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+        coarse=st.booleans(),
+        with_exclude=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_labels_per_image_never_increase_as_eta_rises(
+        self, m, k, etas, coarse, with_exclude, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(size=(m, k))
+        if coarse:
+            scores = np.round(scores, 1)  # ties: many scores sit exactly on a threshold
+        exclude = None
+        if with_exclude:
+            exclude = [set(np.flatnonzero(rng.uniform(size=k) < 0.3).tolist()) for _ in range(m)]
+        counts = [
+            [len(labels) for labels in generate_pseudo_labels(scores, eta, exclude)]
+            for eta in sorted(etas)
+        ]
+        for low, high in zip(counts, counts[1:]):
+            assert all(a >= b for a, b in zip(low, high))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        k=st.integers(1, 5),
+        eta_init=st.floats(0.01, 0.99),
+        eta_step=st.sampled_from([1e-2, 3e-2, 0.25]),
+        bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        mu_t=st.floats(0.0, 6.0),
+        max_iters=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_final_eta_stays_within_the_bounds(
+        self, m, k, eta_init, eta_step, bounds, mu_t, max_iters, seed
+    ):
+        scores = np.random.default_rng(seed).uniform(size=(m, k))
+        cfg = DplConfig(
+            eta_init=eta_init, eta_step=eta_step, eta_bounds=tuple(bounds), max_iters=max_iters
+        )
+        report = dynamic_threshold_search(scores, cfg, mu_t)
+        assert bounds[0] <= report.final_eta <= bounds[1]
 
     def test_determinism(self):
         rng = np.random.default_rng(6)

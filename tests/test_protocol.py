@@ -11,6 +11,7 @@ from krt.ica import IcaConfig
 from krt.losses import LossConfig
 from krt.protocol import (
     ArmFlags,
+    BufferEntry,
     RehearsalBuffer,
     TrainConfig,
     assign_examples,
@@ -186,6 +187,84 @@ class TestBuffer:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             RehearsalBuffer(("herding", 5))
+
+
+class TestSessionItems:
+    def test_exemplars_merge_into_the_sessions_own_images(self):
+        train, test, names = tiny_data(n_train=200)
+        plan = build_plan(names, base=2, inc=2)
+        assign_examples(plan, train, test)
+        own = plan.train_indices[1]
+        own_ids = {train.examples[i].image_id for i in own}
+        others = [i for i in plan.train_indices[0] if train.examples[i].image_id not in own_ids]
+        first = set(plan.session_classes[0])
+        buffer = RehearsalBuffer(("per_class", 5))
+        # two of session 2's own images (stored out of order) and two images it does not have
+        for i in [own[3], own[0], others[1], others[0]]:
+            ex = train.examples[i]
+            buffer.store[ex.image_id] = BufferEntry(ex.image_id, ex.features, ex.labels & first)
+
+        items = protocol._session_items(plan, train, 2, buffer)
+
+        current = set(plan.session_classes[1])
+        assert [it.dataset_index for it in items[: len(own)]] == own
+        for it, i in zip(items, own):
+            ex = train.examples[i]
+            merged = i in (own[0], own[3])
+            assert it.image_id == ex.image_id
+            assert it.visible == (ex.labels & current) | ((ex.labels & first) if merged else set())
+            assert it.is_exemplar == merged
+        replayed = sorted(train.examples[i].image_id for i in others[:2])
+        assert [it.image_id for it in items[len(own) :]] == replayed
+        for it in items[len(own) :]:
+            entry = buffer.store[it.image_id]
+            assert it.visible == entry.labels_known and it.visible is not entry.labels_known
+            assert it.is_exemplar and it.dataset_index == -1 and it.features is entry.features
+
+
+class TestEvalChunk:
+    def test_rule_at_the_paper_and_default_shapes(self):
+        rng = substream_rng(22, "init")
+        paper = init_model((14, 14, 8), IcaConfig(d=128, heads=8), ArmFlags(), rng)
+        assert paper.dtype == np.float32
+        assert protocol.eval_chunk(paper) == 20
+        default = init_model((8, 8, 8), IcaConfig(d=32, heads=4), ArmFlags(), rng)
+        assert protocol.eval_chunk(default) == 64
+        # one image's [64 * 80, 128] float32 rows alone exceed the budget
+        huge = init_model((64, 80, 1), IcaConfig(d=128, heads=8), ArmFlags(use_ica=False), rng)
+        assert protocol.eval_chunk(huge) == 1
+
+    def test_chunked_scores_match_one_forward(self, monkeypatch):
+        spec = GenSpec(
+            n_classes=6, grid_h=14, grid_w=14, channels=8, avg_labels_per_image=1.8,
+            n_train=4, n_test=37, seed=9,
+        )
+        train, test, names = generate(spec)
+        plan = build_plan(names, base=6, inc=0)
+        assign_examples(plan, train, test)
+        rng = substream_rng(23, "init")
+        model = init_model((14, 14, 8), IcaConfig(d=128, heads=8), ArmFlags(), rng)
+        expand_for_session(model, 6, rng)
+        sizes, seen = [], {}
+        real_forward, real_evaluate = protocol.forward_logits, protocol.evaluate
+
+        def recording_forward(model_, images):
+            sizes.append(len(images))
+            return real_forward(model_, images)
+
+        def recording_evaluate(batch, session):
+            seen["scores"] = batch.scores
+            return real_evaluate(batch, session=session)
+
+        monkeypatch.setattr(protocol, "forward_logits", recording_forward)
+        monkeypatch.setattr(protocol, "evaluate", recording_evaluate)
+        evaluate_cumulative(model, plan, 1, test)
+        assert sizes == [20, 17]
+        whole = real_forward(model, test.features_array(plan.test_indices[0]))
+        want = T.sigmoid(whole.logits).data
+        # not bit-equal in general: a GEMM rounds its rows by their count
+        assert want.dtype == np.float32
+        assert np.max(np.abs(seen["scores"] - want)) <= 4 * np.finfo(np.float32).eps
 
 
 class TestSnapshot:
