@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import ctypes
 import json
 import logging
 import os
@@ -328,38 +327,8 @@ def _load_data(cfg: RunConfig):
     return generate(cfg.dataset)
 
 
-_M_TRIM_THRESHOLD = -1  # glibc <malloc.h> mallopt parameters
-_M_MMAP_THRESHOLD = -3
-
-
-def _retain_freed_arrays() -> None:
-    """Keep freed numpy buffers in the process heap between training steps.
-
-    glibc malloc serves a block above its mmap threshold (128 KiB at first,
-    raised to the largest mmapped block freed so far) with a fresh mmap, and
-    returns the heap's free top to the OS once it exceeds twice that
-    threshold. A step frees most of what it allocated when its tape is
-    cleared, so whether the next step faults those pages back in depends on
-    where its arrays happen to lie: a paper-shape step at B=16 faulted about
-    1.3k pages, or none, depending on the op mix before it, and paper-shape
-    evaluation faulted 49k-73k pages per 1000 images at chunks of 16 images
-    or more. Fixed thresholds of 32 MiB (glibc's own ceiling for the dynamic
-    one) and 64 MiB keep the pages mapped whatever the layout. Peak RSS does
-    not change: the heap only keeps pages it has already reached. Where
-    libc has no mallopt, this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-
-
 def run(cfg: RunConfig) -> RunResult:
     """Execute the configured run and write its artifacts under cfg.out."""
-    _retain_freed_arrays()
     t0 = time.monotonic()
     train, test, names = _load_data(cfg)
     base = len(names) if cfg.arm == "upper_bound" else cfg.base

@@ -482,48 +482,22 @@ def _targets(items, order_map: dict, n_outputs: int) -> np.ndarray:
     return y
 
 
-_EVAL_CACHE_BYTES = 2 * 2**20
-_EVAL_MAX_CHUNK = 64
-
-
-def eval_chunk(model: ModelState) -> int:
-    """Images per evaluation forward: as many as keep a chunk's widest
-    activation, h*w rows of max(d, conv width) entries per image, within
-    _EVAL_CACHE_BYTES; at least 1 and at most _EVAL_MAX_CHUNK."""
-    h, w, _ = model.grid
-    image_bytes = h * w * max(model.d, model.conv_w.shape[1]) * model.dtype.itemsize
-    return min(_EVAL_MAX_CHUNK, max(1, _EVAL_CACHE_BYTES // image_bytes))
-
-
-def evaluate_cumulative(model: ModelState, plan: SessionPlan, t: int, test: Dataset) -> MetricsRecord:
+def evaluate_cumulative(model: ModelState, plan: SessionPlan, t: int, test: Dataset, batch_size: int = 64) -> MetricsRecord:
     """Score the union of test sets 1..t over every class seen so far.
 
-    The union runs through tape-free forwards of `eval_chunk(model)` images
-    each, so that a chunk's widest activation, its [chunk*h*w, width] stem
-    features or its [chunk, h*w, d] patch rows, stays within 2 MiB, one
-    core's L2 cache on the 2-core Xeon the rule was chosen on: 20 images at
-    the paper shape (14x14 grid, d=128, float32). Chunks stop at 64, the
-    fixed size before the rule, past which a forward's Python overhead is
-    already small; the default shape (8x8, d=32) keeps 64.
-
-    What the rule buys is memory: `joint`'s peak RSS falls from 94 to 78 MB
-    against chunks of 64. Not speed: in a paper-shape sweep (200 images,
-    one session, 1 BLAS thread, 6 processes per size) every chunk from 8 to
-    64 ran at 1850-1940 images/s under the heap thresholds `krt run` sets
-    (`cli._retain_freed_arrays`). Under glibc's default thresholds, chunks
-    of 8 and 12 ran at about 1980 images/s and faulted no pages, and chunks
-    of 16 to 64 ran at 1400-1510 and faulted 49k-73k pages per 1000
-    images. Scores do not depend on the chunk beyond float32 rounding: a
-    GEMM can round a row differently with a different row count.
+    The union runs through tape-free forwards of `batch_size` images each.
+    Scores depend on that size in their last float32 bits, because a GEMM
+    can round a row differently with a different row count, and mAP can
+    move with them; so the size stays 64 whatever the model's shape.
     """
     indices = []
     for s in range(t):
         indices.extend(plan.test_indices[s])
     classes = plan.classes_through(t)
-    chunk = eval_chunk(model)
     scores = []
-    for lo in range(0, len(indices), chunk):
-        images = test.features_array(indices[lo : lo + chunk])
+    for lo in range(0, len(indices), batch_size):
+        batch = indices[lo : lo + batch_size]
+        images = test.features_array(batch)
         scores.append(T.sigmoid(forward_logits(model, images).logits).data)
     truths = test.truth_matrix(classes)[indices]
     return evaluate(EvalBatch(np.concatenate(scores, axis=0), truths), session=t)

@@ -30,6 +30,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_BLOCK_BYTES = 64 * 2**10  # patch_embed's tape-free gelu block
 
 SIGMOID_EPS = 1e-7  # probabilities are clamped to [eps, 1-eps] before any log
 LN_EPS = 1e-5  # LayerNorm variance floor
@@ -846,8 +847,11 @@ def patch_embed(
 
     images and pos are constants. The backward keeps the conv output z and
     Phi(z) only; it rebuilds the 3x3 columns from the images and gelu(z) as
-    z * Phi(z). The one output check also covers z and gelu(z): a non-finite
-    entry there makes its whole output row non-finite.
+    z * Phi(z). Tape-free, no Phi(z) array is formed: gelu is taken in place
+    in row blocks of `_GELU_BLOCK_BYTES`, small enough to stay in cache and
+    to come from malloc's free lists whatever its mmap threshold. The one
+    output check also covers z and gelu(z): a non-finite entry there makes
+    its whole output row non-finite.
     """
     if images.ndim != 4:
         raise TensorError(f"patch_embed expects images [B,h,w,c], got {images.shape}")
@@ -871,11 +875,20 @@ def patch_embed(
         t.requires_grad for t in (conv_w, conv_b, proj_w, proj_b)
     )
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
-        z = _im2col3(images.data) @ conv_w.data
+        # z is allocated before the columns, so freeing them leaves no hole below it
+        z = np.empty((bsz * h * wd, m), dtype=np.result_type(images.data, conv_w.data))
+        np.matmul(_im2col3(images.data), conv_w.data, out=z)
         z += conv_b.data
-        phi = _gelu_phi(z)
-        # tape-free, gelu(z) overwrites Phi(z); the backward needs both z and Phi(z)
-        feats = z * phi if taped else np.multiply(phi, z, out=phi)
+        if taped:  # the backward needs both z and Phi(z)
+            phi = _gelu_phi(z)
+            feats = z * phi
+        else:  # gelu(z) overwrites z, one row block's Phi at a time
+            phi = None
+            step = max(1, _GELU_BLOCK_BYTES // (m * z.itemsize))
+            for lo in range(0, len(z), step):
+                block = z[lo : lo + step]
+                block *= _gelu_phi(block)
+            feats = z
         out = feats @ proj_w.data
         out += proj_b.data
         out = out.reshape(bsz, h * wd, d)

@@ -2,7 +2,6 @@ import dataclasses
 import importlib.util
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
@@ -70,47 +69,6 @@ TINY_RUN = [
     '"n_train": 40, "n_test": 20}',
     "--set", "ica.d=8", "--set", "ica.heads=2",
 ]
-
-
-_STEPS_AFTER_A_RUN = """
-import resource, sys
-import numpy as np
-from krt import cli, protocol, tensor as T
-from krt.ica import IcaConfig
-from krt.seeds import substream_rng
-
-assert cli.main(sys.argv[2:]) == 0
-rng = substream_rng(3, "init")
-model = protocol.init_model((14, 14, 8), IcaConfig(d=128, heads=8), protocol.ArmFlags(), rng)
-protocol.expand_for_session(model, 40, rng)
-images = np.random.default_rng(0).standard_normal((16, 14, 14, 8))
-opt = protocol.Adam(model.trainable_parameters(), lr=1e-3)
-for step in range(int(sys.argv[1])):
-    if step == 4:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    with T.Tape() as tape:
-        loss = T.mean_all(T.sigmoid(protocol.forward_logits(model, images).logits))
-    T.backward(loss)
-    opt.step()
-    opt.zero_grad()
-    tape.clear()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are glibc's")
-def test_training_steps_after_a_run_fault_no_pages_back_in(tmp_path):
-    # without fixed malloc thresholds these 12 steps faulted about 18k pages
-    # (about 1.5k a step); with them, 0 to 205 in 15 tries
-    src = str(Path(krt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    argv = [sys.executable, "-c", _STEPS_AFTER_A_RUN, "16"] + TINY_RUN
-    proc = subprocess.run(
-        argv + ["--out", str(tmp_path / "run")], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) < 1000  # over 12 warm steps
 
 
 @pytest.mark.parametrize(

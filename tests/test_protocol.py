@@ -222,18 +222,7 @@ class TestSessionItems:
             assert it.is_exemplar and it.dataset_index == -1 and it.features is entry.features
 
 
-class TestEvalChunk:
-    def test_rule_at_the_paper_and_default_shapes(self):
-        rng = substream_rng(22, "init")
-        paper = init_model((14, 14, 8), IcaConfig(d=128, heads=8), ArmFlags(), rng)
-        assert paper.dtype == np.float32
-        assert protocol.eval_chunk(paper) == 20
-        default = init_model((8, 8, 8), IcaConfig(d=32, heads=4), ArmFlags(), rng)
-        assert protocol.eval_chunk(default) == 64
-        # one image's [64 * 80, 128] float32 rows alone exceed the budget
-        huge = init_model((64, 80, 1), IcaConfig(d=128, heads=8), ArmFlags(use_ica=False), rng)
-        assert protocol.eval_chunk(huge) == 1
-
+class TestEvaluateCumulative:
     def test_chunked_scores_match_one_forward(self, monkeypatch):
         spec = GenSpec(
             n_classes=6, grid_h=14, grid_w=14, channels=8, avg_labels_per_image=1.8,
@@ -258,7 +247,7 @@ class TestEvalChunk:
 
         monkeypatch.setattr(protocol, "forward_logits", recording_forward)
         monkeypatch.setattr(protocol, "evaluate", recording_evaluate)
-        evaluate_cumulative(model, plan, 1, test)
+        evaluate_cumulative(model, plan, 1, test, batch_size=20)
         assert sizes == [20, 17]
         whole = real_forward(model, test.features_array(plan.test_indices[0]))
         want = T.sigmoid(whole.logits).data
