@@ -3,7 +3,8 @@
 `krt run` executes one full incremental run for one method arm and writes
 results.json / summary.csv / curves.tsv into the output directory.
 `krt compare` tabulates several results files of the same plan.
-`krt dpl` runs the pseudo-labeler standalone over a score CSV + label JSONL.
+`krt dpl` runs the pseudo-labeler standalone over a score CSV + label JSONL,
+through the same driver as a training session (`protocol.run_dpl`).
 
 Config is strict JSON: unknown keys are rejected, every value is
 type-checked, and errors carry field paths. `_KEYS` is the one list of
@@ -22,6 +23,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -30,24 +32,14 @@ from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 from ._version import VERSION
 from .datagen import DatasetFormatError, GenSpec, generate, load_dataset
-from .dpl import (
-    DplConfig,
-    dynamic_threshold_search,
-    merge_labels,
-    read_labels_jsonl,
-    read_score_csv,
-    session_target,
-    write_merged_jsonl,
-)
+from .dpl import DplConfig, read_labels_jsonl, read_score_csv, write_merged_jsonl
 from .ica import IcaConfig
 from .losses import LossConfig
 from .metrics import aggregate
-from .protocol import ArmFlags, TrainConfig, assign_examples, build_plan, run_incremental
+from .protocol import ArmFlags, TrainConfig, build_plan, run_dpl, run_incremental
 from .seeds import substream_seed
 
 log = logging.getLogger("krt")
-
-ARMS = ("ft", "er", "kd_baseline", "krt", "krt_r", "krt_no_dpl", "krt_no_ica", "upper_bound")
 
 # arm -> (use_dpl, use_ica, use_kd, buffer requirement: "forbid"|"require"|"allow")
 _ARM_TABLE = {
@@ -60,6 +52,7 @@ _ARM_TABLE = {
     "krt_no_ica": (True, False, False, "allow"),
     "upper_bound": (False, True, False, "forbid"),
 }
+ARMS = tuple(_ARM_TABLE)
 
 # `krt run`'s block is smaller than IcaConfig's paper default (d=384)
 _RUN_ICA_SHAPE = {"d": 32, "heads": 4}
@@ -194,14 +187,20 @@ def _reject_unknown(obj: dict, allowed, path: str):
 
 
 def _typed(value, kind, path: str):
-    """`value` checked against the annotation `kind`; ints widen to float."""
+    """`value` checked against the annotation `kind`; ints widen to float, floats are finite."""
     if get_origin(kind) is tuple:
         items = get_args(kind)
         if not (isinstance(value, list) and len(value) == len(items)):
             raise ConfigError(f"{path}: expected [{', '.join(k.__name__ for k in items)}]")
         return tuple(_typed(v, k, path) for v, k in zip(value, items))
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+    if kind is float and type(value) in (int, float):
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite float")
+        return value
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path}: expected {kind.__name__}")
     return value
@@ -337,7 +336,6 @@ def run(cfg: RunConfig) -> RunResult:
         plan = build_plan(names, base=base, inc=inc)
     except ValueError as e:
         raise ConfigError(f"config.plan: {e}") from None
-    assign_examples(plan, train, test)
     log.info("arm=%s sessions=%d train=%d test=%d", cfg.arm, plan.n_sessions, len(train), len(test))
 
     outcomes = run_incremental(train, test, plan, cfg.flags(), cfg.ica, cfg.train, cfg.seed)
@@ -439,19 +437,15 @@ def dpl_standalone(
     if scores.size and (scores.min() < 0 or scores.max() > 1):
         raise DataError(f"{scores_path}: scores outside [0, 1]")
 
-    current_label_ids = {lbl for _, labels in records for lbl in labels}
     if total_classes is None:
-        total_classes = len(set(class_ids) | current_label_ids)
-    col_of = {cid: k for k, cid in enumerate(class_ids)}
-    exclude = [
-        {col_of[lbl] for lbl in labels if lbl in col_of} for _, labels in records
-    ]
-    mu_t = session_target(len(class_ids), total_classes, dpl_config.mu)
-    report = dynamic_threshold_search(scores, dpl_config, mu_t, exclude=exclude)
-    true_sets = [set(labels) for _, labels in records]
-    pseudo_sets = [{class_ids[k] for k in cols} for cols in report.label_sets]
-    merged = merge_labels(true_sets, pseudo_sets, current_classes=None)
-    write_merged_jsonl(out_path, records, merged)
+        total_classes = len(set(class_ids) | {lbl for _, labels in records for lbl in labels})
+    elif total_classes < len(class_ids):
+        raise ConfigError(
+            f"dpl: --total-classes {total_classes} is below the {len(class_ids)} score columns"
+        )
+    known = [labels for _, labels in records]
+    report, pseudo_sets = run_dpl(scores, known, class_ids, total_classes, dpl_config)
+    write_merged_jsonl(out_path, records, pseudo_sets)
     return report.to_dict()
 
 
@@ -535,6 +529,8 @@ def main(argv=None) -> int:
                 dpl_config = DplConfig(eta_init=args.eta0, mu=args.mu)
             except ValueError as e:
                 raise ConfigError(f"dpl: {e}") from None
+            if args.total_classes is not None and args.total_classes <= 0:
+                raise ConfigError(f"dpl: --total-classes {args.total_classes} must be positive")
             report = dpl_standalone(
                 args.scores, args.labels, args.out, dpl_config, total_classes=args.total_classes
             )

@@ -9,6 +9,9 @@ function of that score matrix: the walk counts cells at each threshold
 eta_init + k * eta_step (integer k, rounded to 12 decimals, clamped to the
 bounds) and builds the per-image label sets once, at the threshold it
 settles on.
+
+`protocol.run_dpl` is the one driver of the walk: a training session and
+`krt dpl` (the file mode below) both go through it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class DplConfig:
             raise ValueError(f"eta_init {self.eta_init} outside (0, 1)")
         if self.eta_step <= 0 or self.tolerance <= 0:
             raise ValueError("eta_step and tolerance must be positive")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu {self.mu} must be finite and non-negative")
         if self.max_iters < 1:
             raise ValueError(f"max_iters {self.max_iters} must be positive")
         low, high = self.eta_bounds
@@ -157,27 +162,6 @@ def dynamic_threshold_search(
     )
 
 
-def merge_labels(true_sets: list, pseudo_sets: list, current_classes=None) -> list:
-    """Union pseudo labels into the ground truth, keeping provenance.
-
-    Returns per-image (true_set, pseudo_only_set) pairs; a class present in
-    both stays flagged true. A pseudo label naming a current-session class
-    means the scorer was fed the wrong class range and is rejected.
-    """
-    if len(true_sets) != len(pseudo_sets):
-        raise ValueError(f"{len(true_sets)} label sets vs {len(pseudo_sets)} pseudo sets")
-    current = set(current_classes) if current_classes is not None else set()
-    merged = []
-    for i, (truth, pseudo) in enumerate(zip(true_sets, pseudo_sets)):
-        bad = set(pseudo) & current
-        if bad:
-            raise ValueError(
-                f"image {i}: pseudo labels {sorted(bad)} collide with current-session classes"
-            )
-        merged.append((set(truth), set(pseudo) - set(truth)))
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # standalone file mode
 
@@ -205,7 +189,10 @@ def read_score_csv(path: str):
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no score rows")
-    return [h.strip() for h in header], np.array(rows, dtype=np.float64)
+    class_ids = [h.strip() for h in header]
+    if len(set(class_ids)) != len(class_ids):
+        raise ValueError(f"{path}: class ids repeat in the header")
+    return class_ids, np.array(rows, dtype=np.float64)
 
 
 def read_labels_jsonl(path: str):
@@ -237,10 +224,10 @@ def read_labels_jsonl(path: str):
     return records
 
 
-def write_merged_jsonl(path: str, records, merged) -> None:
+def write_merged_jsonl(path: str, records, pseudo_sets) -> None:
     """Emit the input label records with a `pseudo` field of restored classes."""
     with open(path, "w") as fh:
-        for (image_id, labels), (_, pseudo) in zip(records, merged):
+        for (image_id, labels), pseudo in zip(records, pseudo_sets):
             fh.write(
                 json.dumps(
                     {"image_id": image_id, "labels": labels, "pseudo": sorted(pseudo)},

@@ -111,19 +111,6 @@ class IcaState:
     def session_count(self) -> int:
         return len(self.kr_tokens)
 
-    @property
-    def frozen_flags(self) -> list:
-        return [not kr.requires_grad for kr in self.kr_tokens]
-
-    def block_parameters(self) -> list:
-        """Shared-block weights, excluding tokens."""
-        return [t for name, t in tensor_fields(self) if name != "kt_token"]
-
-    def trainable_parameters(self) -> list:
-        params = self.block_parameters() + [self.kt_token]
-        params += [kr for kr in self.kr_tokens if kr.requires_grad]
-        return params
-
 
 def tensor_fields(record) -> list:
     """(name, tensor) for each Tensor-valued field of a dataclass, in field order."""

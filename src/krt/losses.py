@@ -33,18 +33,12 @@ class LossConfig:
             raise ValueError("token loss weight must be non-negative")
 
 
-def _as_constant(t) -> Tensor:
-    """A Tensor as is; an array keeps its float dtype, so a float32 model stays float32."""
-    return t if isinstance(t, Tensor) else Tensor(t)
-
-
-def asl_loss(probs: Tensor, targets, config: LossConfig = None) -> Tensor:
+def asl_loss(probs: Tensor, targets, config: LossConfig) -> Tensor:
     """Mean asymmetric loss over every (sample, class) cell.
 
     probs must already live in (0, 1) (the sigmoid op clamps); targets are
     a same-shaped 0/1 array treated as a constant.
     """
-    config = config or LossConfig()
     y = np.asarray(targets if not isinstance(targets, Tensor) else targets.data, dtype=probs.dtype)
     if y.shape != probs.shape:
         raise ValueError(f"targets shape {y.shape} != probs shape {probs.shape}")
@@ -69,22 +63,14 @@ def asl_loss(probs: Tensor, targets, config: LossConfig = None) -> Tensor:
     return T.scale(cellwise.mean(), -1.0)
 
 
-def _flatten_batch(embeddings: list) -> Tensor:
-    """Concatenate per-session [B,d] embeddings into [B, k*d] rows."""
-    rows = []
-    for e in embeddings:
-        rows.append(e.reshape(1, e.size) if e.ndim == 1 else e)
-    return T.concat(rows, axis=1) if len(rows) > 1 else rows[0]
-
-
 def token_loss(e_prev: list, e_curr: list) -> Tensor:
     """1 - cosine between old embeddings and the current model's prefix.
 
-    e_prev holds t-1 per-session embeddings from the frozen previous model
-    (constants); e_curr holds t from the current model, computed on the
-    same batch. Each entry is [d] or [B,d]. Per item the prefix embeddings
-    are concatenated into one vector and compared with a single cosine;
-    the batch mean is returned.
+    e_prev holds t-1 per-session [B,d] arrays from the frozen previous
+    model; e_curr holds t [B,d] tensors from the current model, computed on
+    the same batch. Per item the prefix embeddings are concatenated into
+    one vector and compared with a single cosine; the batch mean is
+    returned.
     """
     if len(e_curr) != len(e_prev) + 1:
         raise ValueError(
@@ -92,15 +78,15 @@ def token_loss(e_prev: list, e_curr: list) -> Tensor:
         )
     if not e_prev:
         raise ValueError("token loss needs at least one previous-session embedding")
-    prev_flat = _flatten_batch([_as_constant(e).detach() for e in e_prev])
-    curr_flat = _flatten_batch(e_curr[: len(e_prev)])
-    cos = T.cosine_similarity(curr_flat, prev_flat)  # [B]
+    prefix = e_curr[: len(e_prev)]
+    curr_flat = T.concat(prefix, axis=1) if len(prefix) > 1 else prefix[0]
+    cos = T.cosine_similarity(curr_flat, Tensor(np.concatenate(e_prev, axis=1)))  # [B]
     return T.add(T.scale(cos.mean(), -1.0), 1.0)
 
 
-def kd_pooled_loss(feat_prev, feat_curr: Tensor) -> Tensor:
+def kd_pooled_loss(feat_prev: np.ndarray, feat_curr: Tensor) -> Tensor:
     """1 - mean cosine between pooled features of the snapshot and the live model."""
-    prev = _as_constant(feat_prev).detach()
+    prev = Tensor(feat_prev)
     if prev.shape != feat_curr.shape:
         raise ValueError(f"feature shapes differ: {prev.shape} vs {feat_curr.shape}")
     cos = T.cosine_similarity(feat_curr, prev)

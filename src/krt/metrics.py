@@ -15,6 +15,9 @@ from typing import Optional
 import numpy as np
 
 
+F1_THRESHOLD = 0.5  # on probabilities, for CF1 and OF1
+
+
 class UndefinedAPError(ValueError):
     """AP requested for a class with zero positives."""
 
@@ -67,12 +70,12 @@ def average_precision(scores, truths) -> float:
     return float((hits[mask] / ranks[mask]).sum() / positives)
 
 
-def evaluate(batch: EvalBatch, session: int = 0, threshold: float = 0.5) -> MetricsRecord:
+def evaluate(batch: EvalBatch, session: int = 0) -> MetricsRecord:
     """mAP / CF1 / OF1 for one cumulative test pass."""
     n, k = batch.scores.shape
     if n == 0 or k == 0:
         raise ValueError("empty evaluation batch")
-    preds = batch.scores >= threshold
+    preds = batch.scores >= F1_THRESHOLD
     truths = batch.truths == 1
 
     aps: list = []

@@ -11,6 +11,15 @@ both pseudo-labeling and the retention losses and are never mutated.
 Method arms differ only in flags: use_dpl, use_ica, use_kd, and the
 buffer policy.
 
+Inference has one path, `infer`. The previous model's pass over a
+session's images (which feeds DPL and the retention losses) and the
+scoring of the test union both run tape-free `forward_logits` in chunks of
+`INFER_CHUNK` images, whatever the training batch size. Scores depend on
+the chunk size in their last float32 bits, because a GEMM can round a row
+differently with a different row count, and mAP can move with them. So the
+chunk is one constant, and it stays 64: a chunk of 20 moved `joint` mAPs in
+their last digits on 5 of 20 seeds and ran no faster.
+
 The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
 `init_model`). Everything after init reads the dtype from the model's own
 parameters, so parameters, activations, gradients, Adam moments, teacher
@@ -44,6 +53,7 @@ from .optim import Adam
 from .tensor import Tape, Tensor, backward
 
 MODEL_DTYPE = np.float32
+INFER_CHUNK = 64  # images per tape-free forward; see the module docstring
 
 # ---------------------------------------------------------------------------
 # session planning
@@ -53,8 +63,6 @@ MODEL_DTYPE = np.float32
 class SessionPlan:
     class_order: list  # all class names, lexicographic
     session_classes: list  # per session, global class indices (order = logit order)
-    base_count: int
-    inc_count: int
     train_indices: list = field(default_factory=list)  # per session, example indices
     test_indices: list = field(default_factory=list)
 
@@ -93,12 +101,7 @@ def build_plan(class_names: list, base: int, inc: int) -> SessionPlan:
     for size in chunks:
         sessions.append([order[n] for n in names[cursor : cursor + size]])
         cursor += size
-    return SessionPlan(
-        class_order=names,
-        session_classes=sessions,
-        base_count=base,
-        inc_count=inc if base != total else 0,
-    )
+    return SessionPlan(class_order=names, session_classes=sessions)
 
 
 def assign_examples(plan: SessionPlan, train: Dataset, test: Dataset) -> None:
@@ -150,10 +153,6 @@ class ModelState:
     @property
     def session_count(self) -> int:
         return len(self.heads)
-
-    @property
-    def n_outputs(self) -> int:
-        return sum(h[1].size for h in self.heads)
 
     @property
     def dtype(self):
@@ -238,8 +237,6 @@ def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
     if model.session_count == 0:
         raise ValueError("model has no sessions yet")
     x = Tensor(np.asarray(images, dtype=model.dtype))
-    if x.ndim == 3:
-        x = x.reshape(1, *x.shape)
     if x.shape[1:] != model.grid:
         raise T.TensorError(f"image grid {x.shape[1:]} does not match model grid {model.grid}")
     patches = T.patch_embed(
@@ -437,15 +434,15 @@ def _session_items(plan: SessionPlan, train: Dataset, t: int, buffer: RehearsalB
     return items
 
 
-def teacher_pass(snapshot: ModelState, features: np.ndarray, chunk: int) -> tuple:
-    """One tape-free pass of the frozen previous model over a session's images.
+def infer(model: ModelState, features: np.ndarray) -> tuple:
+    """Tape-free forwards of `model` over `features`, `INFER_CHUNK` images at a time.
 
-    Returns arrays indexed like `features`: old-class probabilities [N, K],
-    per-session embeddings (a list of [N, d], empty on pooled-path arms) and
-    pooled features [N, d] (None when the snapshot has none).
+    Returns arrays indexed like `features`: probabilities [N, K], per-session
+    embeddings (a list of [N, d], empty on pooled-path arms) and pooled
+    features [N, d] (None when the model has none).
     """
-    starts = range(0, len(features), chunk)
-    outs = [forward_logits(snapshot, features[lo : lo + chunk]) for lo in starts]
+    starts = range(0, len(features), INFER_CHUNK)
+    outs = [forward_logits(model, features[lo : lo + INFER_CHUNK]) for lo in starts]
     probs = np.concatenate([T.sigmoid(o.logits).data for o in outs])
     embeddings = [np.concatenate([e.data for e in es]) for es in zip(*(o.embeddings for o in outs))]
     pooled = None if outs[0].pooled is None else np.concatenate([o.pooled.data for o in outs])
@@ -454,22 +451,23 @@ def teacher_pass(snapshot: ModelState, features: np.ndarray, chunk: int) -> tupl
 
 def run_dpl(
     scores: np.ndarray,
-    items: list,
-    old_classes: list,
+    known: list,
+    classes: list,
     n_all_classes: int,
-    dpl_config: DplConfig,
-) -> PseudoLabelReport:
-    """Restore old-class labels onto the session's items (mutates them).
+    config: DplConfig,
+) -> tuple:
+    """The pseudo-labeler over one score matrix: (report, pseudo-label sets).
 
-    `scores` holds the snapshot's old-class probabilities, one row per item.
+    `scores` has one row per image and one column per entry of `classes`
+    (the old classes). `known[i]` holds image i's annotated labels; those
+    are never issued as its pseudo labels. Each pseudo-label set names
+    entries of `classes`.
     """
-    col_of = {cls: k for k, cls in enumerate(old_classes)}
-    exclude = [{col_of[c] for c in it.visible if c in col_of} for it in items]
-    mu_t = session_target(len(old_classes), n_all_classes, dpl_config.mu)
-    report = dynamic_threshold_search(scores, dpl_config, mu_t, exclude=exclude)
-    for it, cols in zip(items, report.label_sets):
-        it.pseudo = {old_classes[k] for k in cols}
-    return report
+    col_of = {cls: k for k, cls in enumerate(classes)}
+    exclude = [{col_of[c] for c in labels if c in col_of} for labels in known]
+    mu_t = session_target(len(classes), n_all_classes, config.mu)
+    report = dynamic_threshold_search(scores, config, mu_t, exclude=exclude)
+    return report, [{classes[k] for k in cols} for cols in report.label_sets]
 
 
 def _targets(items, order_map: dict, n_outputs: int) -> np.ndarray:
@@ -482,25 +480,14 @@ def _targets(items, order_map: dict, n_outputs: int) -> np.ndarray:
     return y
 
 
-def evaluate_cumulative(model: ModelState, plan: SessionPlan, t: int, test: Dataset, batch_size: int = 64) -> MetricsRecord:
-    """Score the union of test sets 1..t over every class seen so far.
-
-    The union runs through tape-free forwards of `batch_size` images each.
-    Scores depend on that size in their last float32 bits, because a GEMM
-    can round a row differently with a different row count, and mAP can
-    move with them; so the size stays 64 whatever the model's shape.
-    """
+def evaluate_cumulative(model: ModelState, plan: SessionPlan, t: int, test: Dataset) -> MetricsRecord:
+    """Score the union of test sets 1..t over every class seen so far (see `infer`)."""
     indices = []
     for s in range(t):
         indices.extend(plan.test_indices[s])
-    classes = plan.classes_through(t)
-    scores = []
-    for lo in range(0, len(indices), batch_size):
-        batch = indices[lo : lo + batch_size]
-        images = test.features_array(batch)
-        scores.append(T.sigmoid(forward_logits(model, images).logits).data)
-    truths = test.truth_matrix(classes)[indices]
-    return evaluate(EvalBatch(np.concatenate(scores, axis=0), truths), session=t)
+    probs, _, _ = infer(model, test.features_array(indices))
+    truths = test.truth_matrix(plan.classes_through(t))[indices]
+    return evaluate(EvalBatch(probs, truths), session=t)
 
 
 def train_session(
@@ -534,12 +521,14 @@ def train_session(
     use_token = model.flags.use_ica and t >= 2
     use_kd = model.flags.use_kd and t >= 2
     if use_dpl or use_token or use_kd:
-        chunk = 4 * config.batch_size
-        old_probs, prev_embeddings, prev_pooled = teacher_pass(snapshot, features, chunk)
+        old_probs, prev_embeddings, prev_pooled = infer(snapshot, features)
 
     dpl_report = None
     if use_dpl:
-        dpl_report = run_dpl(old_probs, items, old_classes, len(plan.class_order), config.dpl)
+        known = [it.visible for it in items]
+        dpl_report, pseudo = run_dpl(old_probs, known, old_classes, len(plan.class_order), config.dpl)
+        for it, labels in zip(items, pseudo):
+            it.pseudo = labels
 
     pseudo_recall = _pseudo_recall(items, train, set(old_classes)) if dpl_report else None
 
@@ -617,8 +606,7 @@ def run_incremental(
     """Train through every session of the plan; returns per-session outcomes."""
     from .seeds import substream_rng
 
-    if not plan.train_indices:
-        assign_examples(plan, train, test)
+    assign_examples(plan, train, test)
     rngs = {name: substream_rng(master_seed, name) for name in ("init", "shuffle", "buffer")}
     model = init_model((train.grid_h, train.grid_w, train.channels), ica_config, flags, rngs["init"])
     buffer = RehearsalBuffer(flags.buffer_policy)

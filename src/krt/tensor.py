@@ -88,10 +88,6 @@ class Tensor:
             raise TensorError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Constant copy detached from any tape."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -579,16 +575,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between vectors (1-d) or between matching rows (2-d)."""
+    """Cosine of the angle between matching rows: [B, d] x [B, d] -> [B]."""
     _check_same_shape(a, b, "cosine_similarity")
-    if a.ndim == 1:
-        x = a.data[None, :]
-        y = b.data[None, :]
-    elif a.ndim == 2:
-        x = a.data
-        y = b.data
-    else:
-        raise TensorError(f"cosine_similarity expects rank 1 or 2, got {a.shape}")
+    if a.ndim != 2:
+        raise TensorError(f"cosine_similarity expects rank 2, got {a.shape}")
+    x = a.data
+    y = b.data
     nx = np.linalg.norm(x, axis=1)
     ny = np.linalg.norm(y, axis=1)
     if np.any(nx == 0.0) or np.any(ny == 0.0):
@@ -597,17 +589,16 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, a=a, b=b, x=x, y=y, nx=nx, ny=ny, cos=cos):
         out = []
-        gc = np.atleast_1d(g).reshape(-1, 1)
+        gc = g.reshape(-1, 1)
         if a.requires_grad:
             da = gc * (y / (nx * ny)[:, None] - cos[:, None] * x / (nx * nx)[:, None])
-            out.append((a, da.reshape(a.shape)))
+            out.append((a, da))
         if b.requires_grad:
             db = gc * (x / (nx * ny)[:, None] - cos[:, None] * y / (ny * ny)[:, None])
-            out.append((b, db.reshape(b.shape)))
+            out.append((b, db))
         return out
 
-    out_data = cos[0] if a.ndim == 1 else cos
-    return _result(np.asarray(out_data, dtype=a.data.dtype), [a, b], bwd)
+    return _result(np.asarray(cos, dtype=a.data.dtype), [a, b], bwd)
 
 
 def weighted_rows_sum(weights: Tensor, values: Tensor) -> Tensor:

@@ -243,6 +243,15 @@ DATASET_SIZES = "config.dataset: grid_h, grid_w, channels, n_train and n_test mu
         ("dataset.noise_sigma=-1", "config.dataset: noise_sigma -1.0 must be non-negative"),
         ("epochs=true", "config.epochs: expected int"),
         ('buffer={"total": true}', "config.buffer.total: expected a positive integer"),
+        ("dpl.mu=NaN", "config.dpl.mu: expected a finite float"),
+        ("loss.lambda=NaN", "config.loss.lambda: expected a finite float"),
+        ("optimizer.lr=NaN", "config.optimizer.lr: expected a finite float"),
+        ("dpl.tolerance=NaN", "config.dpl.tolerance: expected a finite float"),
+        ("dpl.eta_bounds=[NaN,0.9]", "config.dpl.eta_bounds: expected a finite float"),
+        ("dataset.noise_sigma=NaN", "config.dataset.noise_sigma: expected a finite float"),
+        ("loss.gamma_neg=Infinity", "config.loss.gamma_neg: expected a finite float"),
+        ("optimizer.lr=-1e400", "config.optimizer.lr: expected a finite float"),
+        ("dpl.mu=-1", "config.dpl: mu -1.0 must be finite and non-negative"),
     ],
 )
 def test_bad_values_fail_at_the_boundary(override, message, tmp_path, capsys):
@@ -250,10 +259,69 @@ def test_bad_values_fail_at_the_boundary(override, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"E_CONFIG: {message}\n"
 
 
+def test_an_int_beyond_the_float_range_is_not_a_finite_float(tmp_path, capsys):
+    assert main(TINY_RUN + ["--set", f"loss.lambda={10**400}", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "E_CONFIG: config.loss.lambda: expected a finite float\n"
+
+
 def test_dpl_command_rejects_a_threshold_outside_the_unit_interval(tmp_path, capsys):
     argv = ["dpl", "--scores", "s.csv", "--labels", "l.jsonl", "--out", str(tmp_path / "o")]
     assert main(argv + ["--eta0", "1.5"]) == 2
     assert capsys.readouterr().err == "E_CONFIG: dpl: eta_init 1.5 outside (0, 1)\n"
+
+
+@pytest.mark.parametrize("mu", ["-1", "nan", "inf"])
+def test_dpl_command_rejects_a_negative_or_non_finite_mu(mu, tmp_path, capsys):
+    argv = ["dpl", "--scores", "s.csv", "--labels", "l.jsonl", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--mu", mu]) == 2
+    want = f"E_CONFIG: dpl: mu {float(mu)} must be finite and non-negative\n"
+    assert capsys.readouterr().err == want
+
+
+DPL_SCORES = "c0,c1,c2\n0.95,0.9,0.1\n0.2,0.85,0.3\n"
+DPL_LABELS = '{"image_id": 1, "labels": ["c0", "c7"]}\n{"image_id": 2, "labels": ["c8"]}\n'
+
+
+def _dpl_argv(tmp_path, scores=DPL_SCORES):
+    (tmp_path / "s.csv").write_text(scores)
+    (tmp_path / "l.jsonl").write_text(DPL_LABELS)
+    return [
+        "dpl", "--scores", str(tmp_path / "s.csv"), "--labels", str(tmp_path / "l.jsonl"),
+        "--out", str(tmp_path / "out.jsonl"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "total, message",
+    [
+        ("0", "dpl: --total-classes 0 must be positive"),
+        ("-3", "dpl: --total-classes -3 must be positive"),
+        ("2", "dpl: --total-classes 2 is below the 3 score columns"),
+    ],
+)
+def test_dpl_command_rejects_a_total_class_count_below_the_score_columns(
+    total, message, tmp_path, capsys
+):
+    assert main(_dpl_argv(tmp_path) + ["--total-classes", total]) == 2
+    assert capsys.readouterr().err == f"E_CONFIG: {message}\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_dpl_command_restores_old_classes_the_labels_lack(tmp_path, capsys):
+    # 3 old classes of 5 (c0..c2, c7, c8) and mu 2.5: a target of 1.5 labels per image
+    assert main(_dpl_argv(tmp_path) + ["--mu", "2.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mu_t"] == 1.5 and report["converged"] and report["final_eta"] == 0.3
+    lines = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
+    assert lines == [
+        {"image_id": 1, "labels": ["c0", "c7"], "pseudo": ["c1"]},  # c0 is annotated already
+        {"image_id": 2, "labels": ["c8"], "pseudo": ["c1", "c2"]},
+    ]
+
+
+def test_dpl_command_rejects_repeated_class_ids(tmp_path, capsys):
+    assert main(_dpl_argv(tmp_path, scores="c0,c1,c0\n0.9,0.1,0.9\n0.1,0.1,0.1\n")) == 3
+    assert "class ids repeat in the header" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", ['{"version": "0", "config": {}}', "[1, 2]"])
@@ -319,6 +387,7 @@ _VALID = {
     "loss.gamma_pos": _non_negative,
     "loss.gamma_neg": _non_negative,
     "dpl.eta0": _unit,
+    "dpl.mu": _non_negative,
     "dpl.eta_step": st.floats(1e-4, 0.5),
     "dpl.tolerance": st.floats(1e-4, 0.5),
     "dpl.eta_bounds": st.tuples(st.floats(0, 0.5), st.floats(0.5, 1)).map(list),

@@ -7,9 +7,10 @@ from krt.dpl import (
     DplConfig,
     dynamic_threshold_search,
     generate_pseudo_labels,
-    merge_labels,
     session_target,
 )
+from krt import protocol
+from krt.protocol import run_dpl
 
 from oracles import dpl_grid_oracle, dpl_walk_oracle, pseudo_count_oracle
 
@@ -262,21 +263,33 @@ class TestThresholdSearch:
         assert a == b
 
 
-class TestMergeLabels:
-    def test_empty_pseudo_is_identity(self):
-        merged = merge_labels([{1, 2}, {3}], [set(), set()])
-        assert merged == [({1, 2}, set()), ({3}, set())]
+class TestRunDpl:
+    # two old classes of four, mu 2: a target of one pseudo label per image
+    CONFIG = DplConfig(mu=2.0)
 
-    def test_restored_class_flagged_pseudo(self):
-        # image labeled {bicycle}; the scorer restores {car}
-        bicycle, car = 2, 0
-        merged = merge_labels([{bicycle}], [{car}], current_classes={bicycle})
-        assert merged == [({bicycle}, {car})]
+    def test_no_score_at_the_floor_restores_nothing(self):
+        report, pseudo = run_dpl(np.zeros((2, 2)), [{1}, set()], [0, 2], 4, self.CONFIG)
+        assert pseudo == [set(), set()]
+        assert not report.converged and report.beta == 0.0
 
-    def test_duplicate_stays_true(self):
-        merged = merge_labels([{5}], [{5, 7}])
-        assert merged == [({5}, {7})]
+    def test_pseudo_sets_name_classes_not_columns(self):
+        report, pseudo = run_dpl(np.array([[0.95, 0.1]]), [{5}], [7, 3], 4, self.CONFIG)
+        assert report.converged and report.mu_t == 1.0
+        assert pseudo == [{7}]
 
-    def test_collision_with_current_session_rejected(self):
-        with pytest.raises(ValueError, match="collide"):
-            merge_labels([{9}], [{9, 1}], current_classes={9})
+    def test_known_labels_are_never_pseudo_labels(self):
+        report, pseudo = run_dpl(np.array([[0.95, 0.9]]), [{5}], [5, 7], 4, self.CONFIG)
+        assert report.converged and report.label_sets == [{1}]
+        assert pseudo == [{7}]
+
+    def test_the_walk_is_looked_up_in_protocol(self, monkeypatch):
+        # the benchmark's tracer wraps `krt.protocol.dynamic_threshold_search`
+        calls = []
+
+        def recording_walk(*args, **kwargs):
+            calls.append(args)
+            return dynamic_threshold_search(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "dynamic_threshold_search", recording_walk)
+        run_dpl(np.array([[0.95, 0.1]]), [set()], [0, 1], 4, self.CONFIG)
+        assert len(calls) == 1

@@ -9,6 +9,7 @@ from krt.ica import (
     forward_all_sessions,
     ica_forward,
     init_ica,
+    tensor_fields,
 )
 from krt.optim import Adam
 from krt.tensor import Tape, Tensor, backward
@@ -22,6 +23,16 @@ def small_state(seed=0, d=16, heads=2, sessions=1, mlp_hidden=0, dtype=np.float6
     for _ in range(sessions):
         add_session(state, rng)
     return state
+
+
+def block_parameters(state: IcaState) -> list:
+    """Shared-block weights, excluding tokens."""
+    return [t for name, t in tensor_fields(state) if name != "kt_token"]
+
+
+def trainable_parameters(state: IcaState) -> list:
+    """The block, the transfer token and the retention tokens still training."""
+    return [t for _, t in tensor_fields(state)] + [kr for kr in state.kr_tokens if kr.requires_grad]
 
 
 class TestConfig:
@@ -169,12 +180,12 @@ class TestSessions:
     def test_add_session_contract(self):
         rng = np.random.default_rng(21)
         state = init_ica(IcaConfig(d=16, heads=2), rng)
-        block_before = [p.data.copy() for p in state.block_parameters()]
+        block_before = [p.data.copy() for p in block_parameters(state)]
         for _ in range(3):
             add_session(state, rng)
         assert state.session_count == 3
-        assert state.frozen_flags == [True, True, False]
-        for before, p in zip(block_before, state.block_parameters()):
+        assert [kr.requires_grad for kr in state.kr_tokens] == [False, False, True]
+        for before, p in zip(block_before, block_parameters(state)):
             assert np.array_equal(before, p.data)
 
     def test_add_session_preserves_old_tokens_bit_exact(self):
@@ -216,7 +227,7 @@ class TestSessions:
             "patches": patches,
             "kt": state.kt_token,
             **{f"kr{i}": kr for i, kr in enumerate(live)},
-            **{f"p{i}": p for i, p in enumerate(state.block_parameters())},
+            **{f"p{i}": p for i, p in enumerate(block_parameters(state))},
         }
         for name, leaf in leaves.items():
             num = finite_diff_grad(lambda: forward().item(), leaf.data)
@@ -265,7 +276,7 @@ class TestFreezing:
         live_before = state.kr_tokens[2].data.copy()
         kt_before = state.kt_token.data.copy()
         patches = Tensor(np.random.default_rng(26).standard_normal((1, 4, 16)))
-        opt = Adam(state.trainable_parameters(), lr=1e-2)
+        opt = Adam(trainable_parameters(state), lr=1e-2)
         for _ in range(5):
             with Tape() as tape:
                 es = forward_all_sessions(state, patches)
@@ -285,7 +296,7 @@ class TestFreezing:
         state = small_state(seed=27, sessions=2)
         patches = Tensor(np.random.default_rng(28).standard_normal((1, 4, 16)))
         before = [e.data.copy() for e in forward_all_sessions(state, patches)]
-        opt = Adam(state.trainable_parameters(), lr=0.0)
+        opt = Adam(trainable_parameters(state), lr=0.0)
         for _ in range(3):
             with Tape() as tape:
                 loss = T.concat(forward_all_sessions(state, patches), axis=0).mean()

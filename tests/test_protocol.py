@@ -19,10 +19,10 @@ from krt.protocol import (
     evaluate_cumulative,
     expand_for_session,
     forward_logits,
+    infer,
     init_model,
     run_incremental,
     snapshot_model,
-    teacher_pass,
     train_session,
 )
 from krt.seeds import substream_rng
@@ -247,7 +247,8 @@ class TestEvaluateCumulative:
 
         monkeypatch.setattr(protocol, "forward_logits", recording_forward)
         monkeypatch.setattr(protocol, "evaluate", recording_evaluate)
-        evaluate_cumulative(model, plan, 1, test, batch_size=20)
+        monkeypatch.setattr(protocol, "INFER_CHUNK", 20)
+        evaluate_cumulative(model, plan, 1, test)
         assert sizes == [20, 17]
         whole = real_forward(model, test.features_array(plan.test_indices[0]))
         want = T.sigmoid(whole.logits).data
@@ -284,7 +285,7 @@ class TestSnapshot:
         kr1 = model.ica.kr_tokens[0].data.copy()
         train_session(model, plan, 2, train, test, buffer, out1.snapshot, cfg, rngs)
         assert np.array_equal(kr1, model.ica.kr_tokens[0].data)
-        assert model.ica.frozen_flags == [True, False]
+        assert [kr.requires_grad for kr in model.ica.kr_tokens] == [False, True]
 
 
 class TestTrainSession:
@@ -355,7 +356,7 @@ class TestTeacherPass:
         rngs = {n: substream_rng(19, n) for n in ("init", "shuffle", "buffer")}
         model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rngs["init"])
         cfg = tiny_config(epochs=epochs)
-        chunk = 4 * cfg.batch_size
+        chunk = protocol.INFER_CHUNK
         seen = {"snapshot": None, "calls": 0, "rows": 0}
         real_forward = protocol.forward_logits
 
@@ -380,7 +381,8 @@ class TestTeacherPass:
     @pytest.mark.parametrize(
         "flags", [ArmFlags(), ArmFlags(use_dpl=False, use_ica=False, use_kd=True)]
     )
-    def test_gathered_rows_match_a_batch_forward(self, flags):
+    def test_gathered_rows_match_a_batch_forward(self, flags, monkeypatch):
+        monkeypatch.setattr(protocol, "INFER_CHUNK", 16)
         train, _, _ = tiny_data()
         rng = substream_rng(20, "init")
         model = init_model((4, 4, 4), tiny_ica(), flags, rng)
@@ -388,7 +390,7 @@ class TestTeacherPass:
         expand_for_session(model, 2, rng)
         snap = snapshot_model(model)
         features = train.features_array(list(range(50)))
-        probs, embeddings, pooled = teacher_pass(snap, features, chunk=16)
+        probs, embeddings, pooled = infer(snap, features)
         sel = np.random.default_rng(0).permutation(50)[:16]
         direct = forward_logits(snap, features[sel])
         assert np.allclose(probs[sel], T.sigmoid(direct.logits).data, rtol=0, atol=1e-12)
@@ -399,6 +401,41 @@ class TestTeacherPass:
             assert len(embeddings) == 2 and pooled is None
         else:
             assert np.allclose(pooled[sel], direct.pooled.data, rtol=0, atol=1e-12)
+
+    def test_teacher_and_eval_forwards_use_the_inference_chunk_at_any_batch_size(self, monkeypatch):
+        train, test, names = tiny_data(n_train=200, n_test=150)
+        plan = build_plan(names, base=2, inc=2)
+        assign_examples(plan, train, test)
+        rngs = {n: substream_rng(22, n) for n in ("init", "shuffle", "buffer")}
+        model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rngs["init"])
+        cfg = tiny_config(epochs=1)
+        cfg.batch_size = 8
+        snap = train_session(model, plan, 1, train, test, RehearsalBuffer(), None, cfg, rngs).snapshot
+        sizes = {"teacher": [], "eval": []}
+        in_eval = []
+        real_forward, real_evaluate = protocol.forward_logits, protocol.evaluate_cumulative
+
+        def recording_forward(model_, images):
+            if model_ is snap:
+                sizes["teacher"].append(len(images))
+            elif in_eval:
+                sizes["eval"].append(len(images))
+            return real_forward(model_, images)
+
+        def recording_evaluate(*args):
+            in_eval.append(True)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(protocol, "forward_logits", recording_forward)
+        monkeypatch.setattr(protocol, "evaluate_cumulative", recording_evaluate)
+        train_session(model, plan, 2, train, test, RehearsalBuffer(), snap, cfg, rngs)
+
+        def chunks(n, size=protocol.INFER_CHUNK):
+            assert n > size
+            return [size] * (n // size) + ([n % size] if n % size else [])
+
+        assert sizes["teacher"] == chunks(len(plan.train_indices[1]))
+        assert sizes["eval"] == chunks(len(plan.test_indices[0]) + len(plan.test_indices[1]))
 
 
 class TestRunIncremental:
@@ -457,8 +494,8 @@ class TestModelDtype:
                 seen["grads"] |= {p.grad.dtype for p in self.params if p.grad is not None}
                 super().step()
 
-        def recording_teacher(*args, **kwargs):
-            probs, embeddings, pooled = real_teacher(*args, **kwargs)
+        def recording_infer(*args, **kwargs):
+            probs, embeddings, pooled = real_infer(*args, **kwargs)
             arrays = [probs, *embeddings] + ([] if pooled is None else [pooled])
             seen["teacher"] |= {a.dtype for a in arrays}
             return probs, embeddings, pooled
@@ -472,10 +509,10 @@ class TestModelDtype:
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
             return outcome
 
-        real_teacher, real_session = protocol.teacher_pass, protocol.train_session
+        real_infer, real_session = protocol.infer, protocol.train_session
         monkeypatch.setattr(protocol, "Tape", RecordingTape)
         monkeypatch.setattr(protocol, "Adam", RecordingAdam)
-        monkeypatch.setattr(protocol, "teacher_pass", recording_teacher)
+        monkeypatch.setattr(protocol, "infer", recording_infer)
         monkeypatch.setattr(protocol, "train_session", checked_session)
         outcomes = run_incremental(train, test, plan, flags, tiny_ica(), tiny_config(1), 3)
         assert len(outcomes) == 2 and len(seen["optimizers"]) == 2

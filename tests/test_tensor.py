@@ -185,18 +185,19 @@ class TestLayerNorm:
 class TestElementwise:
     def test_cosine_self_is_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            v = Tensor(rng.standard_normal(6))
-            assert abs(T.cosine_similarity(v, v).item() - 1.0) < 1e-12
+        v = Tensor(rng.standard_normal((5, 6)))
+        assert np.max(np.abs(T.cosine_similarity(v, v).data - 1.0)) < 1e-12
 
     def test_cosine_orthogonal_is_zero(self):
-        a = Tensor([1.0, 0.0])
-        b = Tensor([0.0, 1.0])
-        assert abs(T.cosine_similarity(a, b).item()) < 1e-15
+        a = Tensor([[1.0, 0.0], [0.0, 2.0]])
+        b = Tensor([[0.0, 1.0], [3.0, 0.0]])
+        assert np.max(np.abs(T.cosine_similarity(a, b).data)) < 1e-15
 
     def test_cosine_zero_norm_rejected(self):
         with pytest.raises(T.TensorError):
-            T.cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
+            T.cosine_similarity(Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor(np.ones((2, 2))))
+        with pytest.raises(T.TensorError, match="rank 2"):
+            T.cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
 
     def test_concat_slice_roundtrip_bit_exact(self):
         rng = np.random.default_rng(9)
@@ -242,7 +243,7 @@ class TestElementwise:
             "gelu": lambda rng: one_input(rng, T.gelu),
             "mean": lambda rng: one_input(rng, T.mean_all, reduce=True),
             "sum": lambda rng: one_input(rng, T.sum_all, reduce=True),
-            "cosine": lambda rng: two_input_vec(rng, T.cosine_similarity),
+            "cosine": lambda rng: two_input(rng, T.cosine_similarity),
         }
         for name, build in cases.items():
             fd_check(build, seeds=range(20))
@@ -261,11 +262,6 @@ def one_input(rng, op, positive=False, reduce=False):
 def two_input(rng, op):
     a, b = rand_leaf(rng, 3, 4), rand_leaf(rng, 3, 4)
     return [a, b], lambda: project(rng, op(a, b))
-
-
-def two_input_vec(rng, op):
-    a, b = rand_leaf(rng, 6), rand_leaf(rng, 6)
-    return [a, b], lambda: op(a, b)
 
 
 class TestShapeOps:
