@@ -22,13 +22,14 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import logging
 import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from ._version import VERSION
 from .datagen import DatasetFormatError, GenSpec, generate, load_dataset
@@ -38,8 +39,6 @@ from .losses import LossConfig
 from .metrics import aggregate
 from .protocol import ArmFlags, TrainConfig, build_plan, run_dpl, run_incremental
 from .seeds import substream_seed
-
-log = logging.getLogger("krt")
 
 # arm -> (use_dpl, use_ica, use_kd, buffer requirement: "forbid"|"require"|"allow")
 _ARM_TABLE = {
@@ -319,7 +318,7 @@ def _load_data(cfg: RunConfig):
             raise DataError(str(e)) from None
         if train.class_names != test.class_names:
             raise DataError("train/test class tables differ")
-        grids = [(d.grid_h, d.grid_w, d.channels) for d in (train, test)]
+        grids = [d.features.shape[1:] for d in (train, test)]
         if grids[0] != grids[1]:
             raise DataError(f"train grid {grids[0]} and test grid {grids[1]} differ")
         return train, test, train.class_names
@@ -336,7 +335,6 @@ def run(cfg: RunConfig) -> RunResult:
         plan = build_plan(names, base=base, inc=inc)
     except ValueError as e:
         raise ConfigError(f"config.plan: {e}") from None
-    log.info("arm=%s sessions=%d train=%d test=%d", cfg.arm, plan.n_sessions, len(train), len(test))
 
     outcomes = run_incremental(train, test, plan, cfg.flags(), cfg.ica, cfg.train, cfg.seed)
 
@@ -437,15 +435,17 @@ def dpl_standalone(
     if scores.size and (scores.min() < 0 or scores.max() > 1):
         raise DataError(f"{scores_path}: scores outside [0, 1]")
 
+    # header ids are strings, and a label 3 names the class "3"
+    known = [{str(label) for label in labels} for _, labels in records]
     if total_classes is None:
-        total_classes = len(set(class_ids) | {lbl for _, labels in records for lbl in labels})
+        total_classes = len(set(class_ids).union(*known))
     elif total_classes < len(class_ids):
         raise ConfigError(
             f"dpl: --total-classes {total_classes} is below the {len(class_ids)} score columns"
         )
-    known = [labels for _, labels in records]
-    report, pseudo_sets = run_dpl(scores, known, class_ids, total_classes, dpl_config)
-    write_merged_jsonl(out_path, records, pseudo_sets)
+    exclude = np.array([[c in labels for c in class_ids] for labels in known], dtype=bool)
+    report = run_dpl(scores, exclude, total_classes, dpl_config)
+    write_merged_jsonl(out_path, records, class_ids, report.labels)
     return report.to_dict()
 
 
@@ -492,17 +492,8 @@ def _flag_overrides(args) -> list:
     return overrides
 
 
-def _setup_logging():
-    level = os.environ.get("KRT_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        raise ConfigError(f"KRT_LOG={level!r} not one of {sorted(levels)}")
-    logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None) -> int:
     try:
-        _setup_logging()
         args = _build_parser().parse_args(argv)
         if args.command == "run":
             raw = {}

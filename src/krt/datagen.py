@@ -7,6 +7,11 @@ random grid cell, and adds Gaussian noise. Class names are zero-padded so
 lexicographic order equals index order. Every image is generated from an
 rng derived from (dataset seed, image id), so generation is reproducible
 per image and parallelisable.
+
+A `Dataset` holds one row per image: its id, its features and its row of a
+boolean label matrix, whose column k is `class_names[k]`. The rest of the
+package names an image by its row and a class by its column. On disk the
+rows are one array of fixed-size records (`_record_dtype`).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ FORMAT_VERSION = 1
 
 
 class DatasetFormatError(ValueError):
-    """Bad magic, version mismatch, truncation, or checksum failure."""
+    """Bad magic, version mismatch, truncation, checksum failure, or bad contents."""
 
 
 @dataclass
@@ -57,34 +62,34 @@ class GenSpec:
 
 @dataclass
 class LabeledExample:
+    """One image of a `Dataset`, as `Dataset.examples` returns it."""
+
     image_id: int
-    features: np.ndarray  # [h, w, c] float32
-    labels: set  # true labels over the global class universe
+    features: np.ndarray  # [h, w, c] float32, a view of the dataset's row
+    labels: set  # the label columns the image carries
 
 
 @dataclass
 class Dataset:
+    """Images as rows: row i has id `image_ids[i]`, `features[i]` and `labels[i]`.
+
+    `labels[i, k]` says whether image i carries class `class_names[k]`.
+    """
+
     class_names: list
-    grid_h: int
-    grid_w: int
-    channels: int
-    examples: list
+    image_ids: np.ndarray  # [N] uint64
+    features: np.ndarray  # [N, h, w, c] float32
+    labels: np.ndarray  # [N, K] bool
 
     def __len__(self):
-        return len(self.examples)
+        return len(self.image_ids)
 
-    def features_array(self, indices=None) -> np.ndarray:
-        exs = self.examples if indices is None else [self.examples[i] for i in indices]
-        return np.stack([e.features for e in exs])
-
-    def truth_matrix(self, class_indices=None) -> np.ndarray:
-        cols = range(len(self.class_names)) if class_indices is None else list(class_indices)
-        out = np.zeros((len(self.examples), len(cols)), dtype=np.int8)
-        for i, ex in enumerate(self.examples):
-            for j, c in enumerate(cols):
-                if c in ex.labels:
-                    out[i, j] = 1
-        return out
+    @property
+    def examples(self) -> list:
+        return [
+            LabeledExample(int(image_id), feats, set(np.flatnonzero(row).tolist()))
+            for image_id, feats, row in zip(self.image_ids, self.features, self.labels)
+        ]
 
 
 def class_prototypes(spec: GenSpec) -> np.ndarray:
@@ -103,7 +108,8 @@ def _affinity(spec: GenSpec) -> np.ndarray:
     return np.exp(spec.co_occurrence * sym)
 
 
-def _make_example(spec: GenSpec, image_id: int, index: int, protos, affinity) -> LabeledExample:
+def _make_image(spec: GenSpec, image_id: int, index: int, protos, affinity) -> tuple:
+    """(features [h, w, c] float64, label columns) of one image."""
     rng = np.random.default_rng(substream_seed(spec.seed, f"image/{image_id}"))
     cap = min(spec.n_classes, spec.grid_h * spec.grid_w)
     extra = int(rng.poisson(spec.avg_labels_per_image - 1.0))
@@ -123,11 +129,17 @@ def _make_example(spec: GenSpec, image_id: int, index: int, protos, affinity) ->
     # noise is the final draw so a noiseless rerun shares labels and cells
     if spec.noise_sigma > 0.0:
         feat += spec.noise_sigma * rng.standard_normal(feat.shape)
-    return LabeledExample(
-        image_id=image_id,
-        features=feat.astype(np.float32),
-        labels=set(labels),
-    )
+    return feat, labels
+
+
+def _split(spec: GenSpec, names: list, first_id: int, n: int, protos, affinity) -> Dataset:
+    """`n` images with ids first_id, first_id + 1, ...; row i anchors class i mod K."""
+    features = np.empty((n, spec.grid_h, spec.grid_w, spec.channels), dtype=np.float32)
+    labels = np.zeros((n, spec.n_classes), dtype=bool)
+    for row in range(n):
+        features[row], classes = _make_image(spec, first_id + row, row, protos, affinity)
+        labels[row, classes] = True
+    return Dataset(names, np.arange(first_id, first_id + n, dtype=np.uint64), features, labels)
 
 
 def generate(spec: GenSpec):
@@ -135,50 +147,35 @@ def generate(spec: GenSpec):
     protos = class_prototypes(spec)
     affinity = _affinity(spec)
     names = [f"class_{k:03d}" for k in range(spec.n_classes)]
-
-    train = [
-        _make_example(spec, image_id=i, index=i, protos=protos, affinity=affinity)
-        for i in range(spec.n_train)
-    ]
-    test = [
-        _make_example(spec, image_id=spec.n_train + i, index=i, protos=protos, affinity=affinity)
-        for i in range(spec.n_test)
-    ]
-    mk = lambda exs: Dataset(names, spec.grid_h, spec.grid_w, spec.channels, exs)
-    return mk(train), mk(test), names
+    train = _split(spec, names, 0, spec.n_train, protos, affinity)
+    test = _split(spec, names, spec.n_train, spec.n_test, protos, affinity)
+    return train, test, names
 
 
 # ---------------------------------------------------------------------------
 # file format: magic, version, header, name table, records, trailing CRC32
 
 
-def _labels_to_bits(labels: set, n_classes: int) -> bytes:
-    bits = bytearray((n_classes + 7) // 8)
-    for k in labels:
-        bits[k // 8] |= 1 << (k % 8)
-    return bytes(bits)
-
-
-def _bits_to_labels(bits: bytes, n_classes: int) -> set:
-    return {k for k in range(n_classes) if bits[k // 8] & (1 << (k % 8))}
+def _record_dtype(n_classes: int, grid: tuple) -> np.dtype:
+    """One image record: id, label bits (class k is bit k % 8 of byte k // 8), features."""
+    bits = ((n_classes + 7) // 8,)
+    return np.dtype([("id", "<u8"), ("bits", "u1", bits), ("features", "<f4", grid)])
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    if not dataset.examples:
+    if not len(dataset):
         raise ValueError("refusing to save an empty dataset")
+    grid = dataset.features.shape[1:]
     k = len(dataset.class_names)
-    payload = bytearray()
-    payload += struct.pack(
-        "<5I", len(dataset.examples), dataset.grid_h, dataset.grid_w, dataset.channels, k
-    )
+    payload = bytearray(struct.pack("<5I", len(dataset), *grid, k))
     for name in dataset.class_names:
         raw = name.encode("utf-8")
         payload += struct.pack("<H", len(raw)) + raw
-    for ex in dataset.examples:
-        feats = np.ascontiguousarray(ex.features, dtype="<f4")
-        payload += struct.pack("<Q", ex.image_id)
-        payload += _labels_to_bits(ex.labels, k)
-        payload += feats.tobytes()
+    records = np.empty(len(dataset), _record_dtype(k, grid))
+    records["id"] = dataset.image_ids
+    records["bits"] = np.packbits(dataset.labels, axis=1, bitorder="little")
+    records["features"] = dataset.features
+    payload += records.tobytes()
     with open(path, "wb") as fh:
         fh.write(FORMAT_MAGIC)
         fh.write(struct.pack("<H", FORMAT_VERSION))
@@ -216,18 +213,20 @@ def load_dataset(path: str) -> Dataset:
     for _ in range(k):
         (ln,) = struct.unpack("<H", take(2))
         names.append(take(ln).decode("utf-8"))
-    bitset_len = (k + 7) // 8
-    feat_len = h * w * c * 4
-    examples = []
-    for _ in range(n):
-        (image_id,) = struct.unpack("<Q", take(8))
-        labels = _bits_to_labels(take(bitset_len), k)
-        feats = np.frombuffer(take(feat_len), dtype="<f4").reshape(h, w, c).copy()
-        if not labels:
-            raise DatasetFormatError(f"{path}: image {image_id} has no labels")
-        if not np.all(np.isfinite(feats)):
-            raise DatasetFormatError(f"{path}: image {image_id} has non-finite features")
-        examples.append(LabeledExample(image_id=image_id, features=feats, labels=labels))
+    if len(set(names)) != k:
+        raise DatasetFormatError(f"{path}: class names repeat")
+    dtype = _record_dtype(k, (h, w, c))
+    records = np.frombuffer(take(n * dtype.itemsize), dtype)
     if off != len(payload):
         raise DatasetFormatError(f"{path}: {len(payload) - off} trailing bytes")
-    return Dataset(names, h, w, c, examples)
+    ids = records["id"].astype(np.uint64)
+    labels = np.unpackbits(records["bits"], axis=1, count=k, bitorder="little").astype(bool)
+    features = records["features"].astype(np.float32)
+    unlabeled = ~labels.any(axis=1)
+    bad = np.flatnonzero(unlabeled | ~np.isfinite(features).all(axis=(1, 2, 3)))
+    if len(bad):
+        problem = "has no labels" if unlabeled[bad[0]] else "has non-finite features"
+        raise DatasetFormatError(f"{path}: image {ids[bad[0]]} {problem}")
+    if len(np.unique(ids)) != n:
+        raise DatasetFormatError(f"{path}: image ids repeat")
+    return Dataset(names, ids, features, labels)

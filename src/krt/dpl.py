@@ -7,8 +7,11 @@ average number of pseudo labels per image lands within 1e-1 of the session
 target mu_t = (old classes / all classes) * mu. Everything here is a pure
 function of that score matrix: the walk counts cells at each threshold
 eta_init + k * eta_step (integer k, rounded to 12 decimals, clamped to the
-bounds) and builds the per-image label sets once, at the threshold it
-settles on.
+bounds) and thresholds the matrix once, at the eta it settles on.
+
+Pseudo labels, like the exclusions, are boolean masks of the score
+matrix's shape [images, old classes]: `exclude` marks the cells an image
+is already annotated with, which are never issued again.
 
 `protocol.run_dpl` is the one driver of the walk: a training session and
 `krt dpl` (the file mode below) both go through it.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +57,7 @@ class PseudoLabelReport:
     mu_t: float
     iterations: int  # threshold adjustments performed
     converged: bool
-    label_sets: list = field(default_factory=list)  # per-image sets of class columns
+    labels: np.ndarray  # [images, old classes] bool, the pseudo labels at final_eta
 
     def to_dict(self) -> dict:
         return {
@@ -86,20 +89,10 @@ def _validate_scores(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def generate_pseudo_labels(scores: np.ndarray, eta: float, exclude=None) -> list:
-    """Threshold old-class probabilities into per-image pseudo-label sets.
-
-    `exclude[i]` holds class columns already true-labeled on image i (e.g.
-    replayed exemplars); those are never re-issued as pseudo labels.
-    """
-    scores = _validate_scores(scores)
-    sets = []
-    for i in range(scores.shape[0]):
-        picked = set(np.nonzero(scores[i] >= eta)[0].tolist())
-        if exclude is not None:
-            picked -= set(exclude[i])
-        sets.append(picked)
-    return sets
+def generate_pseudo_labels(scores: np.ndarray, eta: float, exclude=None) -> np.ndarray:
+    """The pseudo-label mask at `eta`: scores at or above it, minus the `exclude` mask."""
+    picked = _validate_scores(scores) >= eta
+    return picked if exclude is None else picked & ~exclude
 
 
 def dynamic_threshold_search(
@@ -118,9 +111,7 @@ def dynamic_threshold_search(
     if n < 1:
         raise ValueError("need at least one image")
     lo, hi = config.eta_bounds
-    eligible = scores.copy()  # excluded cells never reach a threshold
-    for i, cols in enumerate(exclude or []):
-        eligible[i, list(cols)] = -np.inf
+    eligible = scores if exclude is None else np.where(exclude, -np.inf, scores)
 
     def eta_at(k: int) -> float:
         # rounding drops the float residue: 0.8 - 9 * 0.01 reads 0.71, not 0.7100000000000001
@@ -158,7 +149,7 @@ def dynamic_threshold_search(
         mu_t=mu_t,
         iterations=iterations,
         converged=converged,
-        label_sets=generate_pseudo_labels(scores, eta, exclude),
+        labels=generate_pseudo_labels(scores, eta, exclude),
     )
 
 
@@ -224,13 +215,14 @@ def read_labels_jsonl(path: str):
     return records
 
 
-def write_merged_jsonl(path: str, records, pseudo_sets) -> None:
-    """Emit the input label records with a `pseudo` field of restored classes."""
+def write_merged_jsonl(path: str, records, class_ids: list, pseudo: np.ndarray) -> None:
+    """Emit the input label records with a `pseudo` field: the sorted ids of `pseudo`'s row."""
     with open(path, "w") as fh:
-        for (image_id, labels), pseudo in zip(records, pseudo_sets):
+        for (image_id, labels), row in zip(records, pseudo):
+            restored = sorted(class_ids[k] for k in np.flatnonzero(row))
             fh.write(
                 json.dumps(
-                    {"image_id": image_id, "labels": labels, "pseudo": sorted(pseudo)},
+                    {"image_id": image_id, "labels": labels, "pseudo": restored},
                     sort_keys=True,
                 )
                 + "\n"

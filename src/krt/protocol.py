@@ -11,6 +11,12 @@ both pseudo-labeling and the retention losses and are never mutated.
 Method arms differ only in flags: use_dpl, use_ica, use_kd, and the
 buffer policy.
 
+Labels stay in the datasets' boolean label matrices throughout. A session
+trains on train rows (`_session_rows`): their visible labels, its targets,
+the DPL exclusions and pseudo labels are all row and column slices of
+[images, classes] masks, and the buffer keeps train rows with the label
+mask each was stored with.
+
 Inference has one path, `infer`. The previous model's pass over a
 session's images (which feeds DPL and the retention losses) and the
 scoring of the test union both run tape-free `forward_logits` in chunks of
@@ -62,8 +68,8 @@ INFER_CHUNK = 64  # images per tape-free forward; see the module docstring
 @dataclass
 class SessionPlan:
     class_order: list  # all class names, lexicographic
-    session_classes: list  # per session, global class indices (order = logit order)
-    train_indices: list = field(default_factory=list)  # per session, example indices
+    session_classes: list  # per session, label columns (order = logit order)
+    train_indices: list = field(default_factory=list)  # per session, train rows
     test_indices: list = field(default_factory=list)
 
     @property
@@ -80,8 +86,10 @@ class SessionPlan:
 def build_plan(class_names: list, base: int, inc: int) -> SessionPlan:
     """Partition lexicographically sorted classes into session chunks.
 
-    base=0 means every session (including the first) takes `inc` classes;
-    base == len(class_names) is the single-session joint arm.
+    Each session lists its classes as positions in `class_names`, which are
+    the dataset's label columns. base=0 means every session (including the
+    first) takes `inc` classes; base == len(class_names) is the
+    single-session joint arm.
     """
     names = sorted(class_names)
     total = len(names)
@@ -96,33 +104,29 @@ def build_plan(class_names: list, base: int, inc: int) -> SessionPlan:
         if rest % inc != 0:
             raise ValueError(f"{rest} remaining classes not divisible by inc {inc}")
         chunks = ([base] if base > 0 else []) + [inc] * (rest // inc)
-    order = {name: i for i, name in enumerate(names)}
+    column = {name: k for k, name in enumerate(class_names)}
     sessions, cursor = [], 0
     for size in chunks:
-        sessions.append([order[n] for n in names[cursor : cursor + size]])
+        sessions.append([column[n] for n in names[cursor : cursor + size]])
         cursor += size
     return SessionPlan(class_order=names, session_classes=sessions)
 
 
 def assign_examples(plan: SessionPlan, train: Dataset, test: Dataset) -> None:
-    """Fill per-session example index sets.
+    """Fill the per-session row lists, each in ascending row order.
 
     A training image joins every session that owns one of its classes (its
     visible labels are restricted to that session's classes, which is what
     makes old-class labels absent). Test images go to the earliest session
     owning one of their classes, keeping the per-session test sets disjoint.
     """
-    session_of = {}
-    for s, classes in enumerate(plan.session_classes):
-        for c in classes:
-            session_of[c] = s
-    plan.train_indices = [[] for _ in plan.session_classes]
-    plan.test_indices = [[] for _ in plan.session_classes]
-    for i, ex in enumerate(train.examples):
-        for s in sorted({session_of[c] for c in ex.labels}):
-            plan.train_indices[s].append(i)
-    for i, ex in enumerate(test.examples):
-        plan.test_indices[min(session_of[c] for c in ex.labels)].append(i)
+    plan.train_indices = [
+        np.flatnonzero(train.labels[:, classes].any(axis=1)).tolist()
+        for classes in plan.session_classes
+    ]
+    owns = np.stack([test.labels[:, classes].any(axis=1) for classes in plan.session_classes])
+    first = owns.argmax(axis=0)
+    plan.test_indices = [np.flatnonzero(first == s).tolist() for s in range(plan.n_sessions)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,74 +292,55 @@ def snapshot_model(model: ModelState) -> ModelState:
 # rehearsal buffer
 
 
-@dataclass
-class BufferEntry:
-    image_id: int
-    features: np.ndarray
-    labels_known: set  # annotated labels accumulated across storing sessions
-
-
 class RehearsalBuffer:
-    """Per-class exemplar references over a deduplicated image store."""
+    """Exemplars as train rows, each with the labels it was stored with."""
 
     def __init__(self, policy: tuple = ("none",)):
         kind = policy[0]
         if kind not in ("none", "per_class", "total"):
             raise ValueError(f"unknown buffer policy {policy!r}")
         self.policy = tuple(policy)
-        self.store: dict = {}  # image_id -> BufferEntry
-        self.class_refs: dict = {}  # class index -> [image_id]
+        self.known: dict = {}  # train row -> [K] bool, its labels from every session that stored it
+        self.classes_seen = 0  # classes of the sessions stored so far
 
     def __len__(self):
-        return len(self.store)
+        return len(self.known)
 
-    def exemplars(self) -> list:
-        return [self.store[i] for i in sorted(self.store)]
-
-    def update(self, session_classes, items, rng: np.random.Generator) -> None:
+    def update(self, session_classes, index, visible: np.ndarray, rng: np.random.Generator) -> None:
         """Select exemplars of the just-finished session.
 
-        items are (image_id, features, visible_labels) triples; selection is
-        uniform per new class among images truly labeled with that class.
+        `index` are the session's own train rows and `visible` [n, K] their
+        annotated labels; an exemplar stores its `session_classes` columns.
+        Selection is uniform per new class among the rows labeled with it.
         """
         kind = self.policy[0]
         if kind == "none":
             return
+        self.classes_seen += len(session_classes)
         if kind == "per_class":
             quota = self.policy[1]
         else:
-            total_classes = len(self.class_refs) + len(session_classes)
-            quota = max(1, self.policy[1] // max(1, total_classes))
+            quota = max(1, self.policy[1] // max(1, self.classes_seen))
+        columns = np.zeros(visible.shape[1], dtype=bool)
+        columns[session_classes] = True
         for cls in session_classes:
-            candidates = [it for it in items if cls in it[2]]
+            candidates = np.flatnonzero(visible[:, cls])
             take = min(quota, len(candidates))
             if take == 0:
-                self.class_refs.setdefault(cls, [])
                 continue
-            picked = rng.choice(len(candidates), size=take, replace=False)
-            refs = []
-            for idx in sorted(int(i) for i in picked):
-                image_id, feats, visible = candidates[idx]
-                entry = self.store.get(image_id)
-                if entry is None:
-                    self.store[image_id] = BufferEntry(image_id, feats, set(visible))
-                else:
-                    entry.labels_known |= set(visible)
-                refs.append(image_id)
-            self.class_refs[cls] = refs
+            for j in candidates[rng.choice(len(candidates), size=take, replace=False)]:
+                row, labels = int(index[j]), visible[j] & columns
+                self.known[row] = self.known[row] | labels if row in self.known else labels
         if kind == "total":
             self._evict_to(self.policy[1], rng)
 
     def _evict_to(self, capacity: int, rng: np.random.Generator) -> None:
-        over = len(self.store) - capacity
+        over = len(self.known) - capacity
         if over <= 0:
             return
-        ids = sorted(self.store)
-        victims = {ids[int(i)] for i in rng.choice(len(ids), size=over, replace=False)}
-        for vid in victims:
-            del self.store[vid]
-        for cls, refs in self.class_refs.items():
-            self.class_refs[cls] = [r for r in refs if r not in victims]
+        rows = sorted(self.known)
+        for i in rng.choice(len(rows), size=over, replace=False):
+            del self.known[rows[int(i)]]
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +370,6 @@ class TrainConfig:
 
 
 @dataclass
-class SessionItem:
-    image_id: int
-    features: np.ndarray
-    visible: set  # annotated labels (session-restricted or buffer-known)
-    pseudo: set = field(default_factory=set)
-    is_exemplar: bool = False
-    dataset_index: int = -1  # index into the train pool, -1 for pure buffer entries
-
-
-@dataclass
 class SessionOutcome:
     metrics: MetricsRecord
     dpl_report: Optional[PseudoLabelReport]
@@ -402,36 +377,24 @@ class SessionOutcome:
     snapshot: ModelState
 
 
-def _session_items(plan: SessionPlan, train: Dataset, t: int, buffer: RehearsalBuffer) -> list:
-    current_classes = set(plan.session_classes[t - 1])
-    items = []
-    for idx in plan.train_indices[t - 1]:
-        ex = train.examples[idx]
-        items.append(
-            SessionItem(
-                image_id=ex.image_id,
-                features=ex.features,
-                visible=ex.labels & current_classes,
-                dataset_index=idx,
-            )
-        )
-    current = {it.image_id: it for it in reversed(items)}  # an id's first item wins
-    for entry in buffer.exemplars():
-        it = current.get(entry.image_id)
-        if it is not None:
-            # the image re-appears with new-session annotations; merge views
-            it.visible |= entry.labels_known
-            it.is_exemplar = True
-        else:
-            items.append(
-                SessionItem(
-                    image_id=entry.image_id,
-                    features=entry.features,
-                    visible=set(entry.labels_known),
-                    is_exemplar=True,
-                )
-            )
-    return items
+def _session_rows(plan: SessionPlan, train: Dataset, t: int, buffer: RehearsalBuffer) -> tuple:
+    """Session t's training rows: (train index [n], visible labels [n, K], exemplar [n]).
+
+    The session's own images come first, in row order, labeled with its
+    classes only. A buffered image adds the labels it was stored with and
+    counts as an exemplar; buffered images the session lacks follow, in row
+    order.
+    """
+    own = np.asarray(plan.train_indices[t - 1], dtype=np.intp)
+    stored = np.array(sorted(buffer.known), dtype=np.intp)
+    index = np.concatenate([own, stored[~np.isin(stored, own)]])
+    current = np.zeros(len(train.class_names), dtype=bool)
+    current[plan.session_classes[t - 1]] = True
+    visible = train.labels[index] & current
+    exemplar = np.isin(index, stored)
+    for row in np.flatnonzero(exemplar):
+        visible[row] |= buffer.known[index[row]]
+    return index, visible, exemplar
 
 
 def infer(model: ModelState, features: np.ndarray) -> tuple:
@@ -449,35 +412,15 @@ def infer(model: ModelState, features: np.ndarray) -> tuple:
     return probs, embeddings, pooled
 
 
-def run_dpl(
-    scores: np.ndarray,
-    known: list,
-    classes: list,
-    n_all_classes: int,
-    config: DplConfig,
-) -> tuple:
-    """The pseudo-labeler over one score matrix: (report, pseudo-label sets).
+def run_dpl(scores: np.ndarray, exclude: np.ndarray, n_all_classes: int, config: DplConfig):
+    """The pseudo-labeler over one [images, old classes] score matrix.
 
-    `scores` has one row per image and one column per entry of `classes`
-    (the old classes). `known[i]` holds image i's annotated labels; those
-    are never issued as its pseudo labels. Each pseudo-label set names
-    entries of `classes`.
+    `exclude` marks the cells an image is annotated with already; those
+    are never issued as pseudo labels. Returns the walk's report, whose
+    `labels` mask has the shape of `scores`.
     """
-    col_of = {cls: k for k, cls in enumerate(classes)}
-    exclude = [{col_of[c] for c in labels if c in col_of} for labels in known]
-    mu_t = session_target(len(classes), n_all_classes, config.mu)
-    report = dynamic_threshold_search(scores, config, mu_t, exclude=exclude)
-    return report, [{classes[k] for k in cols} for cols in report.label_sets]
-
-
-def _targets(items, order_map: dict, n_outputs: int) -> np.ndarray:
-    y = np.zeros((len(items), n_outputs))
-    for i, it in enumerate(items):
-        for cls in it.visible | it.pseudo:
-            col = order_map.get(cls)
-            if col is not None:
-                y[i, col] = 1.0
-    return y
+    mu_t = session_target(np.shape(scores)[1], n_all_classes, config.mu)
+    return dynamic_threshold_search(scores, config, mu_t, exclude=exclude)
 
 
 def evaluate_cumulative(model: ModelState, plan: SessionPlan, t: int, test: Dataset) -> MetricsRecord:
@@ -485,8 +428,8 @@ def evaluate_cumulative(model: ModelState, plan: SessionPlan, t: int, test: Data
     indices = []
     for s in range(t):
         indices.extend(plan.test_indices[s])
-    probs, _, _ = infer(model, test.features_array(indices))
-    truths = test.truth_matrix(plan.classes_through(t))[indices]
+    probs, _, _ = infer(model, test.features[indices])
+    truths = test.labels[np.ix_(indices, plan.classes_through(t))]
     return evaluate(EvalBatch(probs, truths), session=t)
 
 
@@ -508,36 +451,33 @@ def train_session(
         raise ValueError("sessions after the first need the previous model snapshot")
 
     expand_for_session(model, len(plan.session_classes[t - 1]), rngs["init"])
-    items = _session_items(plan, train, t, buffer)
-    if not items:
+    index, visible, exemplar = _session_rows(plan, train, t, buffer)
+    if not len(index):
         raise ValueError(f"session {t} has no training examples")
 
-    classes_now = plan.classes_through(t)
-    col_of = {cls: k for k, cls in enumerate(classes_now)}
     old_classes = plan.classes_through(t - 1)
-
-    features = np.stack([it.features for it in items])
+    features = train.features[index]
     use_dpl = model.flags.use_dpl and t >= 2
     use_token = model.flags.use_ica and t >= 2
     use_kd = model.flags.use_kd and t >= 2
     if use_dpl or use_token or use_kd:
         old_probs, prev_embeddings, prev_pooled = infer(snapshot, features)
 
-    dpl_report = None
+    # old classes are the first columns of the targets, in logit order
+    targets = visible[:, plan.classes_through(t)]
+    dpl_report = pseudo_recall = None
     if use_dpl:
-        known = [it.visible for it in items]
-        dpl_report, pseudo = run_dpl(old_probs, known, old_classes, len(plan.class_order), config.dpl)
-        for it, labels in zip(items, pseudo):
-            it.pseudo = labels
-
-    pseudo_recall = _pseudo_recall(items, train, set(old_classes)) if dpl_report else None
-
-    targets = _targets(items, col_of, len(classes_now))
+        dpl_report = run_dpl(old_probs, visible[:, old_classes], len(plan.class_order), config.dpl)
+        targets[:, : len(old_classes)] |= dpl_report.labels
+        # old labels the session's own images lack; exemplars carry theirs as annotations
+        lost = train.labels[np.ix_(index, old_classes)] & ~exemplar[:, None]
+        if lost.any():
+            pseudo_recall = int((lost & dpl_report.labels).sum()) / int(lost.sum())
 
     opt = Adam(model.trainable_parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     shuffle_rng = rngs["shuffle"]
     for _ in range(config.epochs):
-        order = shuffle_rng.permutation(len(items))
+        order = shuffle_rng.permutation(len(index))
         for lo in range(0, len(order), config.batch_size):
             sel = order[lo : lo + config.batch_size]
             e_prev = [e[sel] for e in prev_embeddings] if use_token else None
@@ -556,12 +496,8 @@ def train_session(
             opt.zero_grad()
             tape.clear()
 
-    current_items = [
-        (it.image_id, it.features, it.visible & set(plan.session_classes[t - 1]))
-        for it in items
-        if it.dataset_index >= 0
-    ]
-    buffer.update(plan.session_classes[t - 1], current_items, rngs["buffer"])
+    n_own = len(plan.train_indices[t - 1])
+    buffer.update(plan.session_classes[t - 1], index[:n_own], visible[:n_own], rngs["buffer"])
 
     record = evaluate_cumulative(model, plan, t, test)
     return SessionOutcome(
@@ -570,24 +506,6 @@ def train_session(
         pseudo_recall=pseudo_recall,
         snapshot=snapshot_model(model),
     )
-
-
-def _pseudo_recall(items, train: Dataset, old_classes: set) -> Optional[float]:
-    """Share of truly-present old-class signals restored as pseudo labels.
-
-    Audited against generator ground truth on current-session images only
-    (exemplars carry their old labels as annotations already).
-    """
-    hits = 0
-    total = 0
-    for it in items:
-        if it.dataset_index < 0 or it.is_exemplar:
-            continue
-        truth_old = train.examples[it.dataset_index].labels & old_classes
-        truth_old -= it.visible  # annotated ones need no restoring
-        total += len(truth_old)
-        hits += len(truth_old & it.pseudo)
-    return hits / total if total else None
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +526,7 @@ def run_incremental(
 
     assign_examples(plan, train, test)
     rngs = {name: substream_rng(master_seed, name) for name in ("init", "shuffle", "buffer")}
-    model = init_model((train.grid_h, train.grid_w, train.channels), ica_config, flags, rngs["init"])
+    model = init_model(train.features.shape[1:], ica_config, flags, rngs["init"])
     buffer = RehearsalBuffer(flags.buffer_policy)
     snapshot = None
     outcomes = []

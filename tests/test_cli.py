@@ -120,12 +120,22 @@ BAD_DATA_SPEC = GenSpec(n_classes=4, grid_h=4, grid_w=4, channels=4, n_train=8, 
 
 
 def _nan_feature(test):
-    test.examples[0].features[0, 0, 0] = np.nan
+    test.features[0, 0, 0, 0] = np.nan
     return test
 
 
 def _no_labels(test):
-    test.examples[0].labels = set()
+    test.labels[0] = False
+    return test
+
+
+def _repeated_names(test):
+    test.class_names = ["a", "a", "b", "b"]
+    return test
+
+
+def _repeated_ids(test):
+    test.image_ids[3] = test.image_ids[1]
     return test
 
 
@@ -139,8 +149,10 @@ def _other_grid(test):
         (_nan_feature, "test.bin: image 8 has non-finite features"),
         (_no_labels, "test.bin: image 8 has no labels"),
         (_other_grid, "train grid (4, 4, 4) and test grid (5, 4, 4) differ"),
+        (_repeated_names, "test.bin: class names repeat"),
+        (_repeated_ids, "test.bin: image ids repeat"),
     ],
-    ids=["nan_feature", "empty_label_set", "grid_mismatch"],
+    ids=["nan_feature", "empty_label_set", "grid_mismatch", "repeated_names", "repeated_ids"],
 )
 def test_bad_dataset_files_fail_at_load(spoil, message, tmp_path, capsys):
     train, test, _ = generate(BAD_DATA_SPEC)
@@ -317,6 +329,17 @@ def test_dpl_command_restores_old_classes_the_labels_lack(tmp_path, capsys):
         {"image_id": 1, "labels": ["c0", "c7"], "pseudo": ["c1"]},  # c0 is annotated already
         {"image_id": 2, "labels": ["c8"], "pseudo": ["c1", "c2"]},
     ]
+
+
+def test_dpl_command_compares_integer_labels_as_class_ids(tmp_path, capsys):
+    # header ids are strings: the label 3 is the annotated class "3", never its pseudo label
+    (tmp_path / "s.csv").write_text("3,4\n0.9,0.1\n")
+    (tmp_path / "l.jsonl").write_text('{"image_id": 1, "labels": [3]}\n')
+    argv = ["dpl", "--scores", str(tmp_path / "s.csv"), "--labels", str(tmp_path / "l.jsonl")]
+    assert main(argv + ["--out", str(tmp_path / "out.jsonl"), "--mu", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu_t"] == 2.0  # 3 and "3" are one class
+    (line,) = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
+    assert line["labels"] == [3] and "3" not in line["pseudo"]
 
 
 def test_dpl_command_rejects_repeated_class_ids(tmp_path, capsys):

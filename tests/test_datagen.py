@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from krt.datagen import (
     Dataset,
     DatasetFormatError,
     GenSpec,
-    LabeledExample,
     class_prototypes,
     generate,
     load_dataset,
@@ -23,11 +24,9 @@ def small_spec(**kw):
 
 class TestGenerate:
     def test_deterministic(self):
-        a_train, a_test, _ = generate(small_spec())
-        b_train, b_test, _ = generate(small_spec())
-        for a, b in zip(a_train.examples + a_test.examples, b_train.examples + b_test.examples):
-            assert a.image_id == b.image_id
-            assert a.labels == b.labels
+        for a, b in zip(generate(small_spec())[:2], generate(small_spec())[:2]):
+            assert np.array_equal(a.image_ids, b.image_ids)
+            assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.features, b.features)
 
     def test_lexicographic_order_is_index_order(self):
@@ -37,18 +36,15 @@ class TestGenerate:
 
     def test_every_class_covered_in_train(self):
         train, _, _ = generate(small_spec())
-        seen = set()
-        for ex in train.examples:
-            seen |= ex.labels
-        assert seen == set(range(10))
+        assert train.labels.any(axis=0).all()
 
     def test_ids_disjoint_between_splits(self):
         train, test, _ = generate(small_spec())
-        assert not ({e.image_id for e in train.examples} & {e.image_id for e in test.examples})
+        assert not np.intersect1d(train.image_ids, test.image_ids).size
 
     def test_every_example_has_a_label(self):
         train, test, _ = generate(small_spec())
-        assert all(len(e.labels) >= 1 for e in train.examples + test.examples)
+        assert train.labels.any(axis=1).all() and test.labels.any(axis=1).all()
 
     def test_mean_label_count_close_to_target(self):
         spec = GenSpec(
@@ -56,16 +52,15 @@ class TestGenerate:
             avg_labels_per_image=2.9, n_train=10000, n_test=1, seed=3,
         )
         train, _, _ = generate(spec)
-        mean = np.mean([len(e.labels) for e in train.examples])
+        mean = train.labels.sum(axis=1).mean()
         assert abs(mean - 2.9) < 0.1
 
     def test_noise_only_difference_for_same_seed(self):
         quiet_train, _, _ = generate(small_spec(noise_sigma=0.0))
         noisy_train, _, _ = generate(small_spec(noise_sigma=0.25))
-        for q, n in zip(quiet_train.examples, noisy_train.examples):
-            assert q.labels == n.labels
-            diff = n.features.astype(np.float64) - q.features.astype(np.float64)
-            assert np.abs(diff).max() < 0.25 * 6  # bounded noise field, no structure shift
+        assert np.array_equal(quiet_train.labels, noisy_train.labels)
+        diff = noisy_train.features.astype(np.float64) - quiet_train.features.astype(np.float64)
+        assert np.abs(diff).max() < 0.25 * 6  # bounded noise field, no structure shift
 
     def test_noiseless_single_label_images_separable_by_prototype_match(self):
         spec = small_spec(noise_sigma=0.0, avg_labels_per_image=1.0)
@@ -88,13 +83,8 @@ class TestGenerate:
         skew = generate(small_spec(co_occurrence=2.0, n_train=4000))[0]
 
         def pair_counts(ds):
-            counts = np.zeros((10, 10))
-            for ex in ds.examples:
-                ll = sorted(ex.labels)
-                for i in range(len(ll)):
-                    for j in range(i + 1, len(ll)):
-                        counts[ll[i], ll[j]] += 1
-            return counts
+            y = ds.labels.astype(np.int64)
+            return np.triu(y.T @ y, k=1)
 
         # stronger affinity concentrates mass on fewer pairs
         c_flat = pair_counts(flat)
@@ -102,13 +92,43 @@ class TestGenerate:
         assert c_skew.max() > c_flat.max()
 
 
-class TestTruthMatrix:
-    def test_restriction_to_columns(self):
+class TestDataset:
+    def test_arrays_have_one_row_per_image(self):
+        train, test, names = generate(small_spec())
+        for ds, n in ((train, 200), (test, 50)):
+            assert len(ds) == n and ds.class_names == names
+            assert ds.image_ids.shape == (n,) and ds.image_ids.dtype == np.uint64
+            assert ds.features.shape == (n, 4, 4, 6) and ds.features.dtype == np.float32
+            assert ds.labels.shape == (n, 10) and ds.labels.dtype == bool
+
+    def test_examples_are_views_of_the_rows(self):
         train, _, _ = generate(small_spec())
-        full = train.truth_matrix()
-        sub = train.truth_matrix([2, 5])
-        assert np.array_equal(full[:, [2, 5]], sub)
-        assert full.shape == (200, 10)
+        examples = train.examples
+        assert len(examples) == len(train)
+        for i, ex in enumerate(examples):
+            assert ex.image_id == int(train.image_ids[i]) and type(ex.image_id) is int
+            assert ex.labels == set(np.flatnonzero(train.labels[i]).tolist())
+            assert np.shares_memory(ex.features, train.features)
+            assert np.array_equal(ex.features, train.features[i])
+
+
+def hand_built():
+    """Nine classes (two label bytes), names out of order, ids at both ends of the range."""
+    names = ["z", "alpha", "", "\u00fcn\u00ef", "c4", "c5", "c6", "c7", "b"]
+    features = (np.arange(36, dtype=np.float32) * 0.25 - 1.5).reshape(3, 2, 3, 2)
+    labels = np.zeros((3, 9), dtype=bool)
+    for row, cols in enumerate([[0, 8], [3], [1, 2, 7, 8]]):
+        labels[row, cols] = True
+    return Dataset(names, np.array([2**64 - 1, 0, 7], dtype=np.uint64), features, labels)
+
+
+def save_with_names(tmp_path, names, name="data.mlds"):
+    """A small generated train split saved under other class names."""
+    train, _, _ = generate(small_spec(n_classes=len(names), n_train=20))
+    train.class_names = list(names)
+    path = tmp_path / name
+    save_dataset(train, str(path))
+    return path, train
 
 
 class TestSaveLoad:
@@ -118,41 +138,62 @@ class TestSaveLoad:
         save_dataset(train, str(path))
         loaded = load_dataset(str(path))
         assert loaded.class_names == train.class_names
-        assert (loaded.grid_h, loaded.grid_w, loaded.channels) == (4, 4, 6)
-        assert len(loaded) == len(train)
-        for a, b in zip(train.examples, loaded.examples):
-            assert a.image_id == b.image_id
-            assert a.labels == b.labels
-            assert a.features.dtype == b.features.dtype == np.float32
-            assert np.array_equal(a.features, b.features)
+        assert loaded.features.shape == (200, 4, 4, 6) and loaded.features.dtype == np.float32
+        assert np.array_equal(loaded.image_ids, train.image_ids)
+        assert np.array_equal(loaded.labels, train.labels)
+        assert np.array_equal(loaded.features, train.features)
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # the format is fixed: these are the bytes the record-by-record writer produced
+        path = tmp_path / "hand.mlds"
+        save_dataset(hand_built(), str(path))
+        blob = path.read_bytes()
+        assert len(blob) == 242
+        assert hashlib.sha256(blob).hexdigest() == (
+            "7f6c99ee829b011fdf1af934bb267d8da396a3125f1918cc1df3cfcf670d6145"
+        )
+        loaded = load_dataset(str(path))
+        want = hand_built()
+        assert loaded.class_names == want.class_names
+        for field in ("image_ids", "features", "labels"):
+            assert np.array_equal(getattr(loaded, field), getattr(want, field)), field
+
+    def test_repeated_class_names_rejected(self, tmp_path):
+        path, _ = save_with_names(tmp_path, ["a", "a", "b", "b"])
+        with pytest.raises(DatasetFormatError, match="class names repeat"):
+            load_dataset(str(path))
+
+    def test_repeated_image_ids_rejected(self, tmp_path):
+        train, _, _ = generate(small_spec(n_train=20))
+        train.image_ids[5] = train.image_ids[2]
+        path = tmp_path / "train.mlds"
+        save_dataset(train, str(path))
+        with pytest.raises(DatasetFormatError, match="image ids repeat"):
+            load_dataset(str(path))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_any_valid_dataset_round_trips(self, tmp_path_factory, data):
         k = data.draw(st.integers(1, 20))
         h, w, c = (data.draw(st.integers(1, 4)) for _ in range(3))
-        names = data.draw(st.lists(st.text(max_size=8), min_size=k, max_size=k))
+        names = data.draw(st.lists(st.text(max_size=8), min_size=k, max_size=k, unique=True))
+        n = data.draw(st.integers(1, 4))
         floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
-        examples = [
-            LabeledExample(
-                image_id=data.draw(st.integers(0, 2**64 - 1)),
-                features=np.array(
-                    data.draw(st.lists(floats, min_size=h * w * c, max_size=h * w * c)),
-                    dtype=np.float32,
-                ).reshape(h, w, c),
-                labels=data.draw(st.sets(st.integers(0, k - 1), min_size=1)),
-            )
-            for _ in range(data.draw(st.integers(1, 4)))
-        ]
+        ids = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n, unique=True))
+        features = np.array(
+            data.draw(st.lists(floats, min_size=n * h * w * c, max_size=n * h * w * c)),
+            dtype=np.float32,
+        ).reshape(n, h, w, c)
+        labels = np.zeros((n, k), dtype=bool)
+        for row in range(n):
+            labels[row, sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))] = True
         path = tmp_path_factory.mktemp("round_trip") / "data.mlds"
-        save_dataset(Dataset(names, h, w, c, examples), str(path))
+        save_dataset(Dataset(names, np.array(ids, dtype=np.uint64), features, labels), str(path))
         loaded = load_dataset(str(path))
         assert loaded.class_names == names
-        assert (loaded.grid_h, loaded.grid_w, loaded.channels) == (h, w, c)
-        assert [e.image_id for e in loaded.examples] == [e.image_id for e in examples]
-        assert [e.labels for e in loaded.examples] == [e.labels for e in examples]
-        for a, b in zip(examples, loaded.examples):
-            assert np.array_equal(a.features, b.features)
+        assert loaded.image_ids.tolist() == ids
+        assert np.array_equal(loaded.labels, labels)
+        assert np.array_equal(loaded.features, features)
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         train, _, _ = generate(small_spec(n_train=20))
@@ -189,6 +230,9 @@ class TestSaveLoad:
             load_dataset(str(path))
 
     def test_empty_dataset_rejected_at_save(self, tmp_path):
-        empty = Dataset(["a", "b"], 2, 2, 2, [])
+        empty = Dataset(
+            ["a", "b"], np.zeros(0, np.uint64), np.zeros((0, 2, 2, 2), np.float32),
+            np.zeros((0, 2), bool),
+        )
         with pytest.raises(ValueError):
             save_dataset(empty, str(tmp_path / "x.mlds"))

@@ -30,24 +30,35 @@ class TestSessionTarget:
             session_target(0, 0, 2.9)
 
 
+def mask_of(sets, k):
+    """The [len(sets), k] bool mask whose row i marks the columns in sets[i]."""
+    mask = np.zeros((len(sets), k), dtype=bool)
+    for i, cols in enumerate(sets):
+        mask[i, sorted(cols)] = True
+    return mask
+
+
+def sets_of(mask):
+    return [set(np.flatnonzero(row).tolist()) for row in mask]
+
+
 class TestGeneratePseudoLabels:
     def test_all_below_threshold(self):
-        sets = generate_pseudo_labels(np.full((5, 3), 0.2), eta=0.8)
-        assert all(s == set() for s in sets)
+        labels = generate_pseudo_labels(np.full((5, 3), 0.2), eta=0.8)
+        assert labels.dtype == bool and labels.shape == (5, 3) and not labels.any()
 
     def test_eta_zero_saturates(self):
-        sets = generate_pseudo_labels(np.random.default_rng(0).uniform(size=(4, 3)), eta=0.0)
-        assert all(s == {0, 1, 2} for s in sets)
+        assert generate_pseudo_labels(np.random.default_rng(0).uniform(size=(4, 3)), eta=0.0).all()
 
     def test_hand_enumerated_case(self):
-        sets = generate_pseudo_labels(np.array([[0.9, 0.3], [0.81, 0.79]]), eta=0.8)
-        assert sets == [{0}, {0}]
-        assert sum(len(s) for s in sets) / 2 == 1.0
+        labels = generate_pseudo_labels(np.array([[0.9, 0.3], [0.81, 0.79]]), eta=0.8)
+        assert labels.tolist() == [[True, False], [True, False]]
+        assert labels.sum() / 2 == 1.0
 
     def test_true_labels_excluded(self):
         scores = np.array([[0.95, 0.95], [0.95, 0.1]])
-        sets = generate_pseudo_labels(scores, eta=0.8, exclude=[{0}, set()])
-        assert sets == [{1}, {0}]
+        labels = generate_pseudo_labels(scores, eta=0.8, exclude=mask_of([{0}, set()], 2))
+        assert labels.tolist() == [[False, True], [True, False]]
 
     def test_score_out_of_range_rejected(self):
         for bad in (1.2, np.nan):
@@ -140,10 +151,7 @@ class TestThresholdSearch:
             ]
             assert all(b1 >= b2 for b1, b2 in zip(betas, betas[1:]))
             # the library thresholder agrees with the counting oracle
-            lib = [
-                sum(len(s) for s in generate_pseudo_labels(scores, cents / 100.0)) / 25
-                for cents in range(1, 100)
-            ]
+            lib = [generate_pseudo_labels(scores, c / 100.0).sum() / 25 for c in range(1, 100)]
             assert lib == betas
 
     @pytest.mark.parametrize("score, steps, eta", [(0.565, 24, 0.56), (0.715, 9, 0.71)])
@@ -188,13 +196,13 @@ class TestThresholdSearch:
                 max_iters=int(rng.choice([40, 500])),
             )
             mu_t = float(rng.uniform(0, k + 1))
-            report = dynamic_threshold_search(scores, cfg, mu_t, exclude=exclude)
+            report = dynamic_threshold_search(scores, cfg, mu_t, exclude=mask_of(exclude, k))
             eta, beta, iterations, converged, sets, visited = dpl_walk_oracle(
                 scores, cfg, mu_t, exclude
             )
             got = (report.final_eta, report.beta, report.converged)
             assert got == (eta, beta, converged), f"trial {trial}"
-            assert report.label_sets == sets, f"trial {trial}"
+            assert sets_of(report.labels) == sets, f"trial {trial}"
             # the walk stops one step before the oracle first revisits a threshold
             revisit = next((j for j in range(len(visited)) if visited[j] in visited[:j]), None)
             assert report.iterations <= iterations, f"trial {trial}"
@@ -224,13 +232,8 @@ class TestThresholdSearch:
         scores = rng.uniform(size=(m, k))
         if coarse:
             scores = np.round(scores, 1)  # ties: many scores sit exactly on a threshold
-        exclude = None
-        if with_exclude:
-            exclude = [set(np.flatnonzero(rng.uniform(size=k) < 0.3).tolist()) for _ in range(m)]
-        counts = [
-            [len(labels) for labels in generate_pseudo_labels(scores, eta, exclude)]
-            for eta in sorted(etas)
-        ]
+        exclude = rng.uniform(size=(m, k)) < 0.3 if with_exclude else None
+        counts = [generate_pseudo_labels(scores, eta, exclude).sum(axis=1) for eta in sorted(etas)]
         for low, high in zip(counts, counts[1:]):
             assert all(a >= b for a, b in zip(low, high))
 
@@ -255,12 +258,40 @@ class TestThresholdSearch:
         report = dynamic_threshold_search(scores, cfg, mu_t)
         assert bounds[0] <= report.final_eta <= bounds[1]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 15),
+        k=st.integers(1, 6),
+        coarse=st.booleans(),
+        share=st.sampled_from([0.0, 0.3, 0.8]),
+        eta_init=st.sampled_from([0.8, 0.55, 0.33]),
+        eta_step=st.sampled_from([1e-2, 7e-2]),
+        mu_t=st.floats(0.0, 7.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mask_walk_matches_the_set_walk_oracle(
+        self, m, k, coarse, share, eta_init, eta_step, mu_t, seed
+    ):
+        # the oracle takes the same exclusions as per-image sets of columns
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(size=(m, k))
+        if coarse:
+            scores = np.round(scores, 1)
+        exclude = rng.uniform(size=(m, k)) < share
+        cfg = DplConfig(eta_init=eta_init, eta_step=eta_step, max_iters=60)
+        report = dynamic_threshold_search(scores, cfg, mu_t, exclude=exclude)
+        eta, beta, _, converged, sets, _ = dpl_walk_oracle(scores, cfg, mu_t, sets_of(exclude))
+        assert (report.final_eta, report.beta, report.converged) == (eta, beta, converged)
+        assert report.labels.shape == (m, k) and sets_of(report.labels) == sets
+        assert not (report.labels & exclude).any()
+
     def test_determinism(self):
         rng = np.random.default_rng(6)
         scores = rng.uniform(size=(50, 3))
         a = dynamic_threshold_search(scores, DplConfig(), mu_t=0.7)
         b = dynamic_threshold_search(scores, DplConfig(), mu_t=0.7)
-        assert a == b
+        assert a.to_dict() == b.to_dict()
+        assert np.array_equal(a.labels, b.labels)
 
 
 class TestRunDpl:
@@ -268,19 +299,20 @@ class TestRunDpl:
     CONFIG = DplConfig(mu=2.0)
 
     def test_no_score_at_the_floor_restores_nothing(self):
-        report, pseudo = run_dpl(np.zeros((2, 2)), [{1}, set()], [0, 2], 4, self.CONFIG)
-        assert pseudo == [set(), set()]
+        exclude = np.array([[False, True], [False, False]])
+        report = run_dpl(np.zeros((2, 2)), exclude, 4, self.CONFIG)
+        assert not report.labels.any()
         assert not report.converged and report.beta == 0.0
 
-    def test_pseudo_sets_name_classes_not_columns(self):
-        report, pseudo = run_dpl(np.array([[0.95, 0.1]]), [{5}], [7, 3], 4, self.CONFIG)
+    def test_mu_t_scales_with_the_score_columns(self):
+        report = run_dpl(np.array([[0.95, 0.1]]), np.zeros((1, 2), dtype=bool), 4, self.CONFIG)
         assert report.converged and report.mu_t == 1.0
-        assert pseudo == [{7}]
+        assert report.labels.tolist() == [[True, False]]
 
     def test_known_labels_are_never_pseudo_labels(self):
-        report, pseudo = run_dpl(np.array([[0.95, 0.9]]), [{5}], [5, 7], 4, self.CONFIG)
-        assert report.converged and report.label_sets == [{1}]
-        assert pseudo == [{7}]
+        report = run_dpl(np.array([[0.95, 0.9]]), np.array([[True, False]]), 4, self.CONFIG)
+        assert report.converged
+        assert report.labels.tolist() == [[False, True]]
 
     def test_the_walk_is_looked_up_in_protocol(self, monkeypatch):
         # the benchmark's tracer wraps `krt.protocol.dynamic_threshold_search`
@@ -291,5 +323,5 @@ class TestRunDpl:
             return dynamic_threshold_search(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "dynamic_threshold_search", recording_walk)
-        run_dpl(np.array([[0.95, 0.1]]), [set()], [0, 1], 4, self.CONFIG)
+        run_dpl(np.array([[0.95, 0.1]]), np.zeros((1, 2), dtype=bool), 4, self.CONFIG)
         assert len(calls) == 1

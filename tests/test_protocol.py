@@ -5,13 +5,12 @@ import pytest
 
 import krt.protocol as protocol
 from krt import tensor as T
-from krt.datagen import GenSpec, generate
+from krt.datagen import GenSpec, generate, load_dataset, save_dataset
 from krt.dpl import DplConfig
 from krt.ica import IcaConfig
 from krt.losses import LossConfig
 from krt.protocol import (
     ArmFlags,
-    BufferEntry,
     RehearsalBuffer,
     TrainConfig,
     assign_examples,
@@ -84,9 +83,25 @@ class TestBuildPlan:
             build_plan([f"c{i}" for i in range(10)], base=3, inc=4)
 
     def test_lexicographic_assignment(self):
+        # sessions take the names in sorted order and list them as columns of the input
         plan = build_plan(["b", "a", "d", "c"], base=2, inc=2)
         assert plan.class_order == ["a", "b", "c", "d"]
-        assert plan.session_classes == [[0, 1], [2, 3]]
+        assert plan.session_classes == [[1, 0], [3, 2]]
+        assert build_plan(["c", "a", "b"], base=0, inc=1).session_classes == [[1], [2], [0]]
+
+    def test_first_session_trains_the_first_name_of_a_loaded_file(self, tmp_path):
+        train, test, names = tiny_data()
+        flipped = names[::-1]  # column 0 is now the last name, column 5 the first
+        for ds, name in ((train, "train.mlds"), (test, "test.mlds")):
+            ds.class_names = flipped
+            save_dataset(ds, str(tmp_path / name))
+        loaded = load_dataset(str(tmp_path / "train.mlds"))
+        plan = build_plan(loaded.class_names, base=2, inc=2)
+        assert plan.session_classes[0] == [5, 4]
+        assert [loaded.class_names[k] for k in plan.session_classes[0]] == sorted(names)[:2]
+        assign_examples(plan, loaded, load_dataset(str(tmp_path / "test.mlds")))
+        holds = loaded.labels[:, [5, 4]].any(axis=1)
+        assert plan.train_indices[0] == np.flatnonzero(holds).tolist()
 
 
 class TestAssignExamples:
@@ -94,12 +109,16 @@ class TestAssignExamples:
         train, test, names = tiny_data()
         plan = build_plan(names, base=2, inc=2)
         assign_examples(plan, train, test)
+        train_sets = [ex.labels for ex in train.examples]
+        test_sets = [ex.labels for ex in test.examples]
         for s, classes in enumerate(plan.session_classes):
-            for i in plan.train_indices[s]:
-                assert train.examples[i].labels & set(classes)
+            assert plan.train_indices[s] == [i for i, ls in enumerate(train_sets) if ls & set(classes)]
+            for i in plan.test_indices[s]:
+                owners = [s2 for s2, c in enumerate(plan.session_classes) if test_sets[i] & set(c)]
+                assert min(owners) == s
         all_test = [i for s in range(plan.n_sessions) for i in plan.test_indices[s]]
         assert len(all_test) == len(set(all_test))
-        assert len(all_test) == len(test.examples)  # union covers, sets disjoint
+        assert len(all_test) == len(test)  # union covers, sets disjoint
 
 
 class TestForward:
@@ -108,10 +127,10 @@ class TestForward:
         rng = substream_rng(0, "init")
         model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
         expand_for_session(model, 3, rng)
-        out = forward_logits(model, train.features_array([0, 1]))
+        out = forward_logits(model, train.features[[0, 1]])
         assert out.logits.shape == (2, 3)
         expand_for_session(model, 2, rng)
-        out = forward_logits(model, train.features_array([0, 1]))
+        out = forward_logits(model, train.features[[0, 1]])
         assert out.logits.shape == (2, 5)
         assert len(out.embeddings) == 2
 
@@ -120,7 +139,7 @@ class TestForward:
         rng = substream_rng(1, "init")
         model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
         expand_for_session(model, 3, rng)
-        images = train.features_array([0, 1, 2])
+        images = train.features[[0, 1, 2]]
         before = forward_logits(model, images).logits.data.copy()
         expand_for_session(model, 2, rng)
         after = forward_logits(model, images).logits.data
@@ -131,7 +150,7 @@ class TestForward:
         rng = substream_rng(2, "init")
         model = init_model((4, 4, 4), tiny_ica(), ArmFlags(use_ica=False), rng)
         expand_for_session(model, 3, rng)
-        out = forward_logits(model, train.features_array([0]))
+        out = forward_logits(model, train.features[[0]])
         assert out.embeddings == []
         assert out.pooled.shape == (1, 8)
         assert out.logits.shape == (1, 3)
@@ -141,85 +160,113 @@ class TestForward:
         rng = substream_rng(3, "init")
         model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
         expand_for_session(model, 2, rng)
-        images = train.features_array([0, 1])
+        images = train.features[[0, 1]]
         a = forward_logits(model, images).logits.data
         b = forward_logits(model, images).logits.data
         assert np.array_equal(a, b)
 
 
+def one_hot_rows(*label_sets, k=4):
+    visible = np.zeros((len(label_sets), k), dtype=bool)
+    for row, cols in enumerate(label_sets):
+        visible[row, sorted(cols)] = True
+    return visible
+
+
 class TestBuffer:
     def test_none_policy_stays_empty(self):
         buf = RehearsalBuffer(("none",))
-        buf.update([0, 1], [(1, np.zeros(2), {0})], substream_rng(0, "buffer"))
+        buf.update([0, 1], np.array([1]), one_hot_rows({0}), substream_rng(0, "buffer"))
         assert len(buf) == 0
 
     def test_capped_by_availability(self):
         buf = RehearsalBuffer(("per_class", 2))
-        items = [(7, np.zeros(2), {0})]
-        buf.update([0], items, substream_rng(1, "buffer"))
-        assert len(buf) == 1
-        assert buf.class_refs[0] == [7]
+        buf.update([0], np.array([7]), one_hot_rows({0}), substream_rng(1, "buffer"))
+        assert list(buf.known) == [7]
 
     def test_dedup_image_with_two_new_classes(self):
         buf = RehearsalBuffer(("per_class", 2))
-        items = [(7, np.zeros(2), {0, 1})]
-        buf.update([0, 1], items, substream_rng(2, "buffer"))
-        assert len(buf) == 1  # stored once
-        assert buf.class_refs[0] == [7] and buf.class_refs[1] == [7]  # referenced twice
+        buf.update([0, 1], np.array([7]), one_hot_rows({0, 1}), substream_rng(2, "buffer"))
+        assert list(buf.known) == [7]  # stored once, for both classes
+        assert buf.known[7].tolist() == [True, True, False, False]
+
+    def test_stores_only_the_sessions_columns_and_merges_later_ones(self):
+        buf = RehearsalBuffer(("per_class", 1))
+        # row 7's visible labels include an old class (3) from an earlier exemplar
+        buf.update([0], np.array([7]), one_hot_rows({0, 3}), substream_rng(5, "buffer"))
+        assert buf.known[7].tolist() == [True, False, False, False]
+        buf.update([1], np.array([7]), one_hot_rows({1, 3}), substream_rng(5, "buffer"))
+        assert buf.known[7].tolist() == [True, True, False, False]
 
     def test_per_class_quota(self):
         rng = substream_rng(3, "buffer")
-        items = [(i, np.zeros(2), {0}) for i in range(10)]
         buf = RehearsalBuffer(("per_class", 3))
-        buf.update([0], items, rng)
-        assert len(buf.class_refs[0]) == 3
+        index = np.arange(100, 110)
+        buf.update([0], index, one_hot_rows(*[{0}] * 10), rng)
+        assert len(buf) == 3 and set(buf.known) <= set(index.tolist())
+        assert all(type(row) is int for row in buf.known)
 
     def test_total_policy_evicts_to_capacity(self):
         rng = substream_rng(4, "buffer")
         buf = RehearsalBuffer(("total", 4))
-        items = [(i, np.zeros(2), {i % 2}) for i in range(20)]
-        buf.update([0, 1], items, rng)
-        assert len(buf) <= 4
-        for refs in buf.class_refs.values():
-            for r in refs:
-                assert r in buf.store
+        visible = one_hot_rows(*[{i % 2} for i in range(20)])
+        buf.update([0, 1], np.arange(20), visible, rng)  # quota 2 per class, then evict to 4
+        assert len(buf) == 4 and buf.classes_seen == 2
+        for row, labels in buf.known.items():
+            assert labels.tolist() == visible[row].tolist()
+
+    def test_total_quota_shrinks_with_the_classes_seen(self):
+        buf = RehearsalBuffer(("total", 6))
+        buf.update([0], np.arange(10), one_hot_rows(*[{0}] * 10), substream_rng(6, "buffer"))
+        assert len(buf) == 6  # 6 // 1 class
+        new = one_hot_rows(*[{1}] * 10)
+        buf.update([1], np.arange(10, 20), new, substream_rng(6, "buffer"))
+        assert buf.classes_seen == 2
+        assert sum(row >= 10 for row in buf.known) <= 3  # 6 // 2 classes
+        assert len(buf) == 6
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             RehearsalBuffer(("herding", 5))
 
 
-class TestSessionItems:
+class TestSessionRows:
     def test_exemplars_merge_into_the_sessions_own_images(self):
         train, test, names = tiny_data(n_train=200)
         plan = build_plan(names, base=2, inc=2)
         assign_examples(plan, train, test)
         own = plan.train_indices[1]
-        own_ids = {train.examples[i].image_id for i in own}
-        others = [i for i in plan.train_indices[0] if train.examples[i].image_id not in own_ids]
-        first = set(plan.session_classes[0])
+        others = [i for i in plan.train_indices[0] if i not in own]
+        first = np.zeros(len(names), dtype=bool)
+        first[plan.session_classes[0]] = True
         buffer = RehearsalBuffer(("per_class", 5))
         # two of session 2's own images (stored out of order) and two images it does not have
         for i in [own[3], own[0], others[1], others[0]]:
-            ex = train.examples[i]
-            buffer.store[ex.image_id] = BufferEntry(ex.image_id, ex.features, ex.labels & first)
+            buffer.known[i] = train.labels[i] & first
 
-        items = protocol._session_items(plan, train, 2, buffer)
+        index, visible, exemplar = protocol._session_rows(plan, train, 2, buffer)
 
-        current = set(plan.session_classes[1])
-        assert [it.dataset_index for it in items[: len(own)]] == own
-        for it, i in zip(items, own):
-            ex = train.examples[i]
-            merged = i in (own[0], own[3])
-            assert it.image_id == ex.image_id
-            assert it.visible == (ex.labels & current) | ((ex.labels & first) if merged else set())
-            assert it.is_exemplar == merged
-        replayed = sorted(train.examples[i].image_id for i in others[:2])
-        assert [it.image_id for it in items[len(own) :]] == replayed
-        for it in items[len(own) :]:
-            entry = buffer.store[it.image_id]
-            assert it.visible == entry.labels_known and it.visible is not entry.labels_known
-            assert it.is_exemplar and it.dataset_index == -1 and it.features is entry.features
+        current = np.zeros(len(names), dtype=bool)
+        current[plan.session_classes[1]] = True
+        assert index.tolist() == own + others[:2]  # replayed images follow in row order
+        merged = [i in (own[0], own[3]) for i in own]
+        assert exemplar.tolist() == merged + [True, True]
+        for row, i in enumerate(own):
+            want = train.labels[i] & (current | first if merged[row] else current)
+            assert visible[row].tolist() == want.tolist()
+        for row, i in enumerate(others[:2], start=len(own)):
+            assert visible[row].tolist() == buffer.known[i].tolist()
+            assert not np.shares_memory(visible, buffer.known[i])
+
+    def test_empty_buffer_gives_the_sessions_own_rows(self):
+        train, test, names = tiny_data()
+        plan = build_plan(names, base=2, inc=2)
+        assign_examples(plan, train, test)
+        index, visible, exemplar = protocol._session_rows(plan, train, 3, RehearsalBuffer())
+        assert index.tolist() == plan.train_indices[2] and not exemplar.any()
+        cols = plan.session_classes[2]
+        assert np.array_equal(visible[:, cols], train.labels[np.ix_(index, cols)])
+        assert not np.delete(visible, cols, axis=1).any()
 
 
 class TestEvaluateCumulative:
@@ -250,7 +297,7 @@ class TestEvaluateCumulative:
         monkeypatch.setattr(protocol, "INFER_CHUNK", 20)
         evaluate_cumulative(model, plan, 1, test)
         assert sizes == [20, 17]
-        whole = real_forward(model, test.features_array(plan.test_indices[0]))
+        whole = real_forward(model, test.features[plan.test_indices[0]])
         want = T.sigmoid(whole.logits).data
         # not bit-equal in general: a GEMM rounds its rows by their count
         assert want.dtype == np.float32
@@ -333,7 +380,7 @@ class TestTrainSession:
         assert before.map == after.map
         assert before.cf1 == after.cf1
 
-    def test_dpl_restores_old_labels_into_targets(self):
+    def test_dpl_restores_old_labels_into_targets(self, monkeypatch):
         train, test, names = tiny_data(n_train=200)
         plan = build_plan(names, base=3, inc=3)
         assign_examples(plan, train, test)
@@ -341,10 +388,25 @@ class TestTrainSession:
         model = init_model((4, 4, 4), tiny_ica(d=16, heads=2), ArmFlags(), rngs["init"])
         cfg = TrainConfig(epochs=6, batch_size=16, lr=2e-3, loss=LossConfig(lam=10.0), dpl=DplConfig())
         out1 = train_session(model, plan, 1, train, test, RehearsalBuffer(), None, cfg, rngs)
+        batches, real_asl = [], protocol.asl_loss
+
+        def recording_asl(probs, targets, config):
+            batches.append(np.asarray(targets, dtype=bool))
+            return real_asl(probs, targets, config)
+
+        monkeypatch.setattr(protocol, "asl_loss", recording_asl)
         out2 = train_session(model, plan, 2, train, test, RehearsalBuffer(), out1.snapshot, cfg, rngs)
-        assert out2.dpl_report is not None
-        assert out2.dpl_report.mu_t == pytest.approx((3 / 6) * cfg.dpl.mu)
-        assert out2.pseudo_recall is None or 0.0 <= out2.pseudo_recall <= 1.0
+        report = out2.dpl_report
+        assert report.mu_t == pytest.approx((3 / 6) * cfg.dpl.mu)
+        own, old, new = plan.train_indices[1], plan.session_classes[0], plan.session_classes[1]
+        assert report.labels.shape == (len(own), 3) and report.labels.any()
+        # every epoch sees each row once: pseudo labels fill the old columns, truth the new
+        seen = np.concatenate(batches)
+        assert seen.shape == (6 * len(own), 6)
+        assert seen[:, :3].sum() == 6 * report.labels.sum()
+        assert seen[:, 3:].sum() == 6 * train.labels[np.ix_(own, new)].sum()
+        lost = train.labels[np.ix_(own, old)]
+        assert out2.pseudo_recall == (lost & report.labels).sum() / lost.sum()
 
 
 class TestTeacherPass:
@@ -389,7 +451,7 @@ class TestTeacherPass:
         expand_for_session(model, 3, rng)
         expand_for_session(model, 2, rng)
         snap = snapshot_model(model)
-        features = train.features_array(list(range(50)))
+        features = train.features[:50]
         probs, embeddings, pooled = infer(snap, features)
         sel = np.random.default_rng(0).permutation(50)[:16]
         direct = forward_logits(snap, features[sel])
@@ -526,6 +588,6 @@ class TestModelDtype:
         rng = substream_rng(21, "init")
         model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
         expand_for_session(model, 3, rng)
-        out = forward_logits(model, train.features_array([0, 1]).astype(np.float64))
+        out = forward_logits(model, train.features[[0, 1]].astype(np.float64))
         assert out.logits.dtype == np.float32
         assert all(e.dtype == np.float32 for e in out.embeddings)
