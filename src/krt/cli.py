@@ -37,7 +37,7 @@ from .dpl import DplConfig, read_labels_jsonl, read_score_csv, write_merged_json
 from .ica import IcaConfig
 from .losses import LossConfig
 from .metrics import aggregate
-from .protocol import ArmFlags, TrainConfig, build_plan, run_dpl, run_incremental
+from .protocol import ArmFlags, DataError, TrainConfig, build_plan, run_dpl, run_incremental
 from .seeds import substream_seed
 
 # arm -> (use_dpl, use_ica, use_kd, buffer requirement: "forbid"|"require"|"allow")
@@ -58,10 +58,6 @@ _RUN_ICA_SHAPE = {"d": 32, "heads": 4}
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class DataError(ValueError):
     pass
 
 
@@ -373,14 +369,23 @@ def _write_outputs(out_dir: str, result: RunResult) -> None:
 
 
 def load_result(path: str) -> RunResult:
+    """A results.json, checked for every field `compare` reads."""
     try:
         with open(path) as fh:
             d = json.load(fh)
-        return RunResult(**{f.name: d[f.name] for f in fields(RunResult)})
+        result = RunResult(**{f.name: d[f.name] for f in fields(RunResult)})
     except OSError as e:
         raise DataError(str(e)) from None
     except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: not a results file ({e})") from None
+    wanted = [("config", "plan", dict), ("config", "dataset", dict), ("config", "arm", str)]
+    aggregates = ("avg_map", "last_map", "last_cf1", "last_of1")
+    for section, key, kind in wanted + [("aggregates", key, (int, float)) for key in aggregates]:
+        record = getattr(result, section)
+        value = record.get(key) if isinstance(record, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataError(f"{path}: not a results file (bad or missing {section}.{key})")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,15 @@
 
 import numpy as np
 
-from .tensor import Tensor
+EPS = 1e-8  # added to the root of the second moment, so no update divides by zero
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -30,7 +29,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self):
         for p in self.params:

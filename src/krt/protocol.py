@@ -32,13 +32,17 @@ parameters, so parameters, activations, gradients, Adam moments, teacher
 outputs and eval scores all stay float32. The tensor ops are dtype-generic
 and keep float64 as the reference dtype of the gradient and oracle tests.
 
-In float32, results repeat only at a fixed BLAS thread count: the GEMMs
-sum in an order that depends on the thread split, and a float32 rounding
+In float32, results can depend on the BLAS thread count: a GEMM that
+reduces over many rows splits that sum by thread, and a float32 rounding
 difference can flip a pseudo-label or an mAP rank. `T.attention_block`
-sums its key gradient in a fixed order; the other products have not been
-examined. On a 2-core Xeon the accuracy guard's `incr_paper` config gives
-avg mAP 20.9215 with one OpenBLAS thread and 20.9220 with two; the
-float64 model gave the same mAPs at both counts.
+sums its key gradient per image, in an order that does not depend on the
+thread count. On a 2-core Xeon the accuracy guard's configs
+(`perfbench/guard.py`) give the same mAPs at one and two OpenBLAS threads
+(`incr_paper`: avg mAP 20.921470 at both). The full-size `incr_paper`
+workload does not (last mAP 14.5267 at one thread, 14.5095 at two). Its
+first difference is in `patch_embed`'s two weight-gradient products,
+which reduce over all B*h*w patch rows. Compare runs made at one thread
+count.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ from .tensor import Tape, Tensor, backward
 
 MODEL_DTYPE = np.float32
 INFER_CHUNK = 64  # images per tape-free forward; see the module docstring
+
+
+class DataError(ValueError):
+    """Input data that cannot be run as given (`krt` exits 3)."""
+
 
 # ---------------------------------------------------------------------------
 # session planning
@@ -93,6 +102,8 @@ def build_plan(class_names: list, base: int, inc: int) -> SessionPlan:
     """
     names = sorted(class_names)
     total = len(names)
+    if len(set(names)) != total:
+        raise ValueError("class names repeat")
     if base < 0 or base > total:
         raise ValueError(f"base {base} outside 0..{total}")
     rest = total - base
@@ -452,8 +463,6 @@ def train_session(
 
     expand_for_session(model, len(plan.session_classes[t - 1]), rngs["init"])
     index, visible, exemplar = _session_rows(plan, train, t, buffer)
-    if not len(index):
-        raise ValueError(f"session {t} has no training examples")
 
     old_classes = plan.classes_through(t - 1)
     features = train.features[index]
@@ -525,6 +534,13 @@ def run_incremental(
     from .seeds import substream_rng
 
     assign_examples(plan, train, test)
+    # test rows go to the first session owning one of their classes, so
+    # session 1's rows make every later test union non-empty
+    for t, rows in enumerate(plan.train_indices, start=1):
+        if not rows:
+            raise DataError(f"session {t} has no train rows: no train image carries its classes")
+    if not plan.test_indices[0]:
+        raise DataError("session 1 has no test rows: no test image carries its classes")
     rngs = {name: substream_rng(master_seed, name) for name in ("init", "shuffle", "buffer")}
     model = init_model(train.features.shape[1:], ica_config, flags, rngs["init"])
     buffer = RehearsalBuffer(flags.buffer_policy)

@@ -9,9 +9,6 @@ import hashlib
 
 import numpy as np
 
-STREAMS = ("datagen", "init", "shuffle", "buffer")
-
-
 def substream_seed(master: int, name: str) -> int:
     digest = hashlib.sha256(f"{int(master)}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFFFFFFFFFFFFFF

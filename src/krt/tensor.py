@@ -6,8 +6,9 @@ on an explicit Tape and replayed in exact reverse execution order. Every op
 computes in its inputs' dtype: the model runs in float32 (see `protocol`),
 and the finite-difference and oracle tests run the same ops in float64.
 
-Broadcasting is deliberately restricted to a python scalar operand;
-anything else requires an explicit reshape/repeat. Every op output is
+Ops are module-level functions; `Tensor` has no operator sugar. There is no
+broadcasting: `add` takes a python scalar operand, `scale` multiplies by one,
+and anything else needs an explicit reshape/repeat. Every op output is
 checked for NaN/Inf and raises instead of propagating silently.
 
 The model's patch-sized work is two fused ops with analytic backwards, so
@@ -16,7 +17,11 @@ projection and position code, bit for bit the chain of those ops) and
 `attention_block` (norm1 and single-query attention over the patch rows).
 Shared arithmetic lives in private helpers (`_gelu_phi`, `_gelu_slope`,
 `_normalise_rows`), so a fused op and its standalone counterpart agree by
-construction. `conv3x3_same` remains as `patch_embed`'s test reference.
+construction.
+
+`transpose` and `conv3x3_same` have no caller in `krt`. They stay only
+because the benchmark's tracer (`perfbench/probe.py`) wraps them by name;
+`conv3x3_same` is also `patch_embed`'s test reference.
 """
 
 from __future__ import annotations
@@ -76,65 +81,17 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise TensorError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalar operands broadcast
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return add(self, -float(other))
-
-    def __rsub__(self, other):
-        return add(scale(self, -1.0), float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
 
     def slice(self, axis: int, start: int, stop: int) -> "Tensor":
         return slice_along(self, axis, start, stop)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
 
     def mean(self) -> "Tensor":
         return mean_all(self)
@@ -257,10 +214,8 @@ def add(a: Tensor, b) -> Tensor:
     return _result(a.data + b.data, [a, b], bwd)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; `b` may be a python scalar."""
-    if not isinstance(b, Tensor):
-        return scale(a, float(b))
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two tensors of one shape."""
     _check_same_shape(a, b, "mul")
 
     def bwd(g, a=a, b=b):
@@ -356,15 +311,6 @@ def gelu(a: Tensor) -> Tensor:
         return [(a, g * _gelu_slope(x, phi))] if a.requires_grad else []
 
     return _result(x * phi, [a], bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-
-    def bwd(g, a=a):
-        return [(a, np.full_like(a.data, float(g)))] if a.requires_grad else []
-
-    return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), [a], bwd)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -547,16 +493,14 @@ def _normalise_rows(x: np.ndarray, eps: float):
     return xc, inv
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Normalise over the last dimension, then apply gain and bias."""
-    if eps <= 0:
-        raise TensorError("layer_norm eps must be positive")
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalise over the last dimension (variance floor `LN_EPS`), then apply gain and bias."""
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise TensorError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last dim {d}"
         )
-    xhat, inv = _normalise_rows(a.data, eps)
+    xhat, inv = _normalise_rows(a.data, LN_EPS)
 
     def bwd(g, a=a, gain=gain, bias=bias, xhat=xhat, inv=inv, d=d):
         out = []
@@ -777,45 +721,33 @@ def _im2col3(x: np.ndarray) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
 
 
-def _col2im3(cols: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of _im2col3: scatter-add [B*h*w, 9c] back to [B,h,w,c]."""
-    b, h, w, c = shape
-    cols = cols.reshape(b, h, w, 9 * c)
-    padded = np.zeros((b, h + 2, w + 2, c), dtype=cols.dtype)
-    k = 0
-    for dy in range(3):
-        for dx in range(3):
-            padded[:, dy : dy + h, dx : dx + w, :] += cols[..., k * c : (k + 1) * c]
-            k += 1
-    return padded[:, 1:-1, 1:-1, :]
-
-
 def conv3x3_same(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3x3 same-padding convolution mixing local patches: [B,h,w,c] -> [B,h,w,m].
 
     Weights are [9c, m] (neighbourhood offsets unrolled row-major), bias [m].
+    The images x are a constant, as in `patch_embed`; they get no gradient.
     """
     if x.ndim != 4:
         raise TensorError(f"conv3x3_same expects [B,h,w,c], got {x.shape}")
     bsz, h, wd, c = x.shape
     if w.ndim != 2 or w.shape[0] != 9 * c or b.shape != (w.shape[1],):
         raise TensorError(f"conv3x3_same: weight {w.shape} / bias {b.shape} mismatch c={c}")
+    if x.requires_grad:
+        raise TensorError("conv3x3_same: the images are a constant; they get no gradient")
     m = w.shape[1]
     cols = _im2col3(x.data)
     out = (cols @ w.data + b.data).reshape(bsz, h, wd, m)
 
-    def bwd(g, x=x, w=w, b=b, cols=cols, shape=(bsz, h, wd, c), m=m):
-        out2 = []
+    def bwd(g, w=w, b=b, cols=cols, m=m):
+        res = []
         g2 = g.reshape(-1, m)
-        if x.requires_grad:
-            out2.append((x, _col2im3(g2 @ w.data.T, shape)))
         if w.requires_grad:
-            out2.append((w, cols.T @ g2))
+            res.append((w, cols.T @ g2))
         if b.requires_grad:
-            out2.append((b, g2.sum(axis=0)))
-        return out2
+            res.append((b, g2.sum(axis=0)))
+        return res
 
-    return _result(out, [x, w, b], bwd)
+    return _result(out, [w, b], bwd)
 
 
 def patch_embed(

@@ -147,6 +147,23 @@ def attention_block_oracle(q, rows, w_k, w_v, heads: int, scale: float) -> np.nd
     return out
 
 
+def col2im3_oracle(cols: np.ndarray, shape) -> np.ndarray:
+    """Scatter-add [B*h*w, 9c] columns of 3x3 neighbourhoods back to [B,h,w,c].
+
+    The adjoint of unrolling each zero-padded neighbourhood into a row, with
+    offsets (dy, dx) row-major and the channels of each offset contiguous.
+    """
+    b, h, w, c = shape
+    cols = cols.reshape(b, h, w, 9 * c)
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=cols.dtype)
+    k = 0
+    for dy in range(3):
+        for dx in range(3):
+            padded[:, dy : dy + h, dx : dx + w, :] += cols[..., k * c : (k + 1) * c]
+            k += 1
+    return padded[:, 1:-1, 1:-1, :]
+
+
 def pseudo_count_oracle(scores: np.ndarray, eta: float, exclude=None) -> float:
     """Average pseudo labels per image by direct counting."""
     m = scores.shape[0]

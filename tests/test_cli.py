@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import krt
 from krt import DplConfig, GenSpec, IcaConfig, LossConfig, cli
 from krt.cli import RunConfig, main, parse_config
-from krt.datagen import generate, save_dataset
+from krt.datagen import Dataset, generate, save_dataset
 from krt.protocol import TrainConfig
 from krt.seeds import substream_seed
 
@@ -163,6 +163,37 @@ def test_bad_dataset_files_fail_at_load(spoil, message, tmp_path, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("E_DATA: ") and message in err, err
+
+
+def _four_class_split(labels):
+    """A 4x4x2 dataset of classes a..d whose rows carry the given label columns."""
+    rows = np.zeros((len(labels), 4), dtype=bool)
+    for i, columns in enumerate(labels):
+        rows[i, columns] = True
+    features = np.ones((len(labels), 4, 4, 2), dtype=np.float32)
+    return Dataset(["a", "b", "c", "d"], np.arange(1, len(labels) + 1, dtype=np.uint64), features, rows)
+
+
+@pytest.mark.parametrize(
+    "train_labels, test_labels, message",
+    [
+        ([[0], [1, 2], [3]], [[2], [3]], "session 1 has no test rows"),
+        ([[0], [1], [0, 1]], [[0], [2, 3]], "session 2 has no train rows"),
+    ],
+    ids=["test_split_without_session_1", "train_split_without_session_2"],
+)
+def test_a_session_without_rows_fails_before_training(
+    train_labels, test_labels, message, tmp_path, capsys
+):
+    paths = {"train_path": str(tmp_path / "train.bin"), "test_path": str(tmp_path / "test.bin")}
+    save_dataset(_four_class_split(train_labels), paths["train_path"])
+    save_dataset(_four_class_split(test_labels), paths["test_path"])
+    out = tmp_path / "out"
+    argv = TINY_RUN + ["--set", f"dataset={json.dumps(paths)}", "--set", "plan.inc=2"]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("E_DATA: ") and message in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -353,6 +384,31 @@ def test_compare_reports_a_file_that_is_not_a_results_file(content, tmp_path, ca
     bad.write_text(content)
     assert main(["compare", str(bad), str(bad)]) == 3
     assert capsys.readouterr().err.startswith(f"E_DATA: {bad}: not a results file")
+
+
+@pytest.mark.parametrize(
+    "spoil, field",
+    [
+        (lambda r: r["config"].pop("plan"), "config.plan"),
+        (lambda r: r["config"].pop("dataset"), "config.dataset"),
+        (lambda r: r["config"].update(arm=None), "config.arm"),
+        (lambda r: r["aggregates"].pop("last_map"), "aggregates.last_map"),
+        (lambda r: r["aggregates"].update(avg_map="high"), "aggregates.avg_map"),
+        (lambda r: r.update(aggregates=[]), "aggregates.avg_map"),
+    ],
+    ids=["no_plan", "no_dataset", "null_arm", "no_last_map", "text_avg_map", "list_aggregates"],
+)
+def test_compare_rejects_a_results_file_without_a_field_it_reads(spoil, field, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(TINY_RUN + ["--out", str(out)]) == 0
+    good = out / "results.json"
+    result = json.loads(good.read_text())
+    spoil(result)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(result))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 3
+    assert capsys.readouterr().err == f"E_DATA: {bad}: not a results file (bad or missing {field})\n"
 
 
 def test_run_flags_are_the_documented_set(capsys):

@@ -216,7 +216,7 @@ class TestSessions:
 
         def forward():
             es = forward_all_sessions(state, patches)
-            return T.concat([T.mul(e, p).sum().reshape(1) for e, p in zip(es, projs)], 0).sum()
+            return T.mean_all(T.concat([T.mean_all(T.mul(e, p)).reshape(1) for e, p in zip(es, projs)], 0))
 
         with Tape():
             loss = forward()
@@ -230,7 +230,7 @@ class TestSessions:
             **{f"p{i}": p for i, p in enumerate(block_parameters(state))},
         }
         for name, leaf in leaves.items():
-            num = finite_diff_grad(lambda: forward().item(), leaf.data)
+            num = finite_diff_grad(lambda: float(forward().data), leaf.data)
             err = max_rel_err(leaf.grad, num)
             assert err < 1e-4, f"t={sessions} {name}: {err:.2e}"
 

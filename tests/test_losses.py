@@ -14,28 +14,28 @@ from oracles import cosine_oracle, finite_diff_grad, max_rel_err
 class TestAslLoss:
     def test_reduces_to_bce_single_cell(self):
         loss = asl_loss(Tensor([[0.5]]), [[1.0]], LossConfig(gamma_pos=0, gamma_neg=0))
-        assert loss.item() == pytest.approx(float(np.log(2.0)), abs=1e-12)
-        assert f"{loss.item():.4f}" == "0.6931"
+        assert loss.data == pytest.approx(float(np.log(2.0)), abs=1e-12)
+        assert f"{loss.data:.4f}" == "0.6931"
 
     def test_perfect_positive_is_near_zero(self):
         p = 1.0 - 1e-7
         for gp in (0.0, 1.0, 4.0):
             loss = asl_loss(Tensor([[p]]), [[1.0]], LossConfig(gamma_pos=gp))
-            assert loss.item() < 1e-6
+            assert loss.data < 1e-6
 
     def test_focused_negative_scalar_matches_high_precision(self):
         loss = asl_loss(Tensor([[0.5]]), [[0.0]], LossConfig(gamma_pos=0, gamma_neg=4))
         with mpmath.workdps(50):
             want = float(mpmath.mpf(0.5) ** 4 * (-mpmath.log(mpmath.mpf(0.5))))
-        assert loss.item() == pytest.approx(want, abs=1e-12)
-        assert loss.item() == pytest.approx(0.04332, abs=1e-5)
+        assert loss.data == pytest.approx(want, abs=1e-12)
+        assert loss.data == pytest.approx(0.04332, abs=1e-5)
 
     def test_bce_collapse_on_random_batches(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = rng.uniform(0.01, 0.99, size=(6, 5))
             y = (rng.uniform(size=(6, 5)) < 0.4).astype(float)
-            got = asl_loss(Tensor(p), y, LossConfig(gamma_pos=0, gamma_neg=0)).item()
+            got = asl_loss(Tensor(p), y, LossConfig(gamma_pos=0, gamma_neg=0)).data
             bce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
             assert abs(got - bce) < 1e-9
 
@@ -55,15 +55,15 @@ class TestAslLoss:
         with Tape():
             loss = forward()
         backward(loss)
-        num = finite_diff_grad(lambda: forward().item(), logits.data)
+        num = finite_diff_grad(lambda: forward().data, logits.data)
         assert max_rel_err(logits.grad, num) < 1e-4
 
     def test_margin_variant_shifts_negatives(self):
         p = Tensor([[0.04]])
         cfg = LossConfig(gamma_pos=0, gamma_neg=2, neg_margin=0.05)
         # p - margin < 0 -> clipped to 0 -> zero loss on this negative
-        assert asl_loss(p, [[0.0]], cfg).item() == 0.0
-        plain = asl_loss(p, [[0.0]], LossConfig(gamma_pos=0, gamma_neg=2)).item()
+        assert asl_loss(p, [[0.0]], cfg).data == 0.0
+        plain = asl_loss(p, [[0.0]], LossConfig(gamma_pos=0, gamma_neg=2)).data
         assert plain > 0.0
 
     def test_config_validation(self):
@@ -78,19 +78,19 @@ class TestTokenLoss:
         rng = np.random.default_rng(2)
         e = [rng.standard_normal((4, 8)) for _ in range(2)]
         curr = [Tensor(x) for x in e] + [Tensor(rng.standard_normal((4, 8)))]
-        assert abs(token_loss(e, curr).item()) < 1e-12
+        assert abs(token_loss(e, curr).data) < 1e-12
 
     def test_negated_prefix_is_two(self):
         rng = np.random.default_rng(3)
         e = [rng.standard_normal((4, 8)) for _ in range(2)]
         curr = [Tensor(-x) for x in e] + [Tensor(rng.standard_normal((4, 8)))]
-        assert token_loss(e, curr).item() == pytest.approx(2.0, abs=1e-12)
+        assert token_loss(e, curr).data == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_concatenated_cosine_oracle(self):
         rng = np.random.default_rng(4)
         prev = [rng.standard_normal((3, 8)) for _ in range(2)]  # t=3 -> 2 old
         curr = [Tensor(rng.standard_normal((3, 8))) for _ in range(3)]
-        got = token_loss(prev, curr).item()
+        got = token_loss(prev, curr).data
         cosines = [
             cosine_oracle(
                 np.concatenate([c.data[i] for c in curr[:2]]),
@@ -105,7 +105,7 @@ class TestTokenLoss:
         for _ in range(1000):
             prev = [rng.standard_normal((2, 4))]
             curr = [Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
-            v = token_loss(prev, curr).item()
+            v = token_loss(prev, curr).data
             assert 0.0 <= v <= 2.0
 
     def test_no_gradient_into_snapshot(self):
@@ -129,17 +129,17 @@ class TestTokenLoss:
 class TestKdPooledLoss:
     def test_identical_features(self):
         x = np.random.default_rng(8).standard_normal((3, 5))
-        assert abs(kd_pooled_loss(x, Tensor(x)).item()) < 1e-12
+        assert abs(kd_pooled_loss(x, Tensor(x)).data) < 1e-12
 
     def test_orthogonal_features(self):
         a = np.array([[1.0, 0.0]])
         b = Tensor([[0.0, 1.0]])
-        assert kd_pooled_loss(a, b).item() == pytest.approx(1.0, abs=1e-12)
+        assert kd_pooled_loss(a, b).data == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_over_batch(self):
         prev = np.array([[1.0, 0.0], [1.0, 0.0]])
         curr = Tensor([[1.0, 0.0], [0.0, 1.0]])  # cosines 1 and 0
-        assert kd_pooled_loss(prev, curr).item() == pytest.approx(0.5, abs=1e-12)
+        assert kd_pooled_loss(prev, curr).data == pytest.approx(0.5, abs=1e-12)
 
 
 class TestTotalLoss:
@@ -151,11 +151,11 @@ class TestTotalLoss:
 
     def test_lambda_zero_disables_token_term(self):
         out = total_loss(Tensor(0.5), Tensor(0.9), LossConfig(lam=0.0), session=3)
-        assert out.item() == 0.5
+        assert out.data == 0.5
 
     def test_weighted_sum(self):
         out = total_loss(Tensor(0.5), Tensor(0.002), LossConfig(lam=100.0), session=2)
-        assert out.item() == pytest.approx(0.7, abs=1e-12)
+        assert out.data == pytest.approx(0.7, abs=1e-12)
 
 
 class TestDescentProperty:
@@ -190,7 +190,7 @@ class TestDescentProperty:
             opt.step()
             opt.zero_grad()
             tape.clear()
-            return loss.item()
+            return loss.data
 
         first = step()
         last = None

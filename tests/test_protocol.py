@@ -89,6 +89,11 @@ class TestBuildPlan:
         assert plan.session_classes == [[1, 0], [3, 2]]
         assert build_plan(["c", "a", "b"], base=0, inc=1).session_classes == [[1], [2], [0]]
 
+    def test_repeated_class_names_rejected(self):
+        # a repeated name would train one column twice and another never
+        with pytest.raises(ValueError, match="class names repeat"):
+            build_plan(["a", "a", "b", "b"], base=0, inc=2)
+
     def test_first_session_trains_the_first_name_of_a_loaded_file(self, tmp_path):
         train, test, names = tiny_data()
         flipped = names[::-1]  # column 0 is now the last name, column 5 the first
