@@ -58,6 +58,10 @@ class GenSpec:
             raise ValueError("more labels per image than grid cells")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma {self.noise_sigma} must be non-negative")
+        with np.errstate(over="ignore"):
+            affinity = _affinity(self)
+        if not (np.isfinite(affinity).all() and (affinity > 0.0).all()):
+            raise ValueError(f"co_occurrence {self.co_occurrence} takes the label affinity out of float range")
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Training losses: asymmetric classification, token retention, pooled-feature KD.
 
 The asymmetric loss is binary cross-entropy with separate focusing
-exponents on positives and negatives. The token loss penalises any drift
-of the old session embeddings relative to the previous model's snapshot
-(one cosine over the concatenated prefix per item, averaged over the
-batch). The pooled-feature distillation loss exists only for the ablation
-baseline arm.
+exponents on positives and negatives, taped as one op (`T.asl`). The token
+loss penalises any drift of the old session embeddings relative to the
+previous model's snapshot (one cosine over the concatenated prefix per
+item, averaged over the batch). The pooled-feature distillation loss exists
+only for the ablation baseline arm.
 """
 
 from __future__ import annotations
@@ -29,38 +29,20 @@ class LossConfig:
     def __post_init__(self):
         if self.gamma_pos < 0 or self.gamma_neg < 0:
             raise ValueError("focusing parameters must be non-negative")
+        if not 0.0 <= self.neg_margin < 1.0:
+            raise ValueError(f"neg_margin {self.neg_margin} must be in [0, 1)")
         if self.lam < 0:
             raise ValueError("token loss weight must be non-negative")
 
 
 def asl_loss(probs: Tensor, targets, config: LossConfig) -> Tensor:
-    """Mean asymmetric loss over every (sample, class) cell.
-
-    probs must already live in (0, 1) (the sigmoid op clamps); targets are
-    a same-shaped 0/1 array treated as a constant.
-    """
-    y = np.asarray(targets if not isinstance(targets, Tensor) else targets.data, dtype=probs.dtype)
+    """Mean ASL (`T.asl`) of probs in (0, 1) against same-shaped constant 0/1 targets."""
+    y = np.asarray(targets, dtype=probs.dtype)
     if y.shape != probs.shape:
         raise ValueError(f"targets shape {y.shape} != probs shape {probs.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("targets must be binary")
-
-    pos_mask = Tensor(y)
-    neg_mask = Tensor(1.0 - y)
-    one_minus_p = T.add(T.scale(probs, -1.0), 1.0)
-    if config.neg_margin > 0.0:
-        # negatives judged on max(p - margin, 0); needs gamma_neg >= 1
-        shifted = T.add(probs, -config.neg_margin)
-        gate = Tensor((shifted.data > 0.0).astype(probs.dtype))
-        p_neg = T.mul(shifted, gate)
-    else:
-        p_neg = probs
-    one_minus_p_neg = T.add(T.scale(p_neg, -1.0), 1.0)
-
-    pos_term = T.mul(T.power(one_minus_p, config.gamma_pos), T.log(probs))
-    neg_term = T.mul(T.power(p_neg, config.gamma_neg), T.log(one_minus_p_neg))
-    cellwise = T.add(T.mul(pos_mask, pos_term), T.mul(neg_mask, neg_term))
-    return T.scale(cellwise.mean(), -1.0)
+    return T.asl(probs, y, config.gamma_pos, config.gamma_neg, config.neg_margin)
 
 
 def token_loss(e_prev: list, e_curr: list) -> Tensor:

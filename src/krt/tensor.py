@@ -14,14 +14,16 @@ checked for NaN/Inf and raises instead of propagating silently.
 The model's patch-sized work is two fused ops with analytic backwards, so
 no [B, h*w, d] intermediate is taped: `patch_embed` (3x3 conv, exact GELU,
 projection and position code, bit for bit the chain of those ops) and
-`attention_block` (norm1 and single-query attention over the patch rows).
+`attention_block` (norm1 and single-query attention over the patch rows);
+the loss is a third, `asl`.
 Shared arithmetic lives in private helpers (`_gelu_phi`, `_gelu_slope`,
 `_normalise_rows`), so a fused op and its standalone counterpart agree by
 construction.
 
-`transpose` and `conv3x3_same` have no caller in `krt`. They stay only
-because the benchmark's tracer (`perfbench/probe.py`) wraps them by name;
-`conv3x3_same` is also `patch_embed`'s test reference.
+`transpose`, `conv3x3_same`, `mul`, `power` and `log` have no caller in
+`krt`. They stay only because the benchmark's tracer (`perfbench/probe.py`)
+wraps them by name; the last four also build the test references of
+`patch_embed` and `asl`.
 """
 
 from __future__ import annotations
@@ -321,6 +323,49 @@ def mean_all(a: Tensor) -> Tensor:
         return [(a, np.full_like(a.data, float(g) / n))] if a.requires_grad else []
 
     return _result(np.asarray(a.data.mean(), dtype=a.data.dtype), [a], bwd)
+
+
+def _power_slope(g: np.ndarray, gamma: float, base: np.ndarray) -> np.ndarray:
+    """`power`'s backward of base**gamma for upstream g, but 0 where base is 0."""
+    zeros = np.zeros_like(base)
+    return zeros if gamma == 0.0 else g * gamma * np.power(base, gamma - 1.0, where=base > 0.0, out=zeros)
+
+
+def asl(probs: Tensor, targets: np.ndarray, gamma_pos: float, gamma_neg: float, neg_margin: float) -> Tensor:
+    """Mean asymmetric loss (ASL, arXiv 2009.14119) over all cells, as a scalar.
+
+    A positive cell costs -(1-p)^gamma_pos log p, a negative one -q^gamma_neg
+    log(1-q), q = max(p - neg_margin, 0); probs lie in (0, 1), targets is a
+    constant 0/1 array of their shape and dtype. Loss and gradient are bit for
+    bit the taped chain of `scale`, `add`, `power`, `log`, `mul` and `mean_all`
+    (four gradient terms summed in the tape's order), but a margin-gated q = 0
+    gets q^gamma_neg's limit slope, 0, not NaN for gamma_neg < 1.
+    """
+    p, y = probs.data, np.asarray(targets)
+    if y.shape != p.shape or y.dtype != p.dtype:
+        raise TensorError(f"asl: targets {y.shape} {y.dtype} do not match probs {p.shape} {p.dtype}")
+    gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
+    not_y, one_minus_p = 1.0 - y, 1.0 - p
+    gate = (p - neg_margin > 0.0).astype(p.dtype) if neg_margin > 0.0 else None
+    q = p if gate is None else (p - neg_margin) * gate
+    one_minus_q = 1.0 - q
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite log fails the output check
+        log_p, log_one_minus_q = np.log(p), np.log(one_minus_q)
+    pow_pos, pow_neg = np.power(one_minus_p, gamma_pos), np.power(q, gamma_neg)
+    cells = y * (pow_pos * log_p) + not_y * (pow_neg * log_one_minus_q)
+
+    def bwd(g, probs=probs):  # recorded only when probs needs a gradient
+        g_cell = np.full_like(p, -float(g) / p.size)
+        g_pos, g_neg = g_cell * y, g_cell * not_y
+        neg_pow = _power_slope(g_neg * log_one_minus_q, gamma_neg, q)
+        pos_log = g_pos * pow_pos / p
+        neg_scale = -(g_neg * pow_neg / one_minus_q)
+        pos_scale = -_power_slope(g_pos * log_p, gamma_pos, one_minus_p)
+        if gate is None:
+            return [(probs, neg_pow + pos_log + neg_scale + pos_scale)]
+        return [(probs, pos_log + (neg_pow + neg_scale) * gate + pos_scale)]
+
+    return _result(-np.asarray(cells.mean(), dtype=p.dtype), [probs], bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is deliberately naive (loops, enumeration, finite
-differences) and shares no code with the library paths it verifies.
+differences) and shares no code with the library paths it verifies, except
+`asl_oracle`: the chain of taped elementwise ops that `T.asl` fuses, which
+checks the op bit for bit.
 """
 
 import math
@@ -162,6 +164,33 @@ def col2im3_oracle(cols: np.ndarray, shape) -> np.ndarray:
             padded[:, dy : dy + h, dx : dx + w, :] += cols[..., k * c : (k + 1) * c]
             k += 1
     return padded[:, 1:-1, 1:-1, :]
+
+
+def asl_oracle(probs, targets, gamma_pos: float, gamma_neg: float, neg_margin: float):
+    """`T.asl` as the taped chain of `scale`, `add`, `power`, `log`, `mul` and `mean_all`.
+
+    Taking the gradient of a negative that the margin gates to 0 gives NaN
+    for gamma_neg < 1, as `power`'s backward meets 0 ** (gamma_neg - 1).
+    """
+    from krt import tensor as T
+
+    y = np.asarray(targets, dtype=probs.dtype)
+    pos_mask = T.Tensor(y)
+    neg_mask = T.Tensor(1.0 - y)
+    one_minus_p = T.add(T.scale(probs, -1.0), 1.0)
+    if neg_margin > 0.0:
+        # negatives judged on max(p - margin, 0)
+        shifted = T.add(probs, -neg_margin)
+        gate = T.Tensor((shifted.data > 0.0).astype(probs.dtype))
+        p_neg = T.mul(shifted, gate)
+    else:
+        p_neg = probs
+    one_minus_p_neg = T.add(T.scale(p_neg, -1.0), 1.0)
+
+    pos_term = T.mul(T.power(one_minus_p, gamma_pos), T.log(probs))
+    neg_term = T.mul(T.power(p_neg, gamma_neg), T.log(one_minus_p_neg))
+    cellwise = T.add(T.mul(pos_mask, pos_term), T.mul(neg_mask, neg_term))
+    return T.scale(T.mean_all(cellwise), -1.0)
 
 
 def pseudo_count_oracle(scores: np.ndarray, eta: float, exclude=None) -> float:

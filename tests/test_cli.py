@@ -255,6 +255,7 @@ def test_echo_parses_back_to_the_same_config(raw):
 
 
 DATASET_SIZES = "config.dataset: grid_h, grid_w, channels, n_train and n_test must be positive"
+CO_OCCURRENCE = "config.dataset: co_occurrence {} takes the label affinity out of float range"
 
 
 @pytest.mark.parametrize(
@@ -295,6 +296,10 @@ DATASET_SIZES = "config.dataset: grid_h, grid_w, channels, n_train and n_test mu
         ("loss.gamma_neg=Infinity", "config.loss.gamma_neg: expected a finite float"),
         ("optimizer.lr=-1e400", "config.optimizer.lr: expected a finite float"),
         ("dpl.mu=-1", "config.dpl: mu -1.0 must be finite and non-negative"),
+        ("loss.neg_margin=-1", "config.loss: neg_margin -1.0 must be in [0, 1)"),
+        ("loss.neg_margin=1", "config.loss: neg_margin 1.0 must be in [0, 1)"),
+        ("dataset.co_occurrence=1000", CO_OCCURRENCE.format(1000.0)),
+        ("dataset.co_occurrence=-1000", CO_OCCURRENCE.format(-1000.0)),
     ],
 )
 def test_bad_values_fail_at_the_boundary(override, message, tmp_path, capsys):
@@ -462,9 +467,11 @@ _VALID = {
     "dataset.n_train": st.integers(1, 10**6),
     "dataset.n_test": st.integers(1, 10**6),
     "dataset.noise_sigma": _non_negative,
+    "dataset.co_occurrence": st.floats(-100, 100),
     "loss.lambda": _non_negative,
     "loss.gamma_pos": _non_negative,
     "loss.gamma_neg": _non_negative,
+    "loss.neg_margin": st.floats(0, 1, exclude_max=True),
     "dpl.eta0": _unit,
     "dpl.mu": _non_negative,
     "dpl.eta_step": st.floats(1e-4, 0.5),

@@ -1,6 +1,10 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from krt import tensor as T
 from krt.ica import IcaConfig, add_session, forward_all_sessions, init_ica, tensor_fields
@@ -8,7 +12,7 @@ from krt.losses import LossConfig, asl_loss, kd_pooled_loss, token_loss, total_l
 from krt.optim import Adam
 from krt.tensor import Tape, Tensor, backward
 
-from oracles import cosine_oracle, finite_diff_grad, max_rel_err
+from oracles import asl_oracle, cosine_oracle, finite_diff_grad, max_rel_err
 
 
 class TestAslLoss:
@@ -71,6 +75,77 @@ class TestAslLoss:
             LossConfig(gamma_neg=-1)
         with pytest.raises(ValueError):
             LossConfig(lam=-5)
+        for margin in (-0.1, 1.0, 2.0):
+            with pytest.raises(ValueError, match="neg_margin"):
+                LossConfig(neg_margin=margin)
+
+
+def asl_through_sigmoid(op, logits, y, gammas, margin):
+    """(loss, logits gradient) of op(sigmoid(logits), y, *gammas, margin) on a fresh leaf."""
+    x = Tensor(logits.copy(), requires_grad=True)
+    with Tape():
+        loss = op(T.sigmoid(x), y, *gammas, margin)
+    backward(loss)
+    return loss.data, x.grad
+
+
+class TestAslOp:
+    @pytest.mark.parametrize("margin", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_the_taped_chain(self, dtype, margin):
+        rng = np.random.default_rng(int(margin * 100) + dtype().itemsize)
+        for gammas in itertools.product([0.0, 0.5, 1.0, 2.0], [0.0, 1.0, 2.0, 4.0]):
+            # logits up to 20 in size, so the sigmoid's clamp engages
+            logits = rng.uniform(-20.0, 20.0, (7, 9)).astype(dtype)
+            y = (rng.uniform(size=(7, 9)) < 0.3).astype(dtype)
+            got = asl_through_sigmoid(T.asl, logits, y, gammas, margin)
+            want = asl_through_sigmoid(asl_oracle, logits, y, gammas, margin)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype
+                assert np.array_equal(a, b), gammas
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma_pos=st.floats(0.0, 4.0),
+        gamma_neg=st.floats(0.0, 4.0),
+        margin=st.sampled_from([0.0, 0.05, 0.3]) | st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradient_matches_finite_differences(self, gamma_pos, gamma_neg, margin, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.01, 0.99, (4, 5))
+        # every cell at least 0.01 from the margin's kink at p = margin
+        assume(margin == 0.0 or np.abs(p - margin).min() > 0.01)
+        probs = Tensor(p, requires_grad=True)
+        y = (rng.uniform(size=(4, 5)) < 0.4).astype(float)
+
+        def forward():
+            return T.asl(probs, y, gamma_pos, gamma_neg, margin)
+
+        with Tape():
+            loss = forward()
+        backward(loss)
+        num = finite_diff_grad(lambda: float(forward().data), probs.data)
+        assert max_rel_err(probs.grad, num, floor=1e-6) < 1e-4
+
+    def test_a_gated_negative_has_a_zero_gradient_below_gamma_one(self):
+        # the margin gates the first cell's q to 0; 0 ** (0.5 - 1) made the chain's gradient NaN
+        logits = np.array([[-5.0, 0.3]])
+        y = np.array([[0.0, 1.0]])
+        loss, grad = asl_through_sigmoid(T.asl, logits, y, (0.0, 0.5), 0.1)
+        assert np.isfinite(grad).all()
+        assert grad[0, 0] == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = asl_through_sigmoid(asl_oracle, logits, y, (0.0, 0.5), 0.1)
+        assert np.isnan(want[1][0, 0])
+        assert loss == want[0]
+        assert grad[0, 1] == want[1][0, 1]
+
+    def test_targets_must_match_the_probs(self):
+        probs = Tensor(np.full((2, 3), 0.5))
+        for y in (np.zeros((3, 2)), np.zeros((2, 3), dtype=np.float32)):
+            with pytest.raises(T.TensorError, match="targets"):
+                T.asl(probs, y, 0.0, 4.0, 0.0)
 
 
 class TestTokenLoss:

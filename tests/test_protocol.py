@@ -530,6 +530,32 @@ class TestRunIncremental:
         # later sessions evaluate over more classes
         assert len(outcomes[2].metrics.per_class_ap) == 6
 
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            (ArmFlags(), [35, 45, 50, 54, 58, 62, 66, 70]),  # krt
+            (ArmFlags(use_dpl=False, use_ica=False), [6, 7, 8, 9, 10, 11, 12, 13]),  # ft
+        ],
+    )
+    def test_tape_records_per_training_step(self, flags, want, monkeypatch):
+        # ICA and the token loss grow with the session; the loss is one op
+        sessions, records = [], {}
+        train_session, backward = protocol.train_session, protocol.backward
+
+        def session_spy(model, plan, t, *rest):
+            sessions.append(t)
+            return train_session(model, plan, t, *rest)
+
+        def backward_spy(loss):
+            records.setdefault(sessions[-1], set()).add(len(loss._tape))
+            return backward(loss)
+
+        monkeypatch.setattr(protocol, "train_session", session_spy)
+        monkeypatch.setattr(protocol, "backward", backward_spy)
+        train, test, names = tiny_data(n_classes=8, n_train=64, n_test=40)
+        plan = build_plan(names, base=0, inc=1)
+        run_incremental(train, test, plan, flags, tiny_ica(), tiny_config(1), 3)
+        assert records == {t: {n} for t, n in enumerate(want, start=1)}
 
 
 class TestModelDtype:
