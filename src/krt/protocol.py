@@ -32,17 +32,13 @@ parameters, so parameters, activations, gradients, Adam moments, teacher
 outputs and eval scores all stay float32. The tensor ops are dtype-generic
 and keep float64 as the reference dtype of the gradient and oracle tests.
 
-In float32, results can depend on the BLAS thread count: a GEMM that
-reduces over many rows splits that sum by thread, and a float32 rounding
-difference can flip a pseudo-label or an mAP rank. `T.attention_block`
-sums its key gradient per image, in an order that does not depend on the
-thread count. On a 2-core Xeon the accuracy guard's configs
-(`perfbench/guard.py`) give the same mAPs at one and two OpenBLAS threads
-(`incr_paper`: avg mAP 20.921470 at both). The full-size `incr_paper`
-workload does not (last mAP 14.5267 at one thread, 14.5095 at two). Its
-first difference is in `patch_embed`'s two weight-gradient products,
-which reduce over all B*h*w patch rows. Compare runs made at one thread
-count.
+Results are meant not to depend on the BLAS thread count: a GEMM splits a
+long sum by thread, and a float32 rounding difference can flip a
+pseudo-label or an mAP rank. So the weight gradients that sum over all
+B*h*w patch rows (`T.attention_block`'s key gradient, `T.patch_embed`'s
+two) take one product per image, then sum over images. On a 2-core Xeon
+the three benchmark workloads at seed 0 give equal `results.json` at one
+and two OpenBLAS threads; a test holds guard-size `incr_paper` to that.
 """
 
 from __future__ import annotations

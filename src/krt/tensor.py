@@ -13,9 +13,8 @@ checked for NaN/Inf and raises instead of propagating silently.
 
 The model's patch-sized work is two fused ops with analytic backwards, so
 no [B, h*w, d] intermediate is taped: `patch_embed` (3x3 conv, exact GELU,
-projection and position code, bit for bit the chain of those ops) and
-`attention_block` (norm1 and single-query attention over the patch rows);
-the loss is a third, `asl`.
+projection and position code) and `attention_block` (norm1 and
+single-query attention over the patch rows); the loss is a third, `asl`.
 Shared arithmetic lives in private helpers (`_gelu_phi`, `_gelu_slope`,
 `_normalise_rows`), so a fused op and its standalone counterpart agree by
 construction.
@@ -807,11 +806,11 @@ def patch_embed(
 
     Each grid cell's row is gelu(conv3x3_same(images, conv_w, conv_b)) at
     that cell, projected by proj_w:[m, d] and proj_b:[d], plus its row of
-    the position code pos:[1, h*w, d]. Output and the gradients of the four
-    weights are bit for bit those of the taped chain conv3x3_same, gelu,
-    affine and add: every step is the same numpy arithmetic on arrays of the
-    same shapes (gelu's through `_gelu_phi` and `_gelu_slope`), done in place
-    where the chain allocated a new array.
+    the position code pos:[1, h*w, d]. Output and the bias gradients are bit
+    for bit those of the taped chain conv3x3_same, gelu, affine and add: the
+    same numpy arithmetic on arrays of the same shapes (gelu's through
+    `_gelu_phi` and `_gelu_slope`), done in place. The weight gradients sum
+    the chain's products per image, so no GEMM splits a sum by thread.
 
     images and pos are constants. The backward keeps the conv output z and
     Phi(z) only; it rebuilds the 3x3 columns from the images and gelu(z) as
@@ -862,18 +861,21 @@ def patch_embed(
         out = out.reshape(bsz, h * wd, d)
         out += pos.data
 
+    def per_image(a, g2):  # a^T g2 for a:[B*h*w, k], summed per image and then over images
+        return np.matmul(a.reshape(bsz, h * wd, -1).transpose(0, 2, 1), g2.reshape(bsz, h * wd, -1)).sum(0)
+
     def bwd(g, images=images, conv_w=conv_w, conv_b=conv_b, proj_w=proj_w, proj_b=proj_b):
         res = []
         g2 = g.reshape(-1, d)
         if proj_w.requires_grad:
-            res.append((proj_w, (z * phi).T @ g2))
+            res.append((proj_w, per_image(z * phi, g2)))
         if proj_b.requires_grad:
             res.append((proj_b, g2.sum(axis=0)))
         if conv_w.requires_grad or conv_b.requires_grad:
             g_z = g2 @ proj_w.data.T
             g_z *= _gelu_slope(z, phi)
             if conv_w.requires_grad:
-                res.append((conv_w, _im2col3(images.data).T @ g_z))
+                res.append((conv_w, per_image(_im2col3(images.data), g_z)))
             if conv_b.requires_grad:
                 res.append((conv_b, g_z.sum(axis=0)))
         return res

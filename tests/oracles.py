@@ -193,6 +193,16 @@ def asl_oracle(probs, targets, gamma_pos: float, gamma_neg: float, neg_margin: f
     return T.scale(T.mean_all(cellwise), -1.0)
 
 
+def per_image_product_oracle(a: np.ndarray, g: np.ndarray, bsz: int) -> np.ndarray:
+    """a^T g for a:[B*L, k] and g:[B*L, m]: each image's rows' product, summed image by image."""
+    a = a.reshape(bsz, -1, a.shape[1])
+    g = g.reshape(bsz, -1, g.shape[1])
+    total = a[0].T @ g[0]
+    for i in range(1, bsz):
+        total = total + a[i].T @ g[i]
+    return total
+
+
 def pseudo_count_oracle(scores: np.ndarray, eta: float, exclude=None) -> float:
     """Average pseudo labels per image by direct counting."""
     m = scores.shape[0]

@@ -20,6 +20,9 @@ from krt.protocol import TrainConfig
 from krt.seeds import substream_seed
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def test_python_dash_m_krt_prints_help():
     src = str(Path(krt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -35,8 +38,8 @@ def test_python_dash_m_krt_prints_help():
 def test_results_are_identical_across_process_restarts(tmp_path):
     src = str(Path(krt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    # float32 results repeat only at one BLAS thread count (see krt.protocol)
-    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    # one BLAS thread count; the next test varies it
+    threads = {var: "1" for var in BLAS_THREADS}
     env = {**os.environ, "PYTHONPATH": path, **threads}
     argv = [sys.executable, "-m", "krt"] + TINY_RUN + ["--arm", "krt", "--seed", "7"]
     results = []
@@ -52,6 +55,29 @@ def test_results_are_identical_across_process_restarts(tmp_path):
     for r in results:
         assert r.pop("wall_clock_sec") >= 0
     assert results[0]["dpl_reports"]  # the run reached a DPL session
+    assert results[0] == results[1]
+
+
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # incr_paper at its accuracy guard's size: the paper shape, where a full-batch
+    # GEMM split its long sum by thread before patch_embed summed per image
+    src = str(Path(krt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    config = {**_load_workloads().guard_config("incr_paper", "run"), "seed": 0}
+    results = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        (cwd / "config.json").write_text(json.dumps(config))
+        env = {**os.environ, "PYTHONPATH": path, **{var: threads for var in BLAS_THREADS}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "krt", "run", "--config", "config.json"],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads((cwd / "run" / "results.json").read_text()))
+    for r in results:
+        assert r.pop("wall_clock_sec") >= 0
     assert results[0] == results[1]
 
 

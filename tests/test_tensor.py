@@ -17,6 +17,7 @@ from oracles import (
     layer_norm_oracle,
     matmul_oracle,
     max_rel_err,
+    per_image_product_oracle,
 )
 
 
@@ -533,6 +534,32 @@ def stem_weights(arrays):
     return [Tensor(a, requires_grad=0 < i < 5) for i, a in enumerate(arrays)]
 
 
+def stem_chain_weight_products(arrays, coef):
+    """The chain's weight gradients of conv_w and proj_w, per image then over images.
+
+    Each is a^T g of the chain's own operands: the 3x3 columns and the gradient
+    reaching the conv output, and gelu's output and the gradient reaching the
+    projection's output. A gradient is read by restarting the chain at that
+    output as a leaf; the ops after it are the same, and so is the gradient.
+    """
+    images, conv_w, conv_b, proj_w, proj_b, pos = [Tensor(a) for a in arrays]
+    bsz, h, w, _ = images.shape
+    z = Tensor(T.conv3x3_same(images, conv_w, conv_b).data, requires_grad=True)
+    with Tape():
+        feats = T.gelu(z)
+        rows = T.affine(feats.reshape(bsz * h * w, conv_w.shape[1]), proj_w, proj_b)
+        loss = dot(T.add(rows.reshape(*coef.shape), T.repeat_rows(pos, bsz)), coef)
+    backward(loss)
+    rows_leaf = Tensor(rows.data, requires_grad=True)
+    with Tape():
+        loss = dot(T.add(rows_leaf.reshape(*coef.shape), T.repeat_rows(pos, bsz)), coef)
+    backward(loss)
+    return (
+        per_image_product_oracle(T._im2col3(images.data), z.grad.reshape(bsz * h * w, -1), bsz),
+        per_image_product_oracle(feats.data.reshape(bsz * h * w, -1), rows_leaf.grad, bsz),
+    )
+
+
 class TestPatchEmbed:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -552,9 +579,18 @@ class TestPatchEmbed:
             backward(loss)
             return [out.data] + [leaf.grad for leaf in leaves[1:5]]
 
-        for got, want in zip(run(T.patch_embed), run(stem_chain)):
-            assert got.dtype == want.dtype == dtype
-            assert np.array_equal(got, want)
+        got, want = run(T.patch_embed), run(stem_chain)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+        # output and biases as the chain; the weights' products are summed per image
+        for i in (0, 2, 4):
+            assert np.array_equal(got[i], want[i])
+        for i, reference in zip((1, 3), stem_chain_weight_products(arrays, coef)):
+            assert np.array_equal(got[i], reference)
+            if bsz == 1:
+                assert np.array_equal(got[i], want[i])
+            elif dtype == np.float64:
+                assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max()
         # tape-free, gelu is taken in place
         constants = [Tensor(a) for a in arrays]
         assert np.array_equal(T.patch_embed(*constants).data, stem_chain(*constants).data)
