@@ -343,7 +343,7 @@ def asl(probs: Tensor, targets: np.ndarray, gamma_pos: float, gamma_neg: float, 
     p, y = probs.data, np.asarray(targets)
     if y.shape != p.shape or y.dtype != p.dtype:
         raise TensorError(f"asl: targets {y.shape} {y.dtype} do not match probs {p.shape} {p.dtype}")
-    gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
+    gamma_pos, gamma_neg, neg_margin = float(gamma_pos), float(gamma_neg), float(neg_margin)
     not_y, one_minus_p = 1.0 - y, 1.0 - p
     gate = (p - neg_margin > 0.0).astype(p.dtype) if neg_margin > 0.0 else None
     q = p if gate is None else (p - neg_margin) * gate

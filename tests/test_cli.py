@@ -59,8 +59,8 @@ def test_results_are_identical_across_process_restarts(tmp_path):
 
 
 def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # incr_paper at its accuracy guard's size: the paper shape, where a full-batch
-    # GEMM split its long sum by thread before patch_embed summed per image
+    # incr_paper at its accuracy guard's size: the paper shape, whose weight
+    # gradients sum over B*14*14 patch rows
     src = str(Path(krt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     config = {**_load_workloads().guard_config("incr_paper", "run"), "seed": 0}
