@@ -369,7 +369,7 @@ def _write_outputs(out_dir: str, result: RunResult) -> None:
 
 
 def load_result(path: str) -> RunResult:
-    """A results.json, checked for every field `compare` reads."""
+    """A results.json, checked for every field `compare` reads; aggregates are percentages."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -383,7 +383,8 @@ def load_result(path: str) -> RunResult:
     for section, key, kind in wanted + [("aggregates", key, (int, float)) for key in aggregates]:
         record = getattr(result, section)
         value = record.get(key) if isinstance(record, dict) else None
-        if not isinstance(value, kind) or isinstance(value, bool):
+        bad = not isinstance(value, kind) or isinstance(value, bool)
+        if bad or (section == "aggregates" and not 0.0 <= value <= 100.0):  # NaN fails too
             raise DataError(f"{path}: not a results file (bad or missing {section}.{key})")
     return result
 

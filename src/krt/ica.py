@@ -18,16 +18,16 @@ merge of Milakov & Gimelshein, arXiv 1805.02867). Column 0 of those
 two-entry weights is the attention mass on the retention token.
 
 `forward_all_sessions` is the one forward path. The query and the patch
-block run once. Each retention token's one-row block runs once per
-session. norm1 sits inside the block op (`T.attention_block` takes its
-gain and bias), so the normalised [B, L, d] patches are never formed and
-the patch side is one taped op. The merge then pairs every (session,
-image, head) with its two blocks, session-major, in one softmax and one
-weighted sum. `w_o`, the transfer-token residual, norm2, the MLP and the
-last residual run once on the [t, B, d] stack, whose per-session [B, d]
-slices are the embeddings. A forward thus records a fixed set of taped
-ops plus at most four per session, and costs O(L + t) rather than
-O(t * L).
+block run once; each retention token's one-row block runs once, and the
+t blocks are stacked. norm1 sits inside the block op (`T.attention_block`
+takes its gain and bias), so the normalised [B, L, d] patches are never
+formed and the patch side is one taped op. One op, `T.merge_blocks`,
+pairs every (session, image, head) with its two blocks into a [t, B, d]
+stack. `w_o`, the transfer-token residual, norm2, the MLP and the last
+residual run once on that stack, which is returned: slice s holds
+session s+1's embeddings. A forward thus records a fixed set of taped
+ops plus one block per session (and a live token's reshape), and costs
+O(L + t) rather than O(t * L).
 
 Old sessions' embeddings must keep their bits when a session is added
 (frozen tokens, unchanged weights). Two layouts that look equivalent
@@ -71,10 +71,6 @@ class IcaConfig:
             self.mlp_hidden = 4 * self.d
         if self.d % self.heads != 0:
             raise ValueError(f"embedding dim {self.d} not divisible by {self.heads} heads")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.heads
 
     @property
     def attn_scale(self) -> float:
@@ -149,20 +145,18 @@ def add_session(state: IcaState, rng: np.random.Generator) -> None:
     state.kr_tokens.append(T.uniform_param(rng, (d,), fan_in=d, dtype=state.kt_token.dtype))
 
 
-def forward_all_sessions(state: IcaState, patches: Tensor) -> list:
-    """[B, d] embeddings of [B, L, d] patches, one per session, in session order.
+def forward_all_sessions(state: IcaState, patches: Tensor) -> Tensor:
+    """The [t, B, d] stack of every session's embedding of [B, L, d] patches.
 
-    Session s's embedding is e1 + MLP(norm2(e1)), where e1 = kt + w_o .
-    attention(norm1(kt) over {norm1(kr_s)} and norm1(patches)) + b_o.
-    norm1 of the patches and of each kr_s runs inside their block's
-    `T.attention_block`, so the patches feed one taped op.
+    Slice s holds session s+1's embeddings e1 + MLP(norm2(e1)), where e1 =
+    kt + w_o . attention(norm1(kt) over {norm1(kr_s)} and norm1(patches)) +
+    b_o. norm1 runs inside each block's `T.attention_block`.
     """
     cfg = state.config
-    d, nh, dh = cfg.d, cfg.heads, cfg.head_dim
+    d, nh = cfg.d, cfg.heads
     if patches.ndim != 3 or patches.shape[2] != d:
         raise TensorError(f"patches must be [B, L, {d}], got {patches.shape}")
     bsz, t = patches.shape[0], state.session_count
-    rows = t * bsz * nh
 
     g1, b1 = state.norm1_gain, state.norm1_bias
 
@@ -170,22 +164,17 @@ def forward_all_sessions(state: IcaState, patches: Tensor) -> list:
         return T.attention_block(q, x, g1, b1, state.w_k, state.w_v, nh, cfg.attn_scale)
 
     q = T.matmul(T.layer_norm(state.kt_token, g1, b1).reshape(1, d), state.w_q).reshape(d)
+    # the patch block is taped first: the tape order fixes the order in
+    # which the q, w_k, w_v and norm1 gradients of all blocks are summed
     patch_block = block(q, patches)  # [B, heads, dh+1]
-    own = [
-        T.repeat_rows(block(q, kr.reshape(1, 1, d)), bsz)  # [B, heads, dh+1]
-        for kr in state.kr_tokens
-    ]
-    pairs = T.concat([T.concat(own, axis=0), T.concat([patch_block] * t, axis=0)], axis=2)
-    pairs = pairs.reshape(rows, 2, dh + 1)  # (retention token, patches) per session, image, head
-    weights = T.softmax_rows(pairs.slice(2, dh, dh + 1).reshape(rows, 2))
-    z = T.weighted_rows_sum(weights, pairs.slice(2, 0, dh)).reshape(t, bsz, d)
+    own = T.concat([block(q, kr.reshape(1, 1, d)) for kr in state.kr_tokens], axis=0)
+    z = T.merge_blocks(own, patch_block)  # [t, B, d]
 
     kt = T.repeat_rows(state.kt_token.reshape(1, d), t * bsz).reshape(t, bsz, d)
     e1 = T.add(kt, T.affine(z, state.w_o, state.b_o))
     h = T.layer_norm(e1, state.norm2_gain, state.norm2_bias)
     h = T.affine(T.gelu(T.affine(h, state.mlp_w1, state.mlp_b1)), state.mlp_w2, state.mlp_b2)
-    e = T.add(e1, h).reshape(t * bsz, d)
-    return [e.slice(0, s * bsz, (s + 1) * bsz) for s in range(t)]
+    return T.add(e1, h)
 
 
 def ica_forward(state: IcaState, session_index: int, patches: Tensor) -> Tensor:
@@ -194,4 +183,5 @@ def ica_forward(state: IcaState, session_index: int, patches: Tensor) -> Tensor:
         raise TensorError(
             f"session index {session_index} out of range 1..{state.session_count}"
         )
-    return forward_all_sessions(state, patches)[session_index - 1]
+    e = forward_all_sessions(state, patches).slice(0, session_index - 1, session_index)
+    return e.reshape(*e.shape[1:])

@@ -45,24 +45,23 @@ def asl_loss(probs: Tensor, targets, config: LossConfig) -> Tensor:
     return T.asl(probs, y, config.gamma_pos, config.gamma_neg, config.neg_margin)
 
 
-def token_loss(e_prev: list, e_curr: list) -> Tensor:
+def token_loss(e_prev: np.ndarray, e_curr: Tensor) -> Tensor:
     """1 - cosine between old embeddings and the current model's prefix.
 
-    e_prev holds t-1 per-session [B,d] arrays from the frozen previous
-    model; e_curr holds t [B,d] tensors from the current model, computed on
-    the same batch. Per item the prefix embeddings are concatenated into
+    e_prev is the frozen previous model's [t-1, B, d] embedding stack and
+    e_curr the current model's [t, B, d] stack, computed on the same batch.
+    Per item the prefix embeddings are concatenated, session-major, into
     one vector and compared with a single cosine; the batch mean is
     returned.
     """
-    if len(e_curr) != len(e_prev) + 1:
-        raise ValueError(
-            f"expected one more current embedding than previous, got {len(e_curr)} vs {len(e_prev)}"
-        )
-    if not e_prev:
+    if e_prev.ndim != 3 or e_curr.shape != (len(e_prev) + 1, *e_prev.shape[1:]):
+        raise ValueError(f"want a [t, B, d] stack one session past {e_prev.shape}, got {e_curr.shape}")
+    t, bsz, d = e_curr.shape
+    if t < 2:
         raise ValueError("token loss needs at least one previous-session embedding")
-    prefix = e_curr[: len(e_prev)]
-    curr_flat = T.concat(prefix, axis=1) if len(prefix) > 1 else prefix[0]
-    cos = T.cosine_similarity(curr_flat, Tensor(np.concatenate(e_prev, axis=1)))  # [B]
+    curr_flat = T.transpose(e_curr.slice(0, 0, t - 1), (1, 0, 2)).reshape(bsz, (t - 1) * d)
+    prev_flat = e_prev.transpose(1, 0, 2).reshape(bsz, (t - 1) * d)
+    cos = T.cosine_similarity(curr_flat, Tensor(prev_flat))  # [B]
     return T.add(T.scale(cos.mean(), -1.0), 1.0)
 
 

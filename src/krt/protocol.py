@@ -239,12 +239,12 @@ def expand_for_session(model: ModelState, n_new_classes: int, rng: np.random.Gen
 @dataclass
 class ForwardOut:
     logits: Tensor  # [B, N]
-    embeddings: list  # per session [B, d] (empty for pooled-path arms)
+    embeddings: Optional[Tensor]  # [t, B, d], session s+1's at [s]; None on pooled-path arms
     pooled: Optional[Tensor]  # [B, d] global average over patch tokens
 
 
 def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
-    """The patch stem (`T.patch_embed`), the ICA or pooled path, then the head stack."""
+    """The patch stem (`T.patch_embed`), the ICA or pooled path, then `T.session_heads`."""
     if model.session_count == 0:
         raise ValueError("model has no sessions yet")
     x = Tensor(np.asarray(images, dtype=model.dtype))
@@ -254,19 +254,12 @@ def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
         x, model.conv_w, model.conv_b, model.proj_w, model.proj_b, model.pos_enc
     )
 
-    pooled = None
+    embeddings = pooled = None
     if model.flags.use_ica:
         embeddings = ica_mod.forward_all_sessions(model.ica, patches)
-        per_session = embeddings
-        if model.flags.use_kd:
-            pooled = _global_pool(patches)
-    else:
-        embeddings = []
+    if model.flags.use_kd or not model.flags.use_ica:
         pooled = _global_pool(patches)
-        per_session = [pooled] * model.session_count
-    logits = T.concat(
-        [T.affine(e, w_, b_) for e, (w_, b_) in zip(per_session, model.heads)], axis=1
-    )
+    logits = T.session_heads(pooled if embeddings is None else embeddings, model.heads)
     return ForwardOut(logits=logits, embeddings=embeddings, pooled=pooled)
 
 
@@ -407,16 +400,18 @@ def _session_rows(plan: SessionPlan, train: Dataset, t: int, buffer: RehearsalBu
 def infer(model: ModelState, features: np.ndarray) -> tuple:
     """Tape-free forwards of `model` over `features`, `INFER_CHUNK` images at a time.
 
-    Returns arrays indexed like `features`: probabilities [N, K], per-session
-    embeddings (a list of [N, d], empty on pooled-path arms) and pooled
-    features [N, d] (None when the model has none).
+    Returns arrays whose image axis is indexed like `features`:
+    probabilities [N, K], the embedding stack [t, N, d] (None on pooled-path
+    arms; images are its axis 1) and pooled features [N, d] (or None).
     """
     starts = range(0, len(features), INFER_CHUNK)
     outs = [forward_logits(model, features[lo : lo + INFER_CHUNK]) for lo in starts]
     probs = np.concatenate([T.sigmoid(o.logits).data for o in outs])
-    embeddings = [np.concatenate([e.data for e in es]) for es in zip(*(o.embeddings for o in outs))]
-    pooled = None if outs[0].pooled is None else np.concatenate([o.pooled.data for o in outs])
-    return probs, embeddings, pooled
+
+    def joined(parts, axis=0):
+        return None if parts[0] is None else np.concatenate([p.data for p in parts], axis=axis)
+
+    return probs, joined([o.embeddings for o in outs], axis=1), joined([o.pooled for o in outs])
 
 
 def run_dpl(scores: np.ndarray, exclude: np.ndarray, n_all_classes: int, config: DplConfig):
@@ -485,7 +480,7 @@ def train_session(
         order = shuffle_rng.permutation(len(index))
         for lo in range(0, len(order), config.batch_size):
             sel = order[lo : lo + config.batch_size]
-            e_prev = [e[sel] for e in prev_embeddings] if use_token else None
+            e_prev = prev_embeddings[:, sel] if use_token else None
             with Tape() as tape:
                 out = forward_logits(model, features[sel])
                 loss = total_loss(

@@ -14,15 +14,17 @@ checked for NaN/Inf and raises instead of propagating silently.
 The model's patch-sized work is two fused ops with analytic backwards, so
 no [B, h*w, d] intermediate is taped: `patch_embed` (3x3 conv, exact GELU,
 projection and position code) and `attention_block` (norm1 and
-single-query attention over the patch rows); the loss is a third, `asl`.
+single-query attention over the patch rows). Three more are each bit for
+bit a chain of small ops: `merge_blocks` (each session's retention block
+merged with the patch block), `session_heads` and the loss, `asl`.
 Shared arithmetic lives in private helpers (`_gelu_phi`, `_gelu_slope`,
 `_normalise_rows`), so a fused op and its standalone counterpart agree by
 construction.
 
-`transpose`, `conv3x3_same`, `mul`, `power` and `log` have no caller in
+`conv3x3_same`, `mul`, `power`, `log` and `softmax_rows` have no caller in
 `krt`. They stay only because the benchmark's tracer (`perfbench/probe.py`)
-wraps them by name; the last four also build the test references of
-`patch_embed` and `asl`.
+wraps them by name; they also build the test references of `patch_embed`,
+`asl` and `merge_blocks`.
 """
 
 from __future__ import annotations
@@ -384,14 +386,15 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(out, [a], bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise TensorError(f"transpose expects a matrix, got shape {a.shape}")
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes (`np.transpose`'s `axes`) into a fresh C-contiguous array."""
+    if sorted(axes) != list(range(a.ndim)):
+        raise TensorError(f"transpose: {axes} is not a permutation of {a.ndim} axes")
 
     def bwd(g, a=a):
-        return [(a, g.T)] if a.requires_grad else []
+        return [(a, g.transpose(np.argsort(axes)))] if a.requires_grad else []
 
-    return _result(a.data.T.copy(), [a], bwd)
+    return _result(np.transpose(a.data, axes).copy(), [a], bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -505,6 +508,42 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return out
 
     return _result(np.matmul(x.data, w.data) + b.data, [x, w, b], bwd)
+
+
+def session_heads(x: Tensor, heads: Sequence) -> Tensor:
+    """Every session's classifier head in one op: [B, N] logits in session order.
+
+    heads holds one (w:[d, n_s], b:[n_s]) pair per session; x is the [t, B, d]
+    stack of session embeddings, one slice per head, or one [B, d] that every
+    head reads. Output and gradients are bit for bit one `affine` per head and
+    a `concat`. A shared x gets one gradient per head, in reverse session
+    order, which is the order that chain's tape summed them in.
+    """
+    heads, stacked = list(heads), x.ndim == 3
+    if not heads or x.ndim not in (2, 3) or (stacked and x.shape[0] != len(heads)):
+        raise TensorError(f"session_heads: {len(heads)} heads for input {x.shape}")
+    for w, b in heads:
+        if w.ndim != 2 or w.shape[0] != x.shape[-1] or b.shape != (w.shape[1],):
+            raise TensorError(f"session_heads: head {w.shape}/{b.shape} does not fit input {x.shape}")
+    xs = list(x.data) if stacked else [x.data] * len(heads)
+    cuts = np.cumsum([0] + [w.shape[1] for w, _ in heads])
+
+    def bwd(g, x=x, heads=heads):
+        res, dx = [], []  # dx in reverse session order
+        for s in reversed(range(len(heads))):
+            (w, b), g_s = heads[s], g[:, cuts[s] : cuts[s + 1]]
+            if x.requires_grad:
+                dx.append(g_s @ w.data.T)
+            if w.requires_grad:
+                res.append((w, xs[s].T @ g_s))
+            if b.requires_grad:
+                res.append((b, g_s.sum(axis=0)))
+        if x.requires_grad:
+            res += [(x, np.stack(dx[::-1]))] if stacked else [(x, d) for d in dx]
+        return res
+
+    out = np.concatenate([np.matmul(x_s, w.data) + b.data for x_s, (w, b) in zip(xs, heads)], axis=1)
+    return _result(out, [x] + [p for head in heads for p in head], bwd)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -750,6 +789,42 @@ def attention_block(
         return out
 
     return _result(out, [q, rows, gain, bias, w_k, w_v], bwd)
+
+
+def merge_blocks(own: Tensor, shared: Tensor) -> Tensor:
+    """Merge each session's one-row block with the shared block: [t, B, heads*dh].
+
+    own:[t, heads, dh+1] stacks the sessions' `attention_block` results over
+    their own row, shared:[B, heads, dh+1] is the result over the rows they
+    share. Per (session, image, head) the union's context is
+    softmax([lse_own, lse_shared]) . [c_own, c_shared]. Output and gradients
+    are bit for bit the chain of `repeat_rows`, `concat`, `softmax_rows` and
+    `weighted_rows_sum` it replaced: the same numpy arithmetic on arrays of
+    that chain's shapes. own's gradient sums over images, shared's over
+    sessions, each in order.
+    """
+    if own.ndim != 3 or shared.ndim != 3 or own.shape[1:] != shared.shape[1:] or own.shape[2] < 2:
+        raise TensorError(f"merge_blocks: bad shapes own {own.shape}, shared {shared.shape}")
+    t, (bsz, heads, k) = own.shape[0], shared.shape
+    dh, rows = k - 1, t * bsz * heads
+    pairs = np.empty((t, bsz, heads, 2, k), dtype=np.result_type(own.data, shared.data))
+    pairs[:, :, :, 0], pairs[:, :, :, 1] = own.data[:, None], shared.data[None]
+    pairs = pairs.reshape(rows, 2, k)  # (own, shared) per session, image and head
+    lse, values = pairs[..., dh].copy(), pairs[..., :dh].copy()
+    e = np.exp(lse - lse.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+
+    def bwd(g, own=own, shared=shared):
+        g = g.reshape(rows, dh)
+        d_w = np.einsum("bm,bnm->bn", g, values)
+        d_pairs = np.empty((t, bsz, heads, 2, k), dtype=values.dtype)
+        d_pairs.reshape(rows, 2, k)[..., :dh] = np.einsum("bn,bm->bnm", w, g)
+        d_pairs.reshape(rows, 2, k)[..., dh] = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
+        grads = [(own, d_pairs[:, :, :, 0].sum(axis=1)), (shared, d_pairs[:, :, :, 1].sum(axis=0))]
+        return [(x, d) for x, d in grads if x.requires_grad]
+
+    z = np.einsum("bn,bnm->bm", w, values).reshape(t, bsz, heads * dh)
+    return _result(z, [own, shared], bwd)
 
 
 # ---------------------------------------------------------------------------

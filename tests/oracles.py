@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the library paths it verifies, except
-`asl_oracle`: the chain of taped elementwise ops that `T.asl` fuses, which
-checks the op bit for bit.
+the chains of taped ops that a fused op replaced, which check it bit for
+bit: `asl_oracle` (`T.asl`), `merge_blocks_oracle` (`T.merge_blocks`) and
+`session_heads_oracle` (`T.session_heads`).
 """
 
 import math
@@ -191,6 +192,26 @@ def asl_oracle(probs, targets, gamma_pos: float, gamma_neg: float, neg_margin: f
     neg_term = T.mul(T.power(p_neg, gamma_neg), T.log(one_minus_p_neg))
     cellwise = T.add(T.mul(pos_mask, pos_term), T.mul(neg_mask, neg_term))
     return T.scale(T.mean_all(cellwise), -1.0)
+
+
+def merge_blocks_oracle(own: list, shared):
+    """`T.merge_blocks` as the taped chain ICA ran before it: own holds t [1, heads, dh+1] blocks."""
+    from krt import tensor as T
+
+    t, (bsz, heads, k) = len(own), shared.shape
+    rows, dh = t * bsz * heads, k - 1
+    repeated = [T.repeat_rows(block, bsz) for block in own]
+    pairs = T.concat([T.concat(repeated, axis=0), T.concat([shared] * t, axis=0)], axis=2)
+    pairs = pairs.reshape(rows, 2, k)  # (own block, shared block) per session, image, head
+    weights = T.softmax_rows(pairs.slice(2, dh, k).reshape(rows, 2))
+    return T.weighted_rows_sum(weights, pairs.slice(2, 0, dh)).reshape(t, bsz, heads * dh)
+
+
+def session_heads_oracle(per_session: list, heads: list):
+    """`T.session_heads` as one `affine` per session and a `concat`: per_session holds each head's input."""
+    from krt import tensor as T
+
+    return T.concat([T.affine(x, w, b) for x, (w, b) in zip(per_session, heads)], axis=1)
 
 
 def per_image_product_oracle(a: np.ndarray, g: np.ndarray, bsz: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +59,14 @@ def test_results_are_identical_across_process_restarts(tmp_path):
     assert results[0] == results[1]
 
 
-def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # incr_paper at its accuracy guard's size: the paper shape, whose weight
-    # gradients sum over B*14*14 patch rows
+@pytest.mark.parametrize("workload", ["incr_small", "incr_paper"])
+def test_results_do_not_depend_on_the_blas_thread_count(workload, tmp_path):
+    # each workload at its accuracy guard's size. incr_paper has the paper
+    # shape, whose weight gradients sum over B*14*14 patch rows; incr_small
+    # has d=32, krt_r's per-class buffer and batches with a remainder
     src = str(Path(krt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    config = {**_load_workloads().guard_config("incr_paper", "run"), "seed": 0}
+    config = {**_load_workloads().guard_config(workload, "run"), "seed": 0}
     results = []
     for threads in ("1", "2"):
         cwd = tmp_path / threads
@@ -426,8 +429,15 @@ def test_compare_reports_a_file_that_is_not_a_results_file(content, tmp_path, ca
         (lambda r: r["aggregates"].pop("last_map"), "aggregates.last_map"),
         (lambda r: r["aggregates"].update(avg_map="high"), "aggregates.avg_map"),
         (lambda r: r.update(aggregates=[]), "aggregates.avg_map"),
+        (lambda r: r["aggregates"].update(avg_map=float("nan")), "aggregates.avg_map"),
+        (lambda r: r["aggregates"].update(last_cf1=float("inf")), "aggregates.last_cf1"),
+        (lambda r: r["aggregates"].update(last_map=-1e308), "aggregates.last_map"),
+        (lambda r: r["aggregates"].update(last_of1=100.5), "aggregates.last_of1"),
     ],
-    ids=["no_plan", "no_dataset", "null_arm", "no_last_map", "text_avg_map", "list_aggregates"],
+    ids=[
+        "no_plan", "no_dataset", "null_arm", "no_last_map", "text_avg_map", "list_aggregates",
+        "nan_avg_map", "infinite_last_cf1", "negative_last_map", "last_of1_above_100",
+    ],
 )
 def test_compare_rejects_a_results_file_without_a_field_it_reads(spoil, field, tmp_path, capsys):
     out = tmp_path / "run"
@@ -550,3 +560,53 @@ def test_echo_holds_every_table_value_and_parses_back(data):
         assert type(held) is (float if key.kind is float else type(given_value)), key.path
     assert echoed["buffer"] == raw.get("buffer")
     assert parse_config(echoed).echo() == echoed
+
+
+# draws lean to the first entries, so the arms that run DPL and ICA lead
+_ARMS_DPL_FIRST = ("krt", "krt_no_ica", "krt_r", "kd_baseline", "upper_bound", "ft", "krt_no_dpl", "er")
+
+
+def _label_rows(k: int):
+    """Label matrices of one to five images over k classes; no row is empty (that fails at load)."""
+    row = st.sets(st.integers(0, k - 1), min_size=1).map(lambda s: [c in s for c in range(k)])
+    return st.lists(row, min_size=1, max_size=5).map(lambda rows: np.array(rows, dtype=bool))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_small_dataset_file_runs_or_fails_at_the_boundary(data):
+    # empty label columns, one-image splits, classes with no test positive and
+    # all-true rows reach training; any of them may fail, but only as a
+    # config (2) or data (3) error, and a finished run reports percentages
+    assert sorted(_ARMS_DPL_FIRST) == sorted(cli.ARMS)
+    k = data.draw(st.integers(2, 5), label="classes")
+    names = data.draw(st.permutations([f"c{i}" for i in range(k)]), label="names")
+    labels = {split: data.draw(_label_rows(k), label=split) for split in ("train", "test")}
+    arm = data.draw(st.sampled_from(_ARMS_DPL_FIRST), label="arm")
+    base = data.draw(st.integers(0, k), label="base")
+    inc = data.draw(st.sampled_from([i for i in range(1, k + 1) if (k - base) % i == 0]), label="inc")
+    raw = {
+        "arm": arm,
+        "plan": {"base": base, "inc": inc},
+        "ica": {"d": 8, "heads": 2},
+        "epochs": 1,
+        "batch_size": data.draw(st.integers(1, 4), label="batch_size"),
+        "seed": 0,
+    }
+    if cli._ARM_TABLE[arm][3] == "require":
+        raw["buffer"] = {"per_class": data.draw(st.integers(1, 2), label="per_class")}
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis reruns the body; tmp_path would be shared
+        tmp = Path(tmp)
+        raw["dataset"] = {f"{split}_path": str(tmp / f"{split}.bin") for split in labels}
+        raw["out"] = str(tmp / "out")
+        for first_id, (split, rows) in zip((1, 100), labels.items()):
+            features = rng.standard_normal((len(rows), 2, 2, 2)).astype(np.float32)
+            ids = np.arange(first_id, first_id + len(rows), dtype=np.uint64)
+            save_dataset(Dataset(names, ids, features, rows), raw["dataset"][f"{split}_path"])
+        (tmp / "config.json").write_text(json.dumps(raw))
+        code = main(["run", "--config", str(tmp / "config.json")])
+        assert code in (0, 2, 3)
+        if code == 0:
+            aggregates = json.loads((tmp / "out" / "results.json").read_text())["aggregates"]
+            assert all(0.0 <= value <= 100.0 for value in aggregates.values()), aggregates

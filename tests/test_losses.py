@@ -151,26 +151,23 @@ class TestAslOp:
 class TestTokenLoss:
     def test_identical_prefix_is_zero(self):
         rng = np.random.default_rng(2)
-        e = [rng.standard_normal((4, 8)) for _ in range(2)]
-        curr = [Tensor(x) for x in e] + [Tensor(rng.standard_normal((4, 8)))]
+        e = rng.standard_normal((2, 4, 8))
+        curr = Tensor(np.concatenate([e, rng.standard_normal((1, 4, 8))]))
         assert abs(token_loss(e, curr).data) < 1e-12
 
     def test_negated_prefix_is_two(self):
         rng = np.random.default_rng(3)
-        e = [rng.standard_normal((4, 8)) for _ in range(2)]
-        curr = [Tensor(-x) for x in e] + [Tensor(rng.standard_normal((4, 8)))]
+        e = rng.standard_normal((2, 4, 8))
+        curr = Tensor(np.concatenate([-e, rng.standard_normal((1, 4, 8))]))
         assert token_loss(e, curr).data == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_concatenated_cosine_oracle(self):
         rng = np.random.default_rng(4)
-        prev = [rng.standard_normal((3, 8)) for _ in range(2)]  # t=3 -> 2 old
-        curr = [Tensor(rng.standard_normal((3, 8))) for _ in range(3)]
+        prev = rng.standard_normal((2, 3, 8))  # t=3 -> 2 old
+        curr = Tensor(rng.standard_normal((3, 3, 8)))
         got = token_loss(prev, curr).data
         cosines = [
-            cosine_oracle(
-                np.concatenate([c.data[i] for c in curr[:2]]),
-                np.concatenate([p[i] for p in prev]),
-            )
+            cosine_oracle(np.concatenate(list(curr.data[:2, i])), np.concatenate(list(prev[:, i])))
             for i in range(3)
         ]
         assert abs(got - (1.0 - np.mean(cosines))) < 1e-12
@@ -178,27 +175,26 @@ class TestTokenLoss:
     def test_bounds_on_random_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            prev = [rng.standard_normal((2, 4))]
-            curr = [Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
+            prev = rng.standard_normal((1, 2, 4))
+            curr = Tensor(rng.standard_normal((2, 2, 4)))
             v = token_loss(prev, curr).data
             assert 0.0 <= v <= 2.0
 
     def test_no_gradient_into_snapshot(self):
         rng = np.random.default_rng(6)
-        prev = [rng.standard_normal((2, 4))]
-        curr = [
-            Tensor(rng.standard_normal((2, 4)), requires_grad=True),
-            Tensor(rng.standard_normal((2, 4)), requires_grad=True),
-        ]
+        prev = rng.standard_normal((1, 2, 4))
+        curr = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
         with Tape():
             loss = token_loss(prev, curr)
         backward(loss)
-        assert curr[0].grad is not None
-        assert curr[1].grad is None  # newest embedding is not constrained
+        assert np.all(curr.grad[0] != 0.0)
+        assert np.all(curr.grad[1] == 0.0)  # newest embedding is not constrained
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            token_loss([np.ones((1, 4))], [Tensor(np.ones((1, 4)))])
+        shapes = [((1, 1, 4), (1, 1, 4)), ((0, 1, 4), (1, 1, 4)), ((1, 4), (2, 4)), ((1, 2, 4), (2, 1, 4))]
+        for prev, curr in shapes:
+            with pytest.raises(ValueError):
+                token_loss(np.ones(prev), Tensor(np.ones(curr)))
 
 
 class TestKdPooledLoss:
@@ -245,7 +241,7 @@ class TestDescentProperty:
             (T.uniform_param(rng, (8, 1)), T.uniform_param(rng, (1,), fan_in=8))
             for _ in range(2)
         ]
-        e_prev = [e.data.copy() for e in forward_all_sessions(state, patches)[:1]]
+        e_prev = forward_all_sessions(state, patches).data[:1].copy()
         cfg = LossConfig(gamma_pos=0, gamma_neg=4, lam=1.0)
         params = [t for _, t in tensor_fields(state)] + state.kr_tokens[-1:]
         params += [p for h in heads for p in h]
@@ -254,7 +250,7 @@ class TestDescentProperty:
         def step():
             with Tape() as tape:
                 es = forward_all_sessions(state, patches)
-                logits = T.concat([T.affine(e, w, b) for e, (w, b) in zip(es, heads)], axis=1)
+                logits = T.session_heads(es, heads)
                 loss = total_loss(
                     asl_loss(T.sigmoid(logits), y, cfg),
                     token_loss(e_prev, es),

@@ -137,7 +137,7 @@ class TestForward:
         expand_for_session(model, 2, rng)
         out = forward_logits(model, train.features[[0, 1]])
         assert out.logits.shape == (2, 5)
-        assert len(out.embeddings) == 2
+        assert out.embeddings.shape == (2, 2, 8)
 
     def test_expansion_keeps_old_logits_bit_identical(self):
         train, _, _ = tiny_data()
@@ -156,7 +156,7 @@ class TestForward:
         model = init_model((4, 4, 4), tiny_ica(), ArmFlags(use_ica=False), rng)
         expand_for_session(model, 3, rng)
         out = forward_logits(model, train.features[[0]])
-        assert out.embeddings == []
+        assert out.embeddings is None
         assert out.pooled.shape == (1, 8)
         assert out.logits.shape == (1, 3)
 
@@ -461,12 +461,11 @@ class TestTeacherPass:
         sel = np.random.default_rng(0).permutation(50)[:16]
         direct = forward_logits(snap, features[sel])
         assert np.allclose(probs[sel], T.sigmoid(direct.logits).data, rtol=0, atol=1e-12)
-        assert len(embeddings) == len(direct.embeddings)
-        for gathered, e in zip(embeddings, direct.embeddings):
-            assert np.allclose(gathered[sel], e.data, rtol=0, atol=1e-12)
         if flags.use_ica:
-            assert len(embeddings) == 2 and pooled is None
+            assert embeddings.shape == (2, 50, 8) and pooled is None
+            assert np.allclose(embeddings[:, sel], direct.embeddings.data, rtol=0, atol=1e-12)
         else:
+            assert embeddings is None and direct.embeddings is None
             assert np.allclose(pooled[sel], direct.pooled.data, rtol=0, atol=1e-12)
 
     def test_teacher_and_eval_forwards_use_the_inference_chunk_at_any_batch_size(self, monkeypatch):
@@ -533,12 +532,14 @@ class TestRunIncremental:
     @pytest.mark.parametrize(
         "flags, want",
         [
-            (ArmFlags(), [35, 45, 50, 54, 58, 62, 66, 70]),  # krt
-            (ArmFlags(use_dpl=False, use_ica=False), [6, 7, 8, 9, 10, 11, 12, 13]),  # ft
+            (ArmFlags(), [23, 33, 34, 35, 36, 37, 38, 39]),  # krt
+            (ArmFlags(use_dpl=False, use_ica=False), [5] * 8),  # ft
+            (ArmFlags(use_dpl=False, use_ica=False, use_kd=True), [5] + [10] * 7),  # kd_baseline
         ],
     )
     def test_tape_records_per_training_step(self, flags, want, monkeypatch):
-        # ICA and the token loss grow with the session; the loss is one op
+        # ICA grows by one retention block per session; the merge, the heads
+        # and the loss are one op each
         sessions, records = [], {}
         train_session, backward = protocol.train_session, protocol.backward
 
@@ -589,7 +590,7 @@ class TestModelDtype:
 
         def recording_infer(*args, **kwargs):
             probs, embeddings, pooled = real_infer(*args, **kwargs)
-            arrays = [probs, *embeddings] + ([] if pooled is None else [pooled])
+            arrays = [a for a in (probs, embeddings, pooled) if a is not None]
             seen["teacher"] |= {a.dtype for a in arrays}
             return probs, embeddings, pooled
 
@@ -621,4 +622,4 @@ class TestModelDtype:
         expand_for_session(model, 3, rng)
         out = forward_logits(model, train.features[[0, 1]].astype(np.float64))
         assert out.logits.dtype == np.float32
-        assert all(e.dtype == np.float32 for e in out.embeddings)
+        assert out.embeddings.dtype == np.float32

@@ -17,7 +17,9 @@ from oracles import (
     layer_norm_oracle,
     matmul_oracle,
     max_rel_err,
+    merge_blocks_oracle,
     per_image_product_oracle,
+    session_heads_oracle,
 )
 
 
@@ -268,8 +270,8 @@ def two_input(rng, op):
 class TestShapeOps:
     def test_transpose_and_reshape_gradients(self):
         def build_t(rng):
-            x = rand_leaf(rng, 3, 4)
-            return [x], lambda: project(rng, T.transpose(x))
+            x, y = rand_leaf(rng, 3, 4), rand_leaf(rng, 2, 3, 4)
+            return [x, y], lambda: T.add(project(rng, T.transpose(x, (1, 0))), project(rng, T.transpose(y, (1, 2, 0))))
 
         def build_r(rng):
             x = rand_leaf(rng, 3, 4)
@@ -277,6 +279,14 @@ class TestShapeOps:
 
         fd_check(build_t, seeds=range(5))
         fd_check(build_r, seeds=range(5))
+
+    def test_transpose_is_a_contiguous_permutation(self):
+        x = np.random.default_rng(0).standard_normal((2, 3, 4))
+        out = T.transpose(Tensor(x), (1, 0, 2)).data
+        assert out.flags.c_contiguous and np.array_equal(out, x.transpose(1, 0, 2))
+        for axes in ((1, 0), (0, 1, 1), (0, 1, 3)):
+            with pytest.raises(T.TensorError):
+                T.transpose(Tensor(x), axes)
 
     def test_concat_slice_repeat_gradients(self):
         def build(rng):
@@ -506,6 +516,131 @@ class TestAttentionBlock:
             # so entries near zero are held to an absolute 1e-10
             err = max_rel_err(leaf.grad, num, floor=1e-6)
             assert err < 1e-4, f"grad mismatch {err:.2e}"
+
+
+class TestMergeBlocks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    @pytest.mark.parametrize("bsz", [1, 3, 16])
+    @pytest.mark.parametrize("heads, dh", [(8, 16), (4, 8)])
+    def test_bit_equal_to_the_taped_chain(self, dtype, t, bsz, heads, dh):
+        # the paper shape (d=128, 8 heads) and the default one (d=32, 4 heads)
+        rng = np.random.default_rng(100 * t + bsz + heads)
+        arrays = [rng.standard_normal((1, heads, dh + 1)) for _ in range(t)]
+        arrays.append(rng.standard_normal((bsz, heads, dh + 1)))
+        for a in arrays:
+            a[..., dh] *= 4.0  # lse values spread like scores do, so no weight is near 1/2
+        coef = rng.standard_normal((t, bsz, heads * dh))
+
+        def run(merge):
+            leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+            with Tape() as tape:
+                out = merge(leaves[:-1], leaves[-1])
+                loss = dot(out, coef)
+            backward(loss)
+            return len(tape) - 2, [out.data] + [leaf.grad for leaf in leaves]
+
+        records, got = run(lambda own, shared: T.merge_blocks(T.concat(own, axis=0), shared))
+        chain_records, want = run(merge_blocks_oracle)
+        assert (records, chain_records) == (2, t + 10)  # each past dot's two records
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 3),
+        bsz=st.integers(1, 3),
+        heads=st.integers(1, 3),
+        dh=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradients_match_finite_differences(self, t, bsz, heads, dh, seed):
+        def build(rng):
+            own, shared = rand_leaf(rng, t, heads, dh + 1), rand_leaf(rng, bsz, heads, dh + 1)
+            return [own, shared], lambda: project(rng, T.merge_blocks(own, shared))
+
+        fd_check(build, seeds=[seed])
+
+    def test_shape_errors(self):
+        block = Tensor(np.ones((2, 3, 4)))
+        for own, shared in (
+            (Tensor(np.ones((3, 4))), block),
+            (block, Tensor(np.ones((2, 2, 4)))),
+            (block, Tensor(np.ones((2, 3, 5)))),
+            (Tensor(np.ones((2, 3, 1))), Tensor(np.ones((2, 3, 1)))),
+        ):
+            with pytest.raises(T.TensorError):
+                T.merge_blocks(own, shared)
+
+
+class TestSessionHeads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    @pytest.mark.parametrize("bsz", [1, 3, 16])
+    @pytest.mark.parametrize("x_kind", ["stacked", "shared, read before", "shared, read after"])
+    def test_bit_equal_to_the_taped_chain(self, dtype, t, bsz, x_kind):
+        # a shared x has another reader on the tape, as the kd loss reads the
+        # pooled features: its gradient joins the heads' in the chain's order
+        d, widths = 32, [5, 3, 5, 1, 4][:t]
+        rng = np.random.default_rng(10 * t + bsz)
+        x_shape = (t, bsz, d) if x_kind == "stacked" else (bsz, d)
+        arrays = [rng.standard_normal(x_shape)]
+        for n in widths:
+            arrays += [rng.uniform(-1.0, 1.0, (d, n)) / np.sqrt(d), rng.uniform(-1.0, 1.0, n) / np.sqrt(d)]
+        coef, x_coef = rng.standard_normal((bsz, sum(widths))), rng.standard_normal(x_shape)
+
+        def run(heads_op):
+            x, *params = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+            heads = list(zip(params[::2], params[1::2]))
+            with Tape():
+                before = dot(x, x_coef) if x_kind == "shared, read before" else None
+                logits = heads_op(x, heads)
+                loss = dot(logits, coef)
+                if before is not None:
+                    loss = T.add(before, loss)
+                if x_kind == "shared, read after":
+                    loss = T.add(loss, dot(x, x_coef))
+            backward(loss)
+            return [logits.data, x.grad] + [p.grad for p in params]
+
+        def chain(x, heads):
+            if x.ndim == 2:
+                return session_heads_oracle([x] * t, heads)
+            return session_heads_oracle([x.slice(0, s, s + 1).reshape(bsz, d) for s in range(t)], heads)
+
+        for a, b in zip(run(T.session_heads), run(chain)):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        bsz=st.integers(1, 3),
+        d=st.integers(1, 4),
+        stacked=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradients_match_finite_differences(self, widths, bsz, d, stacked, seed):
+        def build(rng):
+            x = rand_leaf(rng, *((len(widths), bsz, d) if stacked else (bsz, d)))
+            heads = [(rand_leaf(rng, d, n), rand_leaf(rng, n)) for n in widths]
+            return [x] + [p for head in heads for p in head], lambda: project(rng, T.session_heads(x, heads))
+
+        fd_check(build, seeds=[seed])
+
+    def test_shape_errors(self):
+        x, head = Tensor(np.ones((2, 3, 4))), (Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+        for bad_x, heads in (
+            (x, []),
+            (x, [head]),
+            (Tensor(np.ones(4)), [head]),
+            (Tensor(np.ones((3, 5))), [head]),
+            (x, [head, (Tensor(np.ones((4, 2))), Tensor(np.ones(3)))]),
+            (x, [head, (Tensor(np.ones(4)), Tensor(np.ones(1)))]),
+        ):
+            with pytest.raises(T.TensorError):
+                T.session_heads(bad_x, heads)
 
 
 def stem_arrays(rng, bsz, h, w, c, m, d, dtype=np.float64):
