@@ -1,8 +1,12 @@
 """Experiment runner.
 
 `krt run` executes one full incremental run for one method arm and writes
-results.json / summary.csv / curves.tsv into the output directory.
-`krt compare` tabulates several results files of the same plan.
+results.json and summary.csv (its per-session mAP, CF1 and OF1) into the
+output directory. results.json also records the environment float32
+results can depend on: the numpy version, its BLAS and that BLAS's thread
+count, and how many threads tape-free inference runs on.
+`krt compare` tabulates several results files of the same plan, and warns
+on stderr when their environments differ.
 `krt dpl` runs the pseudo-labeler standalone over a score CSV + label JSONL,
 through the same driver as a training session (`protocol.run_dpl`).
 
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import glob
 import json
 import math
 import os
@@ -31,6 +37,7 @@ from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import tensor as T
 from ._version import VERSION
 from .datagen import DatasetFormatError, GenSpec, generate, load_dataset
 from .dpl import DplConfig, read_labels_jsonl, read_score_csv, write_merged_jsonl
@@ -107,6 +114,7 @@ class RunResult:
     pseudo_recall: list
     wall_clock_sec: float
     version: str = VERSION
+    environment: Optional[dict] = None  # see `environment()`; absent from older files
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +356,32 @@ def run(cfg: RunConfig) -> RunResult:
         dpl_reports=[o.dpl_report.to_dict() if o.dpl_report else None for o in outcomes],
         pseudo_recall=[o.pseudo_recall for o in outcomes],
         wall_clock_sec=time.monotonic() - t0,
+        environment=environment(),
     )
     _write_outputs(cfg.out, result)
     return result
+
+
+def _blas_threads() -> Optional[int]:
+    """Threads numpy's bundled OpenBLAS reports using, or None if it cannot be asked."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(path), sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+def environment() -> dict:
+    """What a run's float32 results can depend on beyond its config and seed."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": _blas_threads()},
+        "inference_threads": T.inference_threads(),
+    }
 
 
 def _write_outputs(out_dir: str, result: RunResult) -> None:
@@ -362,18 +393,19 @@ def _write_outputs(out_dir: str, result: RunResult) -> None:
         fh.write("session,map,cf1,of1\n")
         for s in result.sessions:
             fh.write(f"{s['session']},{s['map']:.4f},{s['cf1']:.4f},{s['of1']:.4f}\n")
-    with open(os.path.join(out_dir, "curves.tsv"), "w") as fh:
-        fh.write("session\tmap\n")
-        for s in result.sessions:
-            fh.write(f"{s['session']}\t{s['map']:.4f}\n")
 
 
 def load_result(path: str) -> RunResult:
-    """A results.json, checked for every field `compare` reads; aggregates are percentages."""
+    """A results.json, checked for every field `compare` reads; aggregates are percentages.
+
+    A file written before runs recorded their environment loads with
+    `environment` None.
+    """
     try:
         with open(path) as fh:
             d = json.load(fh)
-        result = RunResult(**{f.name: d[f.name] for f in fields(RunResult)})
+        given = {f.name: d[f.name] for f in fields(RunResult) if f.name != "environment"}
+        result = RunResult(**given, environment=d.get("environment"))
     except OSError as e:
         raise DataError(str(e)) from None
     except (KeyError, TypeError, json.JSONDecodeError) as e:
@@ -405,6 +437,12 @@ def compare(paths: list) -> str:
             raise DataError(f"{p}: plan {r.config['plan']} differs from {ref_plan}")
         if r.config["dataset"] != ref_data:
             raise DataError(f"{p}: dataset differs from the first run")
+        if r.environment != results[0].environment:  # scores may differ in their last bits
+            print(
+                f"W_ENV: {p}: environment {r.environment} differs from the first run's "
+                f"{results[0].environment}",
+                file=sys.stderr,
+            )
     header = f"{'arm':<12} {'avg_map':>8} {'last_map':>9} {'last_cf1':>9} {'last_of1':>9} {'d_last':>8}"
     lines = [header, "-" * len(header)]
     ref_last = results[0].aggregates["last_map"]

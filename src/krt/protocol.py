@@ -21,10 +21,16 @@ Inference has one path, `infer`. The previous model's pass over a
 session's images (which feeds DPL and the retention losses) and the
 scoring of the test union both run tape-free `forward_logits` in chunks of
 `INFER_CHUNK` images, whatever the training batch size. Scores depend on
-the chunk size in their last float32 bits, because a GEMM can round a row
-differently with a different row count, and mAP can move with them. So the
-chunk is one constant, and it stays 64: a chunk of 20 moved `joint` mAPs in
-their last digits on 5 of 20 seeds and ran no faster.
+the chunk size in their last float32 bits, and mAP can move with them. The
+cause is the score product of `T.attention_block`, [B*n, d] @ [d, heads]:
+on OpenBLAS a call of up to 4 paper-shape images ([784, 128] @ [128, 8],
+M*N*K <= 10^6) rounds its rows differently from a larger call, so a chunk
+size moves scores where it changes which images fall in a last chunk of
+1-4 images. The stem's products give the same rows at every chunk size. So
+the chunk is one constant, and it stays 64: a chunk of 20 moved `joint`
+mAPs in their last digits on 5 of 20 seeds and ran no faster. Within a
+chunk, the patch ops may split the images between two threads, bit for bit
+(`krt.tensor`).
 
 The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
 `init_model`). Everything after init reads the dtype from the model's own

@@ -21,6 +21,20 @@ Shared arithmetic lives in private helpers (`_gelu_phi`, `_gelu_slope`,
 `_normalise_rows`), so a fused op and its standalone counterpart agree by
 construction.
 
+Tape-free, the two patch ops use a second CPU when the process may run on
+two or more (`inference_threads`): `_by_image_halves` gives the first half
+of a chunk's images to the caller and the second to one helper thread,
+started on first use. `patch_embed` splits all of its work,
+`attention_block` norm1's row statistics and the pooling p^T xhat. Each
+half makes the same numpy calls on its image slice, whose rows equal those
+of the whole-chunk calls, so results are bit for bit those of one thread.
+The score product [B*n, d] @ [d, heads] stays one call: OpenBLAS rounds its
+rows differently in calls of up to 4 paper-shape images, see
+`attention_block`. The helper runs numpy and scipy on array slices only; it
+never creates a Tensor or touches a tape, so `Tape` stays single-threaded
+and a tracer that wraps `krt` names never sees the helper. Taped (training)
+ops run on the caller alone.
+
 `conv3x3_same`, `mul`, `power`, `log` and `softmax_rows` have no caller in
 `krt`. They stay only because the benchmark's tracer (`perfbench/probe.py`)
 wraps them by name; they also build the test references of `patch_embed`,
@@ -30,6 +44,9 @@ wraps them by name; they also build the test references of `patch_embed`,
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -192,6 +209,78 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 
 # ---------------------------------------------------------------------------
+# tape-free work split by image halves
+
+
+def inference_threads() -> int:
+    """Threads a tape-free patch op runs on: 2 when this process may use 2 or more CPUs, else 1."""
+    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+class _SecondHalf:
+    """The process's one helper thread, started on first use; a forked child starts its own.
+
+    It runs each job's numpy work under the caller's floating-point error
+    state (numpy keeps that state per thread) and hands back any exception
+    it raised.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._jobs: Optional[queue.SimpleQueue] = None
+
+    def submit(self, work: Callable[[int, int], None], lo: int, hi: int):
+        """Queue work(lo, hi); returns (done event, list that receives its exception)."""
+        with self._lock:
+            if self._jobs is None:
+                self._jobs = queue.SimpleQueue()
+                threading.Thread(
+                    target=_serve, args=(self._jobs,), name="krt-second-half", daemon=True
+                ).start()
+        done, failed = threading.Event(), []
+        self._jobs.put((work, lo, hi, np.geterr(), done, failed))
+        return done, failed
+
+
+def _serve(jobs: queue.SimpleQueue):
+    while True:
+        work, lo, hi, err, done, failed = jobs.get()  # blocks while idle
+        try:
+            with np.errstate(**err):
+                work(lo, hi)
+        except BaseException as e:  # noqa: BLE001 - the waiting caller re-raises it
+            failed.append(e)
+        done.set()
+
+
+_SECOND_HALF = _SecondHalf()
+os.register_at_fork(after_in_child=_SECOND_HALF.__init__)  # the thread does not survive a fork
+
+
+def _by_image_halves(n: int, taped: bool, work: Callable[[int, int], None]) -> None:
+    """Run work(lo, hi) over images [0, n), tape-free in two halves at once.
+
+    `work` must write disjoint image slices of arrays its caller allocated,
+    with numpy and scipy only: it may run on the helper thread, which must
+    never create a Tensor or touch a tape. The caller runs the first half
+    and blocks until the helper has run the second, then re-raises the
+    helper's exception, if any. A taped op, one image or one usable CPU
+    runs all of it on the caller.
+    """
+    if taped or n < 2 or inference_threads() < 2:
+        work(0, n)
+        return
+    half = (n + 1) // 2
+    done, failed = _SECOND_HALF.submit(work, half, n)
+    try:
+        work(0, half)
+    finally:
+        done.wait()  # the helper may still be writing the caller's arrays
+    if failed:
+        raise failed[0]
+
+
+# ---------------------------------------------------------------------------
 # elementwise suite
 
 
@@ -285,9 +374,9 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(s, [a], bwd)
 
 
-def _gelu_phi(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the normal CDF, in one new array."""
-    phi = x * _INV_SQRT2
+def _gelu_phi(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the normal CDF, in one new array (or `out`)."""
+    phi = np.multiply(x, _INV_SQRT2, out=out)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
@@ -563,15 +652,17 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _result(s, [a], bwd)
 
 
-def _normalise_rows(x: np.ndarray, eps: float):
+def _normalise_rows(x: np.ndarray, eps: float, out=(None, None)):
     """(xhat, inv) over the last axis: xhat = (x - mean) * inv, inv = 1/sqrt(var + eps).
 
     Centres once and takes the variance as the mean square of the centred
     rows, which is np.var's own arithmetic, so the statistics are np.var's
     to the bit and `layer_norm` and `attention_block` share xhat exactly.
+    `out` may give the (xhat, inv) arrays to write, e.g. one image half's
+    rows of larger arrays.
     """
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xc = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out[0])
+    inv = np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps), out=out[1])
     xc *= inv
     return xc, inv
 
@@ -695,6 +786,17 @@ def attention_block(
     [B, heads, n] products; the absorbed key gradient xhat^T d_s is
     summed per image and then over images, in an order that does not depend
     on the BLAS thread count.
+
+    Tape-free, norm1 and the pooling run by image halves on two threads
+    (`_by_image_halves`); the score product stays one call. Its rows round
+    by call size: on OpenBLAS 0.3.31 (2-core Xeon, float32, 1 or 2 threads)
+    a [B*196, 128] @ [128, 8] call of up to 4 images (M*N*K <= 10^6, likely
+    OpenBLAS's small-matrix kernel) gives rows that differ in their last
+    bits from the same rows of a larger call, and split halves of 1-4 images
+    would do the same. The stem's [B*196, 72] @ [72, 64] and
+    [B*196, 64] @ [64, 128] products give the same rows at every chunk size.
+    So a chunk size changes scores where it changes which images fall in a
+    last chunk of 1-4 images (`protocol.INFER_CHUNK`).
     """
     if (
         rows.ndim != 3
@@ -717,18 +819,32 @@ def attention_block(
     dh = l // heads
     scale = float(scale)
     head_of = np.arange(l) // dh
-    xhat, inv = _normalise_rows(rows.data, LN_EPS)
+    taped = _ACTIVE_TAPE is not None and any(
+        t.requires_grad for t in (q, rows, gain, bias, w_k, w_v)
+    )
+    xhat, inv = np.empty_like(rows.data), np.empty((bsz, n, 1), dtype=rows.dtype)
+
+    def normalise(lo, hi):
+        _normalise_rows(rows.data[lo:hi], LN_EPS, out=(xhat[lo:hi], inv[lo:hi]))
+
+    _by_image_halves(bsz, taped, normalise)
     g, beta = gain.data, bias.data
     a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
     ga = g[:, None] * a
-    # scores and weights are laid out [B, heads, n], so the softmax reduces along rows
+    # scores and weights are laid out [B, heads, n], so the softmax reduces
+    # along rows. The score product stays one call: its rows round by call size
     xga = (xhat.reshape(bsz * n, d) @ ga).reshape(bsz, n, heads).transpose(0, 2, 1).copy()
     s = (xga + (beta @ a)[:, None]) * scale
     m = s.max(axis=2, keepdims=True)
     e = np.exp(s - m)
     z = e.sum(axis=2, keepdims=True)
     p = e / z  # [B, heads, n]
-    px = np.matmul(p, xhat)  # [B, heads, d]
+    px = np.empty((bsz, heads, d), dtype=p.dtype)
+
+    def pool(lo, hi):
+        np.matmul(p[lo:hi], xhat[lo:hi], out=px[lo:hi])
+
+    _by_image_halves(bsz, taped, pool)
     pooled = px * g + beta
     w_v_heads = w_v.data.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
     out = np.empty((bsz, heads, dh + 1), dtype=xhat.dtype)
@@ -889,9 +1005,13 @@ def patch_embed(
 
     images and pos are constants. The backward keeps the conv output z and
     Phi(z) only; it rebuilds the 3x3 columns from the images and gelu(z) as
-    z * Phi(z). Tape-free, no Phi(z) array is formed: gelu is taken in place
-    in row blocks of `_GELU_BLOCK_BYTES`, small enough to stay in cache and
-    to come from malloc's free lists whatever its mmap threshold. The one
+    z * Phi(z). Tape-free, the stem runs by image halves on two threads
+    (`_by_image_halves`): each half writes its rows of z and of the output,
+    both allocated by the caller, and its products give the rows the
+    whole-chunk products give. No Phi(z) array is formed: gelu is taken in
+    place in row blocks of `_GELU_BLOCK_BYTES`, small enough to stay in cache
+    and to come from malloc's free lists whatever its mmap threshold, the
+    caller's and the helper thread's each from its own malloc arena. The one
     output check also covers z and gelu(z): a non-finite entry there makes
     its whole output row non-finite.
     """
@@ -916,25 +1036,31 @@ def patch_embed(
     taped = _ACTIVE_TAPE is not None and any(
         t.requires_grad for t in (conv_w, conv_b, proj_w, proj_b)
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
-        # z is allocated before the columns, so freeing them leaves no hole below it
-        z = np.empty((bsz * h * wd, m), dtype=np.result_type(images.data, conv_w.data))
-        np.matmul(_im2col3(images.data), conv_w.data, out=z)
-        z += conv_b.data
-        if taped:  # the backward needs both z and Phi(z)
-            phi = _gelu_phi(z)
-            feats = z * phi
+    n = h * wd
+    dtype = np.result_type(images.data, conv_w.data)
+    # z and out are allocated before the columns, so freeing them leaves no hole below them
+    z = np.empty((bsz * n, m), dtype=dtype)
+    out = np.empty((bsz, n, d), dtype=dtype)
+    phi = np.empty_like(z) if taped else None  # the backward needs both z and Phi(z)
+
+    def stem(lo, hi):  # images lo:hi into their rows of z, phi and out
+        z_rows, out_rows = z[lo * n : hi * n], out[lo:hi]
+        np.matmul(_im2col3(images.data[lo:hi]), conv_w.data, out=z_rows)
+        z_rows += conv_b.data
+        if taped:
+            feats = z_rows * _gelu_phi(z_rows, out=phi[lo * n : hi * n])
         else:  # gelu(z) overwrites z, one row block's Phi at a time
-            phi = None
             step = max(1, _GELU_BLOCK_BYTES // (m * z.itemsize))
-            for lo in range(0, len(z), step):
-                block = z[lo : lo + step]
+            for start in range(0, len(z_rows), step):
+                block = z_rows[start : start + step]
                 block *= _gelu_phi(block)
-            feats = z
-        out = feats @ proj_w.data
-        out += proj_b.data
-        out = out.reshape(bsz, h * wd, d)
-        out += pos.data
+            feats = z_rows
+        np.matmul(feats, proj_w.data, out=out_rows.reshape(-1, d))
+        out_rows += proj_b.data
+        out_rows += pos.data
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
+        _by_image_halves(bsz, taped, stem)
 
     def per_image(a, g2):  # a^T g2 for a:[B*h*w, k], summed per image and then over images
         return np.matmul(a.reshape(bsz, h * wd, -1).transpose(0, 2, 1), g2.reshape(bsz, h * wd, -1)).sum(0)

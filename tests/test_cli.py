@@ -87,8 +87,49 @@ def _assert_equal_results_at_one_and_two_threads(workload, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         results.append(json.loads((cwd / "run" / "results.json").read_text()))
-    for r in results:
+    for r, threads in zip(results, (1, 2)):
         assert r.pop("wall_clock_sec") >= 0
+        assert r.pop("environment")["blas"]["threads"] == threads
+    assert results[0] == results[1]
+
+
+def test_joint_results_do_not_depend_on_the_image_half_split(tmp_path):
+    # joint at its accuracy guard's size: tape-free inference over the test
+    # set is most of what the split changes there
+    _assert_equal_results_on_one_and_two_cpus("joint", tmp_path)
+
+
+def test_incr_paper_results_do_not_depend_on_the_image_half_split(tmp_path):
+    # incr_paper at its accuracy guard's size: the teacher pass feeds DPL and
+    # the token loss, and every session scores the growing test union
+    _assert_equal_results_on_one_and_two_cpus("incr_paper", tmp_path)
+
+
+def _assert_equal_results_on_one_and_two_cpus(workload, tmp_path):
+    # tape-free `patch_embed` and `attention_block` split their images in
+    # two halves only when the process may use two CPUs
+    usable = sorted(os.sched_getaffinity(0))
+    if len(usable) < 2:
+        pytest.skip("needs two usable CPUs")
+    src = str(Path(krt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **{var: "1" for var in BLAS_THREADS}}
+    config = {**_load_workloads().guard_config(workload, "run"), "seed": 0}
+    results = []
+    for cpus in (usable[:1], usable[:2]):
+        cwd = tmp_path / str(len(cpus))
+        cwd.mkdir()
+        (cwd / "config.json").write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "krt", "run", "--config", "config.json"],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+            preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus),  # the child only
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads((cwd / "run" / "results.json").read_text()))
+    for r, cpus in zip(results, (1, 2)):
+        assert r.pop("wall_clock_sec") >= 0
+        assert r.pop("environment")["inference_threads"] == cpus
     assert results[0] == results[1]
 
 
@@ -270,6 +311,44 @@ def test_compare_rejects_runs_on_data_from_different_master_seeds(tmp_path, caps
     assert main(["compare", results["a"], results["b"]]) == 0
     assert main(["compare", results["a"], results["c"]]) == 3
     assert "dataset differs" in capsys.readouterr().err
+
+
+def test_a_run_directory_holds_the_results_and_the_summary_only(tmp_path):
+    out = tmp_path / "run"
+    assert main(TINY_RUN + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["results.json", "summary.csv"]
+    sessions = json.loads((out / "results.json").read_text())["sessions"]
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert rows[0] == "session,map,cf1,of1"
+    assert [int(row.split(",")[0]) for row in rows[1:]] == [s["session"] for s in sessions]
+
+
+def test_results_record_the_environment(tmp_path):
+    out = tmp_path / "run"
+    assert main(TINY_RUN + ["--out", str(out)]) == 0
+    env = json.loads((out / "results.json").read_text())["environment"]
+    assert env == cli.environment()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version", "threads"}
+    assert env["inference_threads"] == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
+
+
+def test_compare_warns_when_environments_differ_and_reads_files_without_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(TINY_RUN + ["--out", str(out)]) == 0
+    good = out / "results.json"
+    result = json.loads(good.read_text())
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**result, "environment": {**result["environment"], "numpy": "0"}}))
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps({k: v for k, v in result.items() if k != "environment"}))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(good)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["compare", str(good), str(other), str(older)]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert [w.split(":")[:2] for w in warnings] == [["W_ENV", f" {other}"], ["W_ENV", f" {older}"]]
+    assert cli.load_result(str(older)).environment is None
 
 
 def test_echo_derives_the_dataset_seed_from_the_master_seed():

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -502,6 +504,35 @@ class TestTeacherPass:
 
         assert sizes["teacher"] == chunks(len(plan.train_indices[1]))
         assert sizes["eval"] == chunks(len(plan.test_indices[0]) + len(plan.test_indices[1]))
+
+
+def _infer_into(model, features, results):
+    results.put(infer(model, features)[0])
+
+
+class TestInferAcrossFork:
+    def test_a_forked_child_infers_after_the_parent_used_the_helper(self, monkeypatch):
+        # the helper thread does not survive a fork; the child must start its own
+        monkeypatch.setattr(T, "inference_threads", lambda: 2)
+        train, _, _ = tiny_data()
+        rng = substream_rng(23, "init")
+        model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
+        expand_for_session(model, 3, rng)
+        features = train.features[:40]
+        probs = infer(model, features)[0]
+        assert "krt-second-half" in [t.name for t in threading.enumerate()]
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_infer_into, args=(model, features, results))
+        child.start()
+        try:
+            got = results.get(timeout=60)  # drained before the join
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert np.array_equal(got, probs)
 
 
 class TestRunIncremental:

@@ -1,4 +1,5 @@
 import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -930,6 +931,130 @@ class TestDeterminismAndSafety:
             out = T.sigmoid(Tensor(np.array([-100.0, 100.0], dtype=np.float32)))
         assert out.dtype == np.float32
         assert np.array_equal(out.data, np.array([1e-7, 1 - 1e-7], dtype=np.float32))
+
+
+def with_threads(monkeypatch, n):
+    """Make tape-free patch ops run on n threads, whatever the machine has."""
+    monkeypatch.setattr(T, "inference_threads", lambda: n)
+
+
+class TestImageHalves:
+    """Tape-free `patch_embed` and `attention_block` split their images in two halves."""
+
+    @pytest.mark.parametrize("grid, d, heads", [(8, 32, 4), (14, 128, 8)])
+    def test_split_equals_the_unsplit_ops_at_every_chunk_size(self, monkeypatch, grid, d, heads):
+        # the two workload shapes in float32, at every chunk size protocol.infer can use
+        rng = np.random.default_rng(grid + d)
+        stem = [Tensor(a) for a in stem_arrays(rng, 64, grid, grid, 8, 64, d, np.float32)]
+        block = [Tensor(a.astype(np.float32)) for a in block_arrays(rng, 1, 1, d, heads, d // heads)]
+        q, _, gain, bias, w_k, w_v = block
+        submits = []
+        real_submit = T._SECOND_HALF.submit
+        monkeypatch.setattr(
+            T._SECOND_HALF, "submit", lambda *a: submits.append(a[1:]) or real_submit(*a)
+        )
+        for bsz in range(1, 65):
+            images = Tensor(stem[0].data[:bsz])
+            got = {}
+            for threads in (1, 2):
+                with_threads(monkeypatch, threads)
+                rows = T.patch_embed(images, *stem[1:])
+                out = T.attention_block(q, rows, gain, bias, w_k, w_v, heads, 0.5)
+                got[threads] = (rows.data, out.data)
+            assert np.array_equal(got[1][0], got[2][0]), bsz
+            assert np.array_equal(got[1][1], got[2][1]), bsz
+        # from two images on, each op ran its second half on the helper
+        half = [((bsz + 1) // 2, bsz) for bsz in range(2, 65)]
+        assert submits == [h for h in half for _ in range(3)]
+
+    @pytest.mark.parametrize("op", ["patch_embed", "attention_block"])
+    def test_a_nan_image_in_the_second_half_fails_in_the_caller(self, monkeypatch, op):
+        with_threads(monkeypatch, 2)
+        rng = np.random.default_rng(46)
+        stem = [Tensor(a) for a in stem_arrays(rng, 4, 3, 3, 2, 5, 6)]
+        if op == "patch_embed":
+            stem[0].data[3, 1, 1, 0] = np.nan  # as a corrupt image would arrive
+
+            def call():
+                return T.patch_embed(*stem)
+        else:
+            q, _, gain, bias, w_k, w_v = [Tensor(a) for a in block_arrays(rng, 1, 1, 6, 2, 3)]
+            rows = T.patch_embed(*stem)
+            rows.data[3, 2, 0] = np.nan
+
+            def call():
+                return T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
+
+        raised = []
+
+        def caller():
+            try:
+                call()
+            except T.TensorError as e:
+                raised.append(e)
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(raised) == 1 and "non-finite" in str(raised[0])
+
+    def test_the_helpers_exception_reaches_the_caller_after_both_halves(self, monkeypatch):
+        with_threads(monkeypatch, 2)
+        ran = []
+
+        def work(lo, hi):
+            ran.append((lo, hi, threading.get_ident()))
+            if lo > 0:
+                raise KeyError("second half")
+
+        with pytest.raises(KeyError, match="second half"):
+            T._by_image_halves(5, False, work)
+        assert sorted(r[:2] for r in ran) == [(0, 3), (3, 5)]
+        caller = threading.get_ident()
+        assert [r[2] == caller for r in sorted(ran)] == [True, False]
+
+    def test_the_helper_runs_under_the_callers_error_state(self, monkeypatch):
+        with_threads(monkeypatch, 2)
+        x = np.array([1.0, 1.0, np.inf, np.inf])
+        out = np.empty(4)
+
+        def work(lo, hi):  # inf - inf is invalid in the second half only
+            np.subtract(x[lo:hi], x[lo:hi], out=out[lo:hi])
+
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            T._by_image_halves(4, False, work)
+        with np.errstate(invalid="ignore"):
+            T._by_image_halves(4, False, work)
+        assert np.array_equal(out[:2], [0.0, 0.0]) and np.isnan(out[2:]).all()
+
+    def test_taped_ops_one_image_and_one_cpu_stay_on_the_caller(self, monkeypatch):
+        calls = []
+
+        def work(lo, hi):
+            calls.append((lo, hi, threading.get_ident()))
+
+        caller = threading.get_ident()
+        for threads, n, taped in [(2, 4, True), (2, 1, False), (1, 4, False)]:
+            with_threads(monkeypatch, threads)
+            calls.clear()
+            T._by_image_halves(n, taped, work)
+            assert calls == [(0, n, caller)]
+        # and the taped ops themselves take the serial path
+        with_threads(monkeypatch, 2)
+        monkeypatch.setattr(T, "_SECOND_HALF", None)  # any submit would fail
+        leaves = stem_weights(stem_arrays(np.random.default_rng(47), 3, 3, 3, 2, 4, 6))
+        q, _, gain, bias, w_k, w_v = [rand_leaf(np.random.default_rng(48), *s) for s in
+                                      [(6,), (1,), (6,), (6,), (6, 6), (6, 6)]]
+        with Tape():
+            rows = T.patch_embed(*leaves)
+            T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
+
+    def test_one_helper_thread_per_process(self, monkeypatch):
+        with_threads(monkeypatch, 2)
+        for _ in range(5):
+            T._by_image_halves(2, False, lambda lo, hi: None)
+        assert [t.name for t in threading.enumerate()].count("krt-second-half") == 1
 
 
 class TestInit:
