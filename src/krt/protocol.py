@@ -21,16 +21,20 @@ Inference has one path, `infer`. The previous model's pass over a
 session's images (which feeds DPL and the retention losses) and the
 scoring of the test union both run tape-free `forward_logits` in chunks of
 `INFER_CHUNK` images, whatever the training batch size. Scores depend on
-the chunk size in their last float32 bits, and mAP can move with them. The
-cause is the score product of `T.attention_block`, [B*n, d] @ [d, heads]:
-on OpenBLAS a call of up to 4 paper-shape images ([784, 128] @ [128, 8],
-M*N*K <= 10^6) rounds its rows differently from a larger call, so a chunk
-size moves scores where it changes which images fall in a last chunk of
-1-4 images. The stem's products give the same rows at every chunk size. So
-the chunk is one constant, and it stays 64: a chunk of 20 moved `joint`
-mAPs in their last digits on 5 of 20 seeds and ran no faster. Within a
-chunk, the patch ops may split the images between two threads, bit for bit
-(`krt.tensor`).
+the chunk size in their last float32 bits, and mAP can move with them.
+OpenBLAS's sgemm rounds the rows of a call with M*N*K <= 10^6 differently
+from the same rows of a larger call (likely its small-matrix kernel). At
+the paper shape that holds for the score product of `T.attention_block`,
+[B*196, 128] @ [128, 8], in chunks of up to 4 images, and for ICA's MLP
+product [B, 512] @ [512, 128] in chunks of up to 15; the stem's products
+give the same rows at every chunk size. So a chunk size moves the scores
+of the images it moves into or out of such a small last chunk. Of 200
+images, chunks of 64, 32 and 16 all end with the same 8 and chunks of 20
+with none: at the paper shape, chunks of 20 change the scores of those 8
+images and chunks of 16 or 32 change none. So the chunk is one constant,
+and it stays 64: a chunk of 20 moved `joint` mAPs in their last digits on
+5 of 20 seeds and ran no faster. Within a chunk, the patch ops may split
+the images between two threads, bit for bit (`krt.tensor`).
 
 The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
 `init_model`). Everything after init reads the dtype from the model's own

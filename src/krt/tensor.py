@@ -29,11 +29,11 @@ started on first use. `patch_embed` splits all of its work,
 half makes the same numpy calls on its image slice, whose rows equal those
 of the whole-chunk calls, so results are bit for bit those of one thread.
 The score product [B*n, d] @ [d, heads] stays one call: OpenBLAS rounds its
-rows differently in calls of up to 4 paper-shape images, see
-`attention_block`. The helper runs numpy and scipy on array slices only; it
-never creates a Tensor or touches a tape, so `Tape` stays single-threaded
-and a tracer that wraps `krt` names never sees the helper. Taped (training)
-ops run on the caller alone.
+rows differently in calls of up to 4 paper-shape images (`attention_block`).
+The helper runs numpy and scipy on array slices only; it never creates a
+Tensor or touches a tape, so `Tape` stays single-threaded and a tracer that
+wraps `krt` names never sees the helper. Taped (training) ops run on the
+caller alone.
 
 `conv3x3_same`, `mul`, `power`, `log` and `softmax_rows` have no caller in
 `krt`. They stay only because the benchmark's tracer (`perfbench/probe.py`)
@@ -788,15 +788,15 @@ def attention_block(
     on the BLAS thread count.
 
     Tape-free, norm1 and the pooling run by image halves on two threads
-    (`_by_image_halves`); the score product stays one call. Its rows round
-    by call size: on OpenBLAS 0.3.31 (2-core Xeon, float32, 1 or 2 threads)
-    a [B*196, 128] @ [128, 8] call of up to 4 images (M*N*K <= 10^6, likely
-    OpenBLAS's small-matrix kernel) gives rows that differ in their last
-    bits from the same rows of a larger call, and split halves of 1-4 images
-    would do the same. The stem's [B*196, 72] @ [72, 64] and
-    [B*196, 64] @ [64, 128] products give the same rows at every chunk size.
-    So a chunk size changes scores where it changes which images fall in a
-    last chunk of 1-4 images (`protocol.INFER_CHUNK`).
+    (`_by_image_halves`); the score product stays one call, because its rows
+    round by call size. On OpenBLAS 0.3.31 (2-core Xeon, float32, 1 or 2
+    threads) a [B*196, 128] @ [128, 8] call of up to 4 images
+    (M*N*K <= 10^6, likely OpenBLAS's small-matrix kernel) gives rows that
+    differ in their last bits from the same rows of a larger call, so halves
+    of 1-4 images would move the scores of chunks of 2-9 images. The stem's
+    [B*196, 72] @ [72, 64] and [B*196, 64] @ [64, 128] products give the
+    same rows at every chunk size. See `protocol.INFER_CHUNK` for what this
+    means for the chunk size.
     """
     if (
         rows.ndim != 3

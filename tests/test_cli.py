@@ -72,23 +72,8 @@ def test_incr_small_results_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def _assert_equal_results_at_one_and_two_threads(workload, tmp_path):
-    src = str(Path(krt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    config = {**_load_workloads().guard_config(workload, "run"), "seed": 0}
-    results = []
-    for threads in ("1", "2"):
-        cwd = tmp_path / threads
-        cwd.mkdir()
-        (cwd / "config.json").write_text(json.dumps(config))
-        env = {**os.environ, "PYTHONPATH": path, **{var: threads for var in BLAS_THREADS}}
-        proc = subprocess.run(
-            [sys.executable, "-m", "krt", "run", "--config", "config.json"],
-            capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        results.append(json.loads((cwd / "run" / "results.json").read_text()))
+    results = [_guard_run(workload, tmp_path / threads, threads) for threads in ("1", "2")]
     for r, threads in zip(results, (1, 2)):
-        assert r.pop("wall_clock_sec") >= 0
         assert r.pop("environment")["blas"]["threads"] == threads
     assert results[0] == results[1]
 
@@ -111,26 +96,32 @@ def _assert_equal_results_on_one_and_two_cpus(workload, tmp_path):
     usable = sorted(os.sched_getaffinity(0))
     if len(usable) < 2:
         pytest.skip("needs two usable CPUs")
-    src = str(Path(krt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, **{var: "1" for var in BLAS_THREADS}}
-    config = {**_load_workloads().guard_config(workload, "run"), "seed": 0}
-    results = []
-    for cpus in (usable[:1], usable[:2]):
-        cwd = tmp_path / str(len(cpus))
-        cwd.mkdir()
-        (cwd / "config.json").write_text(json.dumps(config))
-        proc = subprocess.run(
-            [sys.executable, "-m", "krt", "run", "--config", "config.json"],
-            capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
-            preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus),  # the child only
-        )
-        assert proc.returncode == 0, proc.stderr
-        results.append(json.loads((cwd / "run" / "results.json").read_text()))
+    results = [_guard_run(workload, tmp_path / str(n), "1", usable[:n]) for n in (1, 2)]
     for r, cpus in zip(results, (1, 2)):
-        assert r.pop("wall_clock_sec") >= 0
         assert r.pop("environment")["inference_threads"] == cpus
     assert results[0] == results[1]
+
+
+def _guard_run(workload, cwd, blas_threads, cpus=None):
+    """results.json, less its wall clock, of `krt run` of workload's guard config at seed 0 in a child.
+
+    cpus, if given, pins the child (not this process) to those CPUs.
+    """
+    src = str(Path(krt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **{var: blas_threads for var in BLAS_THREADS}}
+    cwd.mkdir()
+    config = {**_load_workloads().guard_config(workload, "run"), "seed": 0}
+    (cwd / "config.json").write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "krt", "run", "--config", "config.json"],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((cwd / "run" / "results.json").read_text())
+    assert result.pop("wall_clock_sec") >= 0
+    return result
 
 
 def _load_workloads():

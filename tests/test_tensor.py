@@ -1,4 +1,5 @@
 import itertools
+import sys
 import threading
 import warnings
 
@@ -1050,11 +1051,34 @@ class TestImageHalves:
             rows = T.patch_embed(*leaves)
             T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
 
-    def test_one_helper_thread_per_process(self, monkeypatch):
+    def test_concurrent_callers_share_one_helper_and_run_each_half_once(self, monkeypatch):
         with_threads(monkeypatch, 2)
-        for _ in range(5):
-            T._by_image_halves(2, False, lambda lo, hi: None)
-        assert [t.name for t in threading.enumerate()].count("krt-second-half") == 1
+        monkeypatch.setattr(T, "_SECOND_HALF", T._SecondHalf())  # not started yet
+        names = lambda: [t.name for t in threading.enumerate()].count("krt-second-half")
+        helpers = names()
+        n, callers, rounds = 7, 6, 200
+        out = np.zeros((callers, rounds, n))
+
+        def caller(c):
+            for r in range(rounds):
+                def work(lo, hi, r=r):
+                    out[c, r, lo:hi] += 1 + np.arange(lo, hi)
+
+                T._by_image_halves(n, False, work)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(c,)) for c in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert np.array_equal(out, np.broadcast_to(1.0 + np.arange(n), out.shape))
+        assert names() == helpers + 1
 
 
 class TestInit:
