@@ -366,8 +366,12 @@ def _blas_threads() -> Optional[int]:
     """Threads numpy's bundled OpenBLAS reports using, or None if it cannot be asked."""
     libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # not loadable here; the record says None rather than fail the run
+            continue
         for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(ctypes.CDLL(path), sym, None)
+            fn = getattr(lib, sym, None)
             if fn is not None:
                 fn.argtypes, fn.restype = [], ctypes.c_int
                 return fn()

@@ -213,8 +213,12 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 
 def inference_threads() -> int:
-    """Threads a tape-free patch op runs on: 2 when this process may use 2 or more CPUs, else 1."""
-    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+    """Threads a tape-free patch op runs on: 2 when this process may use 2 or more CPUs, else 1.
+
+    A platform without `os.sched_getaffinity` runs on 1.
+    """
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return 2 if len(usable) >= 2 else 1
 
 
 class _SecondHalf:
@@ -254,7 +258,8 @@ def _serve(jobs: queue.SimpleQueue):
 
 
 _SECOND_HALF = _SecondHalf()
-os.register_at_fork(after_in_child=_SECOND_HALF.__init__)  # the thread does not survive a fork
+if hasattr(os, "register_at_fork"):  # the thread does not survive a fork
+    os.register_at_fork(after_in_child=_SECOND_HALF.__init__)
 
 
 def _by_image_halves(n: int, taped: bool, work: Callable[[int, int], None]) -> None:
