@@ -951,9 +951,12 @@ class TestImageHalves:
         q, _, gain, bias, w_k, w_v = block
         submits = []
         real_submit = T._SECOND_HALF.submit
-        monkeypatch.setattr(
-            T._SECOND_HALF, "submit", lambda *a: submits.append(a[1:]) or real_submit(*a)
-        )
+
+        def counting_submit(work, lo, hi):
+            submits.append((lo, hi))
+            return real_submit(work, lo, hi)
+
+        monkeypatch.setattr(T._SECOND_HALF, "submit", counting_submit)
         for bsz in range(1, 65):
             images = Tensor(stem[0].data[:bsz])
             got = {}
@@ -994,7 +997,7 @@ class TestImageHalves:
             except T.TensorError as e:
                 raised.append(e)
 
-        thread = threading.Thread(target=caller)
+        thread = threading.Thread(target=caller, daemon=True)  # a hang fails, not blocks, the run
         thread.start()
         thread.join(timeout=30)
         assert not thread.is_alive()
@@ -1044,9 +1047,9 @@ class TestImageHalves:
         # and the taped ops themselves take the serial path
         with_threads(monkeypatch, 2)
         monkeypatch.setattr(T, "_SECOND_HALF", None)  # any submit would fail
-        leaves = stem_weights(stem_arrays(np.random.default_rng(47), 3, 3, 3, 2, 4, 6))
-        q, _, gain, bias, w_k, w_v = [rand_leaf(np.random.default_rng(48), *s) for s in
-                                      [(6,), (1,), (6,), (6,), (6, 6), (6, 6)]]
+        rng = np.random.default_rng(47)
+        leaves = stem_weights(stem_arrays(rng, 3, 3, 3, 2, 4, 6))
+        q, gain, bias, w_k, w_v = [rand_leaf(rng, *s) for s in [(6,), (6,), (6,), (6, 6), (6, 6)]]
         with Tape():
             rows = T.patch_embed(*leaves)
             T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
@@ -1054,8 +1057,10 @@ class TestImageHalves:
     def test_concurrent_callers_share_one_helper_and_run_each_half_once(self, monkeypatch):
         with_threads(monkeypatch, 2)
         monkeypatch.setattr(T, "_SECOND_HALF", T._SecondHalf())  # not started yet
-        names = lambda: [t.name for t in threading.enumerate()].count("krt-second-half")
-        helpers = names()
+        def helpers():
+            return [t.name for t in threading.enumerate()].count("krt-second-half")
+
+        before = helpers()
         n, callers, rounds = 7, 6, 200
         out = np.zeros((callers, rounds, n))
 
@@ -1069,7 +1074,7 @@ class TestImageHalves:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=caller, args=(c,)) for c in range(callers)]
+            threads = [threading.Thread(target=caller, args=(c,), daemon=True) for c in range(callers)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -1078,7 +1083,7 @@ class TestImageHalves:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert np.array_equal(out, np.broadcast_to(1.0 + np.arange(n), out.shape))
-        assert names() == helpers + 1
+        assert helpers() == before + 1
 
 
 class TestInit:
