@@ -4,16 +4,37 @@ Each class owns a fixed random prototype channel-vector. An image draws a
 label set (truncated-Poisson cardinality, correlations shaped by a seeded
 co-occurrence affinity), stamps each chosen class's prototype into its own
 random grid cell, and adds Gaussian noise. Class names are zero-padded so
-lexicographic order equals index order. Every image is generated from an
-rng derived from (dataset seed, image id), so generation is reproducible
-per image and parallelisable.
+lexicographic order equals index order.
+
+Every image draws from its own rng, seeded from (dataset seed, image id),
+so each image is reproducible on its own. The order of its draws is part
+of the data format:
+
+1. the label count: `1 + poisson(avg_labels_per_image - 1)`, capped at
+   `min(n_classes, grid cells)`;
+2. one uniform double per label after the first, whose first label is
+   the round-robin anchor `row % n_classes`;
+3. the cells: `count` distinct grid cells, the i-th holding the i-th label;
+4. the noise: one standard normal per feature, drawn only when
+   `noise_sigma > 0`.
+
+A label's double `u` picks it the way `Generator.choice(n_classes, p=w)`
+does with one double: `w` is the mean affinity row of the labels chosen
+so far, zeroed at them and normalised, and the pick is the number of
+entries of `cumsum(w) / cumsum(w)[-1]` that are `<= u`.
+
+`_split` makes these draws in two passes. Pass 1 loops over the images
+and makes each image's own draws. Pass 2 works on all images at once: for
+each label position j it picks the j-th label of every image that has
+one, keeping running sums of the chosen affinity rows for the means; then
+it stamps every prototype and adds the noise as whole-array ops. The
+result is bit for bit what one image-by-image loop gives.
 
 A `Dataset` holds one row per image: its id, its features and its row of a
 boolean label matrix, whose column k is `class_names[k]`. The rest of the
 package names an image by its row and a class by its column. On disk the
 rows are one array of fixed-size records (`_record_dtype`).
 """
-
 from __future__ import annotations
 
 import struct
@@ -60,7 +81,9 @@ class GenSpec:
             raise ValueError(f"noise_sigma {self.noise_sigma} must be non-negative")
         with np.errstate(over="ignore"):
             affinity = _affinity(self)
-        if not (np.isfinite(affinity).all() and (affinity > 0.0).all()):
+            total = affinity.sum()
+        # the label draw sums subsets of these positive entries; a finite total bounds them all
+        if not (np.isfinite(total) and (affinity > 0.0).all()):
             raise ValueError(f"co_occurrence {self.co_occurrence} takes the label affinity out of float range")
 
 
@@ -112,38 +135,54 @@ def _affinity(spec: GenSpec) -> np.ndarray:
     return np.exp(spec.co_occurrence * sym)
 
 
-def _make_image(spec: GenSpec, image_id: int, index: int, protos, affinity) -> tuple:
-    """(features [h, w, c] float64, label columns) of one image."""
-    rng = np.random.default_rng(substream_seed(spec.seed, f"image/{image_id}"))
-    cap = min(spec.n_classes, spec.grid_h * spec.grid_w)
-    extra = int(rng.poisson(spec.avg_labels_per_image - 1.0))
-    count = 1 + min(extra, cap - 1)
-
-    labels = [index % spec.n_classes]  # round-robin anchor: every class occurs
-    while len(labels) < count:
-        weights = affinity[labels].mean(axis=0).copy()
-        weights[labels] = 0.0
-        weights /= weights.sum()
-        labels.append(int(rng.choice(spec.n_classes, p=weights)))
-
-    cells = rng.choice(spec.grid_h * spec.grid_w, size=count, replace=False)
-    feat = np.zeros((spec.grid_h, spec.grid_w, spec.channels), dtype=np.float64)
-    for cls, cell in zip(labels, cells):
-        feat[cell // spec.grid_w, cell % spec.grid_w] += protos[cls]
-    # noise is the final draw so a noiseless rerun shares labels and cells
-    if spec.noise_sigma > 0.0:
-        feat += spec.noise_sigma * rng.standard_normal(feat.shape)
-    return feat, labels
-
-
 def _split(spec: GenSpec, names: list, first_id: int, n: int, protos, affinity) -> Dataset:
     """`n` images with ids first_id, first_id + 1, ...; row i anchors class i mod K."""
-    features = np.empty((n, spec.grid_h, spec.grid_w, spec.channels), dtype=np.float32)
-    labels = np.zeros((n, spec.n_classes), dtype=bool)
+    h, w, k = spec.grid_h, spec.grid_w, spec.n_classes
+    cap = min(k, h * w)
+    counts = np.empty(n, dtype=np.intp)
+    doubles, cells = [], []
+    feat = np.zeros((n, h, w, spec.channels))
+    # pass 1: each image's own draws, in the format's order
     for row in range(n):
-        features[row], classes = _make_image(spec, first_id + row, row, protos, affinity)
-        labels[row, classes] = True
-    return Dataset(names, np.arange(first_id, first_id + n, dtype=np.uint64), features, labels)
+        rng = np.random.default_rng(substream_seed(spec.seed, f"image/{first_id + row}"))
+        counts[row] = count = 1 + min(int(rng.poisson(spec.avg_labels_per_image - 1.0)), cap - 1)
+        doubles.append(rng.random(count - 1))
+        cells.append(rng.choice(h * w, size=count, replace=False))
+        if spec.noise_sigma > 0.0:
+            rng.standard_normal(out=feat[row])
+    feat *= spec.noise_sigma
+
+    # pass 2: label position j of every image at once, then every stamp
+    width = int(counts.max())
+    position = np.arange(width)
+    filled = position < counts[:, None]
+    u = np.zeros((n, width))  # u[i, j] picks label j of image i
+    u[filled & (position > 0)] = np.concatenate(doubles)
+    anchors = np.arange(n) % k
+    picks = np.empty((n, width), dtype=np.intp)
+    picks[:, 0] = anchors
+    labels = np.zeros((n, k), dtype=bool)
+    labels[np.arange(n), anchors] = True
+    sums = affinity[anchors]
+    for j in range(1, width):
+        rows = np.flatnonzero(counts > j)
+        # sums added in label order and divided by j is `affinity[chosen].mean(axis=0)`
+        weights = sums[rows] / j
+        weights[labels[rows]] = 0.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(weights, axis=1)
+        cdf /= cdf[:, -1:]
+        pick = (cdf <= u[rows, j, None]).sum(axis=1)  # searchsorted(cdf, u, side="right")
+        picks[rows, j] = pick
+        labels[rows, pick] = True
+        sums[rows] += affinity[pick]
+
+    image, slot = np.nonzero(filled)
+    cell = np.concatenate(cells)
+    # cells are distinct within an image, so each element is stamped once: noise + prototype
+    feat[image, cell // w, cell % w] += protos[picks[image, slot]]
+    ids = np.arange(first_id, first_id + n, dtype=np.uint64)
+    return Dataset(names, ids, feat.astype(np.float32), labels)
 
 
 def generate(spec: GenSpec):

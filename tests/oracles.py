@@ -4,12 +4,16 @@ Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the library paths it verifies, except
 the chains of taped ops that a fused op replaced, which check it bit for
 bit: `asl_oracle` (`T.asl`), `merge_blocks_oracle` (`T.merge_blocks`) and
-`session_heads_oracle` (`T.session_heads`).
+`session_heads_oracle` (`T.session_heads`); and `split_oracle`, the
+image-by-image generator that `datagen._split` replaced, which checks it
+byte for byte.
 """
 
 import math
 
 import numpy as np
+
+from krt.seeds import substream_seed
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -339,3 +343,37 @@ def dpl_walk_oracle(scores: np.ndarray, config, mu_t: float, exclude=None):
     if not converged:
         _, eta, beta, sets = best
     return eta, beta, iterations, converged, sets, visited
+
+
+def image_oracle(spec, image_id: int, index: int, protos, affinity) -> tuple:
+    """(features [h, w, c] float64, label columns) of one generated image."""
+    rng = np.random.default_rng(substream_seed(spec.seed, f"image/{image_id}"))
+    cap = min(spec.n_classes, spec.grid_h * spec.grid_w)
+    extra = int(rng.poisson(spec.avg_labels_per_image - 1.0))
+    count = 1 + min(extra, cap - 1)
+
+    labels = [index % spec.n_classes]  # round-robin anchor: every class occurs
+    while len(labels) < count:
+        weights = affinity[labels].mean(axis=0).copy()
+        weights[labels] = 0.0
+        weights /= weights.sum()
+        labels.append(int(rng.choice(spec.n_classes, p=weights)))
+
+    cells = rng.choice(spec.grid_h * spec.grid_w, size=count, replace=False)
+    feat = np.zeros((spec.grid_h, spec.grid_w, spec.channels), dtype=np.float64)
+    for cls, cell in zip(labels, cells):
+        feat[cell // spec.grid_w, cell % spec.grid_w] += protos[cls]
+    # noise is the final draw so a noiseless rerun shares labels and cells
+    if spec.noise_sigma > 0.0:
+        feat += spec.noise_sigma * rng.standard_normal(feat.shape)
+    return feat, labels
+
+
+def split_oracle(spec, first_id: int, n: int, protos, affinity) -> tuple:
+    """(ids, features, labels) of `n` generated images, one `image_oracle` call each."""
+    features = np.empty((n, spec.grid_h, spec.grid_w, spec.channels), dtype=np.float32)
+    labels = np.zeros((n, spec.n_classes), dtype=bool)
+    for row in range(n):
+        features[row], classes = image_oracle(spec, first_id + row, row, protos, affinity)
+        labels[row, classes] = True
+    return np.arange(first_id, first_id + n, dtype=np.uint64), features, labels

@@ -407,6 +407,11 @@ CO_OCCURRENCE = "config.dataset: co_occurrence {} takes the label affinity out o
         ("loss.neg_margin=1", "config.loss: neg_margin 1.0 must be in [0, 1)"),
         ("dataset.co_occurrence=1000", CO_OCCURRENCE.format(1000.0)),
         ("dataset.co_occurrence=-1000", CO_OCCURRENCE.format(-1000.0)),
+        (  # finite entries whose sum overflows: the label draw's means would too
+            'dataset={"n_classes": 5, "grid_h": 4, "grid_w": 4, "channels": 2, "seed": 901, '
+            '"avg_labels_per_image": 5, "co_occurrence": 584.090054, "n_train": 200, "n_test": 20}',
+            CO_OCCURRENCE.format(584.090054),
+        ),
     ],
 )
 def test_bad_values_fail_at_the_boundary(override, message, tmp_path, capsys):

@@ -2,13 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import split_oracle
 
 from krt.datagen import (
     Dataset,
     DatasetFormatError,
     GenSpec,
+    _affinity,
     class_prototypes,
     generate,
     load_dataset,
@@ -78,6 +80,20 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GenSpec(n_classes=4, avg_labels_per_image=9.0)
 
+    def test_an_affinity_whose_sum_overflows_is_rejected(self):
+        # every entry is finite, but the mean of two chosen rows is not
+        kw = dict(
+            n_classes=5, grid_h=4, grid_w=4, channels=2, avg_labels_per_image=5,
+            co_occurrence=0.0, seed=901, n_train=200, n_test=20,
+        )
+        spec = GenSpec(**kw)
+        spec.co_occurrence = 584.090054
+        with np.errstate(over="ignore"):
+            affinity = _affinity(spec)
+            assert np.isfinite(affinity).all() and not np.isfinite(affinity.sum())
+        with pytest.raises(ValueError, match="co_occurrence 584.090054 takes the label affinity"):
+            GenSpec(**{**kw, "co_occurrence": 584.090054})
+
     def test_co_occurrence_shapes_pair_frequencies(self):
         flat = generate(small_spec(co_occurrence=0.0, n_train=4000))[0]
         skew = generate(small_spec(co_occurrence=2.0, n_train=4000))[0]
@@ -90,6 +106,57 @@ class TestGenerate:
         c_flat = pair_counts(flat)
         c_skew = pair_counts(skew)
         assert c_skew.max() > c_flat.max()
+
+
+    def test_generated_bytes_are_pinned(self):
+        # a numpy whose Generator streams differ changes the data every benchmark trains on
+        train, test, _ = generate(small_spec())
+        digest = hashlib.sha256()
+        for ds in (train, test):
+            digest.update(ds.image_ids.tobytes())
+            digest.update(np.packbits(ds.labels, axis=1, bitorder="little").tobytes())
+            digest.update(ds.features.tobytes())
+        assert digest.hexdigest() == (
+            "0cf94bae23a41b890e679ba68a23e6d1aab9cd2a30894927ff8d5f0f3ce7b42e"
+        )
+
+
+@st.composite
+def gen_specs(draw):
+    k = draw(st.integers(2, 12))
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return GenSpec(
+        n_classes=k, grid_h=h, grid_w=w, channels=draw(st.integers(1, 3)),
+        avg_labels_per_image=draw(st.floats(1.0, min(k, h * w))),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.7])),
+        co_occurrence=draw(st.floats(-2.0, 2.0)),
+        n_train=draw(st.integers(1, 30)), n_test=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+def _corner(**kw):
+    base = dict(n_classes=6, grid_h=2, grid_w=2, channels=2, n_train=40, n_test=1, seed=11)
+    return GenSpec(**{**base, **kw})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=gen_specs())
+@example(spec=_corner(avg_labels_per_image=4.0, co_occurrence=2.0))  # h*w < n_classes
+@example(spec=_corner(avg_labels_per_image=3.5, co_occurrence=-2.0))
+@example(spec=_corner(avg_labels_per_image=1.0))
+@example(spec=_corner(avg_labels_per_image=2.5, noise_sigma=0.0))
+@example(spec=_corner(n_train=1, avg_labels_per_image=3.0))
+@example(spec=small_spec(avg_labels_per_image=5.0, co_occurrence=2.0, n_train=60, n_test=20))
+def test_generate_matches_the_image_by_image_reference(spec):
+    train, test, names = generate(spec)
+    protos, affinity = class_prototypes(spec), _affinity(spec)
+    for ds, first_id in ((train, 0), (test, spec.n_train)):
+        ids, features, labels = split_oracle(spec, first_id, len(ds), protos, affinity)
+        assert ds.class_names is names
+        assert ds.image_ids.tobytes() == ids.tobytes()
+        assert ds.features.dtype == np.float32 and ds.features.tobytes() == features.tobytes()
+        assert np.array_equal(ds.labels, labels)
 
 
 class TestDataset:
