@@ -12,11 +12,12 @@ of the data format:
 
 1. the label count: `1 + poisson(avg_labels_per_image - 1)`, capped at
    `min(n_classes, grid cells)`;
-2. one uniform double per label after the first, whose first label is
-   the round-robin anchor `row % n_classes`;
+2. one uniform double per label after the first; the first label is the
+   round-robin anchor `row % n_classes` and draws nothing;
 3. the cells: `count` distinct grid cells, the i-th holding the i-th label;
 4. the noise: one standard normal per feature, drawn only when
-   `noise_sigma > 0`.
+   `noise_sigma > 0`. It comes last, so a noiseless spec shares labels
+   and cells with a noisy one.
 
 A label's double `u` picks it the way `Generator.choice(n_classes, p=w)`
 does with one double: `w` is the mean affinity row of the labels chosen
@@ -35,6 +36,7 @@ boolean label matrix, whose column k is `class_names[k]`. The rest of the
 package names an image by its row and a class by its column. On disk the
 rows are one array of fixed-size records (`_record_dtype`).
 """
+
 from __future__ import annotations
 
 import struct

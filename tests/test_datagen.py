@@ -81,7 +81,7 @@ class TestGenerate:
             GenSpec(n_classes=4, avg_labels_per_image=9.0)
 
     def test_an_affinity_whose_sum_overflows_is_rejected(self):
-        # every entry is finite, but the mean of two chosen rows is not
+        # every entry is finite, but sums of them overflow, as the label draw's means did
         kw = dict(
             n_classes=5, grid_h=4, grid_w=4, channels=2, avg_labels_per_image=5,
             co_occurrence=0.0, seed=901, n_train=200, n_test=20,
@@ -106,7 +106,6 @@ class TestGenerate:
         c_flat = pair_counts(flat)
         c_skew = pair_counts(skew)
         assert c_skew.max() > c_flat.max()
-
 
     def test_generated_bytes_are_pinned(self):
         # a numpy whose Generator streams differ changes the data every benchmark trains on
@@ -149,11 +148,10 @@ def _corner(**kw):
 @example(spec=_corner(n_train=1, avg_labels_per_image=3.0))
 @example(spec=small_spec(avg_labels_per_image=5.0, co_occurrence=2.0, n_train=60, n_test=20))
 def test_generate_matches_the_image_by_image_reference(spec):
-    train, test, names = generate(spec)
+    train, test, _ = generate(spec)
     protos, affinity = class_prototypes(spec), _affinity(spec)
     for ds, first_id in ((train, 0), (test, spec.n_train)):
         ids, features, labels = split_oracle(spec, first_id, len(ds), protos, affinity)
-        assert ds.class_names is names
         assert ds.image_ids.tobytes() == ids.tobytes()
         assert ds.features.dtype == np.float32 and ds.features.tobytes() == features.tobytes()
         assert np.array_equal(ds.labels, labels)
