@@ -290,6 +290,8 @@ def _validate_arm_buffer(cfg: RunConfig):
 
 def apply_overrides(raw: dict, overrides: list) -> dict:
     """Apply key.path=value strings onto the raw config dict."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config: expected a JSON object")
     out = copy.deepcopy(raw)
     for item in overrides:
         if "=" not in item:

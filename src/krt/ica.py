@@ -18,16 +18,15 @@ merge of Milakov & Gimelshein, arXiv 1805.02867). Column 0 of those
 two-entry weights is the attention mass on the retention token.
 
 `forward_all_sessions` is the one forward path. The query and the patch
-block run once; each retention token's one-row block runs once, and the
-t blocks are stacked. norm1 sits inside the block op (`T.attention_block`
-takes its gain and bias), so the normalised [B, L, d] patches are never
-formed and the patch side is one taped op. One op, `T.merge_blocks`,
-pairs every (session, image, head) with its two blocks into a [t, B, d]
-stack. `w_o`, the transfer-token residual, norm2, the MLP and the last
-residual run once on that stack, which is returned: slice s holds
-session s+1's embeddings. A forward thus records a fixed set of taped
-ops plus one block per session (and a live token's reshape), and costs
-O(L + t) rather than O(t * L).
+block run once, and one op, `T.retention_blocks`, runs every retention
+token's one-row block. norm1 sits inside both block ops (they take its
+gain and bias), so the normalised [B, L, d] patches are never formed and
+the patch side is one taped op. One op, `T.merge_blocks`, pairs every
+(session, image, head) with its two blocks into a [t, B, d] stack. `w_o`,
+the transfer-token residual, norm2, the MLP and the last residual run once
+on that stack, which is returned: slice s holds session s+1's embeddings.
+A forward thus records the same 17 taped ops at any session count, and
+costs O(L + t) rather than O(t * L).
 
 Old sessions' embeddings must keep their bits when a session is added
 (frozen tokens, unchanged weights). Two layouts that look equivalent
@@ -37,11 +36,12 @@ depends on the call's shape:
   is one np.matmul that runs the same BLAS call on each [B, d] slice as a
   rank-2 call would. A flat [t*B, d] product is one bigger GEMM, and its
   rows round differently from the [B, d] product at some shapes.
-- The retention blocks stay one call per token. A single call over all t
-  tokens scores them in one [t, d] GEMM instead of t one-row products,
-  which round differently.
-The one-row block's context is v_r up to rounding, because
-`attention_block` pools rows before the value projection.
+- `T.retention_blocks` runs its score and value products once per token
+  slice of the [t, 1, d] token stack, as t one-row `T.attention_block`
+  calls would. One [t, d] GEMM would round its rows differently from t
+  one-row products.
+The one-row block's context is v_r up to rounding, because the block ops
+pool rows before the value projection.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def forward_all_sessions(state: IcaState, patches: Tensor) -> Tensor:
 
     Slice s holds session s+1's embeddings e1 + MLP(norm2(e1)), where e1 =
     kt + w_o . attention(norm1(kt) over {norm1(kr_s)} and norm1(patches)) +
-    b_o. norm1 runs inside each block's `T.attention_block`.
+    b_o. norm1 runs inside the block ops.
     """
     cfg = state.config
     d, nh = cfg.d, cfg.heads
@@ -159,15 +159,12 @@ def forward_all_sessions(state: IcaState, patches: Tensor) -> Tensor:
     bsz, t = patches.shape[0], state.session_count
 
     g1, b1 = state.norm1_gain, state.norm1_bias
-
-    def block(q: Tensor, x: Tensor) -> Tensor:
-        return T.attention_block(q, x, g1, b1, state.w_k, state.w_v, nh, cfg.attn_scale)
-
+    block = (g1, b1, state.w_k, state.w_v, nh, cfg.attn_scale)
     q = T.matmul(T.layer_norm(state.kt_token, g1, b1).reshape(1, d), state.w_q).reshape(d)
     # the patch block is taped first: the tape order fixes the order in
     # which the q, w_k, w_v and norm1 gradients of all blocks are summed
-    patch_block = block(q, patches)  # [B, heads, dh+1]
-    own = T.concat([block(q, kr.reshape(1, 1, d)) for kr in state.kr_tokens], axis=0)
+    patch_block = T.attention_block(q, patches, *block)  # [B, heads, dh+1]
+    own = T.retention_blocks(q, state.kr_tokens, *block)  # [t, heads, dh+1]
     z = T.merge_blocks(own, patch_block)  # [t, B, d]
 
     kt = T.repeat_rows(state.kt_token.reshape(1, d), t * bsz).reshape(t, bsz, d)

@@ -5,7 +5,8 @@ exponents on positives and negatives, taped as one op (`T.asl`). The token
 loss penalises any drift of the old session embeddings relative to the
 previous model's snapshot (one cosine over the concatenated prefix per
 item, averaged over the batch). The pooled-feature distillation loss exists
-only for the ablation baseline arm.
+only for the ablation baseline arm. Both are 1 - a batch-mean cosine, taped
+as one op (`T.cosine_distance`).
 """
 
 from __future__ import annotations
@@ -52,26 +53,20 @@ def token_loss(e_prev: np.ndarray, e_curr: Tensor) -> Tensor:
     e_curr the current model's [t, B, d] stack, computed on the same batch.
     Per item the prefix embeddings are concatenated, session-major, into
     one vector and compared with a single cosine; the batch mean is
-    returned.
+    returned (`T.cosine_distance`).
     """
     if e_prev.ndim != 3 or e_curr.shape != (len(e_prev) + 1, *e_prev.shape[1:]):
         raise ValueError(f"want a [t, B, d] stack one session past {e_prev.shape}, got {e_curr.shape}")
-    t, bsz, d = e_curr.shape
-    if t < 2:
+    if e_curr.shape[0] < 2:
         raise ValueError("token loss needs at least one previous-session embedding")
-    curr_flat = T.transpose(e_curr.slice(0, 0, t - 1), (1, 0, 2)).reshape(bsz, (t - 1) * d)
-    prev_flat = e_prev.transpose(1, 0, 2).reshape(bsz, (t - 1) * d)
-    cos = T.cosine_similarity(curr_flat, Tensor(prev_flat))  # [B]
-    return T.add(T.scale(cos.mean(), -1.0), 1.0)
+    return T.cosine_distance(e_curr, e_prev)
 
 
 def kd_pooled_loss(feat_prev: np.ndarray, feat_curr: Tensor) -> Tensor:
     """1 - mean cosine between pooled features of the snapshot and the live model."""
-    prev = Tensor(feat_prev)
-    if prev.shape != feat_curr.shape:
-        raise ValueError(f"feature shapes differ: {prev.shape} vs {feat_curr.shape}")
-    cos = T.cosine_similarity(feat_curr, prev)
-    return T.add(T.scale(cos.mean(), -1.0), 1.0)
+    if np.shape(feat_prev) != feat_curr.shape:
+        raise ValueError(f"feature shapes differ: {np.shape(feat_prev)} vs {feat_curr.shape}")
+    return T.cosine_distance(feat_curr, feat_prev)
 
 
 def total_loss(asl: Tensor, token: Optional[Tensor], config: LossConfig, session: int) -> Tensor:

@@ -14,12 +14,14 @@ checked for NaN/Inf and raises instead of propagating silently.
 The model's patch-sized work is two fused ops with analytic backwards, so
 no [B, h*w, d] intermediate is taped: `patch_embed` (3x3 conv, exact GELU,
 projection and position code) and `attention_block` (norm1 and
-single-query attention over the patch rows). Three more are each bit for
-bit a chain of small ops: `merge_blocks` (each session's retention block
-merged with the patch block), `session_heads` and the loss, `asl`.
-Shared arithmetic lives in private helpers (`_gelu_phi`, `_gelu_slope`,
-`_normalise_rows`), so a fused op and its standalone counterpart agree by
-construction.
+single-query attention over the patch rows). Five more are each bit for
+bit a chain of small ops: `retention_blocks` (every retention token's
+one-row block), `merge_blocks` (each session's retention block merged with
+the patch block), `session_heads`, the loss `asl` and `cosine_distance`
+(the token and pooled-feature losses). Shared arithmetic lives in private
+helpers (`_gelu_phi`, `_gelu_slope`, `_normalise_rows`, and
+`attention_block`'s `_weight_grads` and `_rows_grad`), so a fused op and
+its standalone counterpart agree by construction.
 
 Tape-free, the two patch ops use a second CPU when the process may run on
 two or more (`inference_threads`): `_by_image_halves` gives the first half
@@ -35,10 +37,11 @@ Tensor or touches a tape, so `Tape` stays single-threaded and a tracer that
 wraps `krt` names never sees the helper. Taped (training) ops run on the
 caller alone.
 
-`conv3x3_same`, `mul`, `power`, `log` and `softmax_rows` have no caller in
-`krt`. They stay only because the benchmark's tracer (`perfbench/probe.py`)
-wraps them by name; they also build the test references of `patch_embed`,
-`asl` and `merge_blocks`.
+`conv3x3_same`, `mul`, `power`, `log`, `softmax_rows`, `concat`,
+`transpose`, `cosine_similarity` and `mean_all` have no caller in `krt`.
+They stay only because the benchmark's tracer (`perfbench/probe.py`) wraps
+them by name; they also build the test references of `patch_embed`, `asl`,
+`retention_blocks`, `merge_blocks`, `session_heads` and `cosine_distance`.
 """
 
 from __future__ import annotations
@@ -112,9 +115,6 @@ class Tensor:
 
     def slice(self, axis: int, start: int, stop: int) -> "Tensor":
         return slice_along(self, axis, start, stop)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
 
 
 class Tape:
@@ -724,6 +724,45 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.asarray(cos, dtype=a.data.dtype), [a, b], bwd)
 
 
+def cosine_distance(x: Tensor, y: np.ndarray) -> Tensor:
+    """1 - the batch mean of each item's cosine between x and the constant y, as a scalar.
+
+    x:[B, d] pairs with y:[B, d]. A [t, B, d] stack x pairs with y:[m, B, d],
+    m <= t: item b's vector is its first m slices' rows, concatenated in
+    slice order, in both. Loss and x's gradient are bit for bit the taped
+    chain of `slice_along`, `transpose`, `reshape`, `cosine_similarity`,
+    `mean_all`, `scale(-1)` and `add(1)`.
+    """
+    y = _as_array(y, None)
+    stacked = x.ndim == 3
+    if x.ndim not in (2, 3) or y.ndim != x.ndim or y.shape[-2:] != x.shape[-2:] or (
+        stacked and not 1 <= len(y) <= x.shape[0]
+    ):
+        raise TensorError(f"cosine_distance: bad shapes x {x.shape}, y {y.shape}")
+    m, bsz = len(y), x.shape[-2]
+    if stacked:  # item-major copies: [B, m * d]
+        xs, y = x.data[:m].transpose(1, 0, 2).reshape(bsz, -1), y.transpose(1, 0, 2).reshape(bsz, -1)
+    else:
+        xs = x.data
+    nx, ny = np.linalg.norm(xs, axis=1), np.linalg.norm(y, axis=1)
+    if np.any(nx == 0.0) or np.any(ny == 0.0):
+        raise TensorError("cosine_distance of a zero-norm vector")
+    cos = (xs * y).sum(axis=1) / (nx * ny)
+
+    def bwd(g, x=x):  # recorded only when x needs a gradient
+        gc = np.full_like(cos, -float(g) / bsz, dtype=x.dtype).reshape(-1, 1)
+        d_xs = gc * (y / (nx * ny)[:, None] - cos[:, None] * xs / (nx * nx)[:, None])
+        if not stacked:
+            return [(x, d_xs)]
+        d_x = np.zeros_like(x.data)
+        d_x[:m] = d_xs.reshape(bsz, m, -1).transpose(1, 0, 2)
+        return [(x, d_x)]
+
+    # the chain's roundings: `cosine_similarity`'s cast, `mean_all`, `scale` and `add`
+    mean = np.asarray(np.asarray(cos, dtype=x.dtype).mean(), dtype=x.dtype)
+    return _result(mean * -1.0 + 1.0, [x], bwd)
+
+
 def weighted_rows_sum(weights: Tensor, values: Tensor) -> Tensor:
     """Per-batch weighted sum of rows: [B,n] x [B,n,m] -> [B,m]."""
     if weights.ndim != 2 or values.ndim != 3 or weights.shape != values.shape[:2]:
@@ -752,6 +791,85 @@ def absorb_query(q: np.ndarray, w_k: np.ndarray, heads: int) -> np.ndarray:
     q_cols = np.zeros((l, heads), dtype=q.dtype)
     q_cols[np.arange(l), np.arange(l) // (l // heads)] = q
     return w_k @ q_cols
+
+
+def _block_dims(op: str, q: Tensor, d: int, gain, bias, w_k, w_v, heads: int) -> int:
+    """dh, once a block op's q:[l], gain/bias:[d] and w_k/w_v:[d, l] fit rows of width d and l splits into heads."""
+    if w_k.ndim != 2 or w_v.shape != w_k.shape or w_k.shape[0] != d or q.shape != (w_k.shape[1],) or (
+        gain.shape != (d,) or bias.shape != (d,)
+    ):
+        raise TensorError(
+            f"{op}: bad shapes q {q.shape}, rows of width {d}, gain {gain.shape}, bias {bias.shape}, "
+            f"w_k {w_k.shape}, w_v {w_v.shape}"
+        )
+    if heads < 1 or q.shape[0] % heads:
+        raise TensorError(f"{op}: {q.shape[0]} query dims do not split into {heads} heads")
+    return q.shape[0] // heads
+
+
+def _weight_grads(q, gain, bias, w_k, w_v, a, xhat, px, pooled, g_ctx, d_s, d_pooled) -> list:
+    """(tensor, gradient) for each of q, w_k, gain, bias and w_v that needs one.
+
+    The arrays are one `attention_block` call's: a = absorb_query(q, w_k),
+    xhat:[B, n, d] its normalised rows, px = p^T xhat and pooled:[B, heads, d]
+    the pooled rows before and after the LayerNorm's gain and bias, g_ctx:[B,
+    heads, dh] the context gradient, d_s:[B, heads, n] the score gradient and
+    d_pooled:[B, heads, d] the pooled rows' gradient.
+    """
+    g, beta = gain.data, bias.data
+    d, l = w_k.shape
+    head_of = np.arange(l) // (l // a.shape[1])
+    out = []
+    if q.requires_grad or w_k.requires_grad or gain.requires_grad:
+        # per image, then over images: one [heads, B*n] @ [B*n, d] product
+        # would split its long sum by the BLAS thread count at some B
+        d_ga = np.matmul(d_s, xhat).sum(axis=0).T  # [d, heads]
+    if q.requires_grad or w_k.requires_grad:
+        d_a = d_ga * g[:, None] + np.outer(beta, d_s.sum(axis=(0, 2)))
+        d_a_cols = d_a[:, head_of]  # [d, l]
+        if q.requires_grad:
+            out.append((q, (w_k.data * d_a_cols).sum(axis=0)))
+        if w_k.requires_grad:
+            out.append((w_k, d_a_cols * q.data))
+    if gain.requires_grad:
+        out.append((gain, (d_ga * a).sum(axis=1) + (d_pooled * px).sum(axis=(0, 1))))
+    if bias.requires_grad:
+        out.append((bias, a @ d_s.sum(axis=(0, 2)) + d_pooled.sum(axis=(0, 1))))
+    if w_v.requires_grad:
+        d_w_v = np.matmul(pooled.transpose(1, 2, 0), g_ctx.transpose(1, 0, 2))
+        out.append((w_v, d_w_v.transpose(1, 0, 2).reshape(d, l)))
+    return out
+
+
+def _rows_grad(xhat, inv, xga, ga, p, d_s, d_p, d_px) -> np.ndarray:
+    """The [B, n, d] gradient of one `attention_block` call's raw rows.
+
+    xhat and inv are the rows' LayerNorm statistics, xga:[B, heads, n] = xhat
+    @ (gain * a), p:[B, heads, n] the softmax weights, d_s and d_p the score
+    and weight gradients, d_px:[B, heads, d] that of p^T xhat.
+
+    d loss / d xhat is gy = d_s^T (g*a)^T + p^T (g*d_pooled), one product of
+    the stacked [d_s; p] with [(g*a)^T; g*d_pooled]. The LayerNorm backward
+    is inv * (gy - m1 - xhat * m2), whose row means m1 = mean(gy) and m2 =
+    mean(gy * xhat) come from [B, heads, n] products; a last stacked row of
+    m1 against -1 subtracts m1 in the same product, which leaves the xhat
+    term alone to a second pass. At B=16, n=196, d=128, 8 heads (float32, 1
+    BLAS thread, 2-core Xeon) this takes 0.87 ms against 2.6 ms for forming
+    gy and taking `layer_norm`'s backward of it, and `incr_paper` trains 9%
+    more items/s (ahead in 18 of 20 alternating perfbench runs).
+    """
+    (bsz, heads, n), d = d_s.shape, xhat.shape[2]
+    k = 2 * heads
+    lhs = np.empty((bsz, k + 1, n), dtype=xhat.dtype)
+    lhs[:, :heads], lhs[:, heads:k] = d_s, p
+    rhs = np.empty((bsz, k + 1, d), dtype=xhat.dtype)
+    rhs[:, :heads], rhs[:, heads:k], rhs[:, k] = ga.T, d_px, -1.0
+    lhs[:, k] = (lhs[:, :k] * rhs[:, :k].mean(axis=2)[..., None]).sum(axis=1)
+    m2 = ((d_s * xga).sum(axis=1) + (p * d_p).sum(axis=1)) / d
+    lhs *= inv.reshape(bsz, 1, n)
+    d_x = np.matmul(lhs.transpose(0, 2, 1), rhs)
+    d_x -= xhat * (inv * m2[..., None])
+    return d_x
 
 
 def attention_block(
@@ -803,27 +921,11 @@ def attention_block(
     same rows at every chunk size. See `protocol.INFER_CHUNK` for what this
     means for the chunk size.
     """
-    if (
-        rows.ndim != 3
-        or w_k.ndim != 2
-        or w_v.shape != w_k.shape
-        or q.shape != (w_k.shape[1],)
-        or gain.shape != (w_k.shape[0],)
-        or bias.shape != gain.shape
-    ):
-        raise TensorError(
-            f"attention_block: bad shapes q {q.shape}, rows {rows.shape}, gain {gain.shape}, "
-            f"bias {bias.shape}, w_k {w_k.shape}, w_v {w_v.shape}"
-        )
+    if rows.ndim != 3:
+        raise TensorError(f"attention_block: rows must be [B, n, d], got {rows.shape}")
     bsz, n, d = rows.shape
-    l = q.shape[0]
-    if d != w_k.shape[0]:
-        raise TensorError(f"attention_block: row dim {d} does not match w_k {w_k.shape}")
-    if heads < 1 or l % heads:
-        raise TensorError(f"attention_block: {l} query dims do not split into {heads} heads")
-    dh = l // heads
+    dh = _block_dims("attention_block", q, d, gain, bias, w_k, w_v, heads)
     scale = float(scale)
-    head_of = np.arange(l) // dh
     taped = _ACTIVE_TAPE is not None and any(
         t.requires_grad for t in (q, rows, gain, bias, w_k, w_v)
     )
@@ -866,50 +968,78 @@ def attention_block(
         d_p = np.matmul(xhat, d_px.transpose(0, 2, 1)).transpose(0, 2, 1).copy()  # [B, heads, n]
         # d lse / d s = p, so the lse gradient joins the softmax's
         d_s = p * (d_p - (p * d_p).sum(axis=2, keepdims=True) + g_lse[..., None]) * scale
-        out = []
-        if q.requires_grad or w_k.requires_grad or gain.requires_grad:
-            # per image, then over images: one [heads, B*n] @ [B*n, d] product
-            # would split its long sum by the BLAS thread count at some B
-            d_ga = np.matmul(d_s, xhat).sum(axis=0).T  # [d, heads]
-        if q.requires_grad or w_k.requires_grad:
-            d_a = d_ga * g[:, None] + np.outer(beta, d_s.sum(axis=(0, 2)))
-            d_a_cols = d_a[:, head_of]  # [d, l]
-            if q.requires_grad:
-                out.append((q, (w_k.data * d_a_cols).sum(axis=0)))
-            if w_k.requires_grad:
-                out.append((w_k, d_a_cols * q.data))
+        out = _weight_grads(q, gain, bias, w_k, w_v, a, xhat, px, pooled, g_ctx, d_s, d_pooled)
         if rows.requires_grad:
-            # d loss / d xhat is gy = d_s^T (g*a)^T + p^T (g*d_pooled), one
-            # product of the stacked [d_s; p] with [(g*a)^T; g*d_pooled]. The
-            # LayerNorm backward is inv * (gy - m1 - xhat * m2), whose row means
-            # m1 = mean(gy) and m2 = mean(gy * xhat) come from [B, heads, n]
-            # products; a last stacked row of m1 against -1 subtracts m1 in the
-            # same product, which leaves the xhat term alone to a second pass.
-            # At B=16, n=196, d=128, 8 heads (float32, 1 BLAS thread, 2-core
-            # Xeon) this takes 0.87 ms against 2.6 ms for forming gy and taking
-            # `layer_norm`'s backward of it, and `incr_paper` trains 9% more
-            # items/s (ahead in 18 of 20 alternating perfbench runs)
-            k = 2 * heads
-            lhs = np.empty((bsz, k + 1, n), dtype=xhat.dtype)
-            lhs[:, :heads], lhs[:, heads:k] = d_s, p
-            rhs = np.empty((bsz, k + 1, d), dtype=xhat.dtype)
-            rhs[:, :heads], rhs[:, heads:k], rhs[:, k] = ga.T, d_px, -1.0
-            lhs[:, k] = (lhs[:, :k] * rhs[:, :k].mean(axis=2)[..., None]).sum(axis=1)
-            m2 = ((d_s * xga).sum(axis=1) + (p * d_p).sum(axis=1)) / d
-            lhs *= inv.reshape(bsz, 1, n)
-            d_x = np.matmul(lhs.transpose(0, 2, 1), rhs)
-            d_x -= xhat * (inv * m2[..., None])
-            out.append((rows, d_x))
-        if gain.requires_grad:
-            out.append((gain, (d_ga * a).sum(axis=1) + (d_pooled * px).sum(axis=(0, 1))))
-        if bias.requires_grad:
-            out.append((bias, a @ d_s.sum(axis=(0, 2)) + d_pooled.sum(axis=(0, 1))))
-        if w_v.requires_grad:
-            d_w_v = np.matmul(pooled.transpose(1, 2, 0), g_ctx.transpose(1, 0, 2))
-            out.append((w_v, d_w_v.transpose(1, 0, 2).reshape(d, l)))
+            out.append((rows, _rows_grad(xhat, inv, xga, ga, p, d_s, d_p, d_px)))
         return out
 
     return _result(out, [q, rows, gain, bias, w_k, w_v], bwd)
+
+
+def retention_blocks(
+    q: Tensor,
+    tokens: Sequence[Tensor],
+    gain: Tensor,
+    bias: Tensor,
+    w_k: Tensor,
+    w_v: Tensor,
+    heads: int,
+    scale: float,
+) -> Tensor:
+    """Every retention token's one-row `attention_block`, stacked: [t, heads, dh+1].
+
+    tokens holds t [d] tensors; the other arguments are `attention_block`'s.
+    Output and gradients are bit for bit t one-row `attention_block` calls
+    and a `concat`. Over one row the softmax weight is exactly 1, so each
+    head's lse is its score and its pooled row is norm1(token) = xhat * gain
+    + bias. Both products run once per token slice, as the per-token calls
+    ran them: a float GEMM rounds its rows by the call's shape, so one [t, d]
+    score product would round differently from t one-row products. The
+    backward takes each token's q, w_k, w_v, gain and bias gradients with
+    `_weight_grads` on that token's slices and sums them from token t down
+    to token 1, the order in which the tape summed the per-token calls'.
+    The tokens' own gradients come from `_rows_grad` over the stack.
+    """
+    tokens = list(tokens)
+    if not tokens or tokens[0].ndim != 1 or any(tok.shape != tokens[0].shape for tok in tokens):
+        raise TensorError(f"retention_blocks: want [d] tokens, got {[tok.shape for tok in tokens]}")
+    t, d = len(tokens), tokens[0].shape[0]
+    dh, scale = _block_dims("retention_blocks", q, d, gain, bias, w_k, w_v, heads), float(scale)
+    xhat, inv = _normalise_rows(np.stack([tok.data for tok in tokens])[:, None], LN_EPS)  # [t, 1, d]
+    g, beta = gain.data, bias.data
+    a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
+    ga = g[:, None] * a
+    xga = np.matmul(xhat, ga).transpose(0, 2, 1)  # [t, heads, 1], one product per token
+    s = (xga + (beta @ a)[:, None]) * scale
+    px = np.broadcast_to(xhat, (t, heads, d))  # p^T xhat with p = 1
+    pooled = np.broadcast_to(xhat * g + beta, (t, heads, d))
+    w_v_heads = w_v.data.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
+    out = np.empty((t, heads, dh + 1), dtype=xhat.dtype)
+    out[..., :dh] = np.matmul(pooled[:, :, None], w_v_heads)[:, :, 0]
+    out[..., dh] = s[..., 0]
+
+    def bwd(g_out, q=q, tokens=tokens, gain=gain, bias=bias, w_k=w_k, w_v=w_v):
+        g_ctx = g_out[..., :dh]
+        d_pooled = np.matmul(g_ctx[:, :, None], w_v_heads.transpose(0, 2, 1))[:, :, 0]  # [t, heads, d]
+        d_s = g_out[..., dh:] * scale  # [t, heads, 1]
+
+        def token_grads(k):  # token k+1's gradients of q, w_k, gain, bias and w_v
+            one = slice(k, k + 1)
+            return _weight_grads(
+                q, gain, bias, w_k, w_v, a, xhat[one], px[one], pooled[one], g_ctx[one], d_s[one], d_pooled[one]
+            )
+
+        out = token_grads(t - 1)
+        for k in reversed(range(t - 1)):  # token t first, as the tape summed them
+            out = [(x, total + dx) for (x, total), (_, dx) in zip(out, token_grads(k))]
+        if any(tok.requires_grad for tok in tokens):
+            d_px = d_pooled * g
+            d_p = np.matmul(xhat, d_px.transpose(0, 2, 1)).transpose(0, 2, 1)  # [t, heads, 1]
+            d_x = _rows_grad(xhat, inv, xga, ga, np.ones_like(d_s), d_s, d_p, d_px)
+            out += [(tok, d_x[k].reshape(d)) for k, tok in enumerate(tokens) if tok.requires_grad]
+        return out
+
+    return _result(out, [q, gain, bias, w_k, w_v] + tokens, bwd)
 
 
 def merge_blocks(own: Tensor, shared: Tensor) -> Tensor:

@@ -3,8 +3,10 @@
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the library paths it verifies, except
 the chains of taped ops that a fused op replaced, which check it bit for
-bit: `asl_oracle` (`T.asl`), `merge_blocks_oracle` (`T.merge_blocks`) and
-`session_heads_oracle` (`T.session_heads`); and `split_oracle`, the
+bit: `asl_oracle` (`T.asl`), `retention_blocks_oracle`
+(`T.retention_blocks`), `merge_blocks_oracle` (`T.merge_blocks`),
+`session_heads_oracle` (`T.session_heads`) and `cosine_distance_oracle`
+(`T.cosine_distance`); and `split_oracle`, the
 image-by-image generator that `datagen._split` replaced, which checks it
 byte for byte.
 """
@@ -198,6 +200,15 @@ def asl_oracle(probs, targets, gamma_pos: float, gamma_neg: float, neg_margin: f
     return T.scale(T.mean_all(cellwise), -1.0)
 
 
+def retention_blocks_oracle(q, tokens: list, gain, bias, w_k, w_v, heads: int, scale: float):
+    """`T.retention_blocks` as the taped chain ICA ran before it: one one-row `attention_block` per token, then a `concat`."""
+    from krt import tensor as T
+
+    d = w_k.shape[0]
+    blocks = [T.attention_block(q, tok.reshape(1, 1, d), gain, bias, w_k, w_v, heads, scale) for tok in tokens]
+    return T.concat(blocks, axis=0)
+
+
 def merge_blocks_oracle(own: list, shared):
     """`T.merge_blocks` as the taped chain ICA ran before it: own holds t [1, heads, dh+1] blocks."""
     from krt import tensor as T
@@ -216,6 +227,18 @@ def session_heads_oracle(per_session: list, heads: list):
     from krt import tensor as T
 
     return T.concat([T.affine(x, w, b) for x, (w, b) in zip(per_session, heads)], axis=1)
+
+
+def cosine_distance_oracle(x, y: np.ndarray):
+    """`T.cosine_distance` as the taped chains of `losses.token_loss` ([t, B, d] x) and `losses.kd_pooled_loss` ([B, d] x)."""
+    from krt import tensor as T
+
+    if x.ndim == 3:
+        m, bsz, d = y.shape
+        x = T.transpose(x.slice(0, 0, m), (1, 0, 2)).reshape(bsz, m * d)
+        y = y.transpose(1, 0, 2).reshape(bsz, m * d)
+    cos = T.cosine_similarity(x, T.Tensor(y))  # [B]
+    return T.add(T.scale(T.mean_all(cos), -1.0), 1.0)
 
 
 def per_image_product_oracle(a: np.ndarray, g: np.ndarray, bsz: int) -> np.ndarray:

@@ -171,6 +171,15 @@ def test_non_object_sections_are_config_errors(override, path, tmp_path, capsys)
     assert capsys.readouterr().err == f"E_CONFIG: {path}: expected an object\n"
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"krt"', "null"])
+def test_a_config_file_that_is_not_an_object_is_a_config_error(text, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    for flags in ([], ["--out", str(tmp_path / "out")]):
+        assert main(["run", "--config", str(path)] + flags) == 2
+        assert capsys.readouterr().err == "E_CONFIG: config: expected a JSON object\n"
+
+
 def test_buffer_on_an_arm_that_forbids_it_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--arm", "krt", "--buffer-per-class", "5", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("E_CONFIG: config.buffer:")

@@ -563,14 +563,14 @@ class TestRunIncremental:
     @pytest.mark.parametrize(
         "flags, want",
         [
-            (ArmFlags(), [23, 33, 34, 35, 36, 37, 38, 39]),  # krt
+            (ArmFlags(), [21] + [24] * 7),  # krt
             (ArmFlags(use_dpl=False, use_ica=False), [5] * 8),  # ft
-            (ArmFlags(use_dpl=False, use_ica=False, use_kd=True), [5] + [10] * 7),  # kd_baseline
+            (ArmFlags(use_dpl=False, use_ica=False, use_kd=True), [5] + [7] * 7),  # kd_baseline
         ],
     )
     def test_tape_records_per_training_step(self, flags, want, monkeypatch):
-        # ICA grows by one retention block per session; the merge, the heads
-        # and the loss are one op each
+        # the retention blocks, the merge, the heads, the loss and the token
+        # or kd loss are one op each at any session count
         sessions, records = [], {}
         train_session, backward = protocol.train_session, protocol.backward
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krt import tensor as T
@@ -15,12 +15,14 @@ from oracles import (
     FD_STEP,
     attention_block_oracle,
     col2im3_oracle,
+    cosine_distance_oracle,
     finite_diff_grad,
     layer_norm_oracle,
     matmul_oracle,
     max_rel_err,
     merge_blocks_oracle,
     per_image_product_oracle,
+    retention_blocks_oracle,
     session_heads_oracle,
 )
 
@@ -520,6 +522,79 @@ class TestAttentionBlock:
             assert err < 1e-4, f"grad mismatch {err:.2e}"
 
 
+class TestRetentionBlocks:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 20),
+        # (heads, dh, d): the paper shape, the default one, a small one, or any tiny one
+        shape=st.sampled_from([(8, 16, 128), (4, 8, 32), (2, 4, 8)])
+        | st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+        live=st.sampled_from(["last", "mixed", "all"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(t=8, shape=(8, 16, 128), live="last", dtype=np.float32, seed=0)
+    @example(t=20, shape=(8, 16, 128), live="all", dtype=np.float32, seed=1)
+    def test_bit_equal_to_the_taped_chain(self, t, shape, live, dtype, seed):
+        # a patch block reads the same weights first, as in ICA, so the tape
+        # sums its gradients after the tokens'
+        (heads, dh, d), scale = shape, 1.0 / np.sqrt(shape[1])
+        rng = np.random.default_rng(seed)
+        arrays = block_arrays(rng, 3, 5, d, heads, dh)
+        tokens = rng.uniform(-1.0, 1.0, (t, d)) / np.sqrt(d)
+        trainable = {"last": np.arange(t) == t - 1, "mixed": rng.random(t) < 0.5, "all": np.ones(t, bool)}[live]
+        coef, patch_coef = rng.standard_normal((t, heads, dh + 1)), rng.standard_normal((3, heads, dh + 1))
+
+        def run(op):
+            q, rows, gain, bias, w_k, w_v = leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+            toks = [Tensor(a, requires_grad=bool(r), dtype=dtype) for a, r in zip(tokens, trainable)]
+            with Tape():
+                patch = T.attention_block(q, rows, gain, bias, w_k, w_v, heads, scale)
+                out = op(q, toks, gain, bias, w_k, w_v, heads, scale)
+                loss = T.add(dot(patch, patch_coef), dot(out, coef))
+            backward(loss)
+            return [out.data] + [x.grad for x in leaves] + [tok.grad for tok in toks]
+
+        for k, (a, b) in enumerate(zip(run(T.retention_blocks), run(retention_blocks_oracle))):
+            if k > len(arrays) and not trainable[k - len(arrays) - 1]:
+                assert a is None and b is None  # a frozen token
+                continue
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b), k
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 3),
+        heads=st.integers(1, 3),
+        dh=st.integers(1, 3),
+        d=st.integers(3, 4),
+        all_live=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradients_match_finite_differences(self, t, heads, dh, d, all_live, seed):
+        def build(rng):
+            q, _, gain, bias, w_k, w_v = [Tensor(a, requires_grad=True) for a in block_arrays(rng, 1, 1, d, heads, dh)]
+            tokens = [rand_leaf(rng, d) for _ in range(t)]
+            for tok in tokens[:-1]:
+                tok.requires_grad = all_live
+            leaves = [q, gain, bias, w_k, w_v] + [tok for tok in tokens if tok.requires_grad]
+            return leaves, lambda: project(rng, T.retention_blocks(q, tokens, gain, bias, w_k, w_v, heads, 0.6))
+
+        fd_check(build, seeds=[seed])
+
+    def test_shape_errors(self):
+        q, gain, w = Tensor(np.ones(4)), Tensor(np.ones(3)), Tensor(np.ones((3, 4)))
+        for tokens, q_, heads in (
+            ([], q, 2),
+            ([Tensor(np.ones(3)), Tensor(np.ones(4))], q, 2),
+            ([Tensor(np.ones((1, 3)))], q, 2),
+            ([Tensor(np.ones(3))], Tensor(np.ones(3)), 2),
+            ([Tensor(np.ones(3))], q, 3),
+        ):
+            with pytest.raises(T.TensorError):
+                T.retention_blocks(q_, tokens, gain, gain, w, w, heads, 1.0)
+
+
 class TestMergeBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("t", [1, 2, 5])
@@ -643,6 +718,72 @@ class TestSessionHeads:
         ):
             with pytest.raises(T.TensorError):
                 T.session_heads(bad_x, heads)
+
+
+class TestCosineDistance:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 20),  # 1: a [B, d] x, as the kd loss passes; else a [t, B, d] stack and its t-1 prefix
+        bsz=st.integers(1, 16),
+        d=st.sampled_from([8, 32, 128]) | st.integers(1, 128),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(t=8, bsz=16, d=128, dtype=np.float32, seed=0)
+    def test_bit_equal_to_the_taped_chain(self, t, bsz, d, dtype, seed):
+        # under a scale by 100, the token loss's weight
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((t, bsz, d) if t > 1 else (bsz, d))
+        y = (x[: t - 1] if t > 1 else x) + 0.3 * rng.standard_normal((t - 1, bsz, d) if t > 1 else (bsz, d))
+
+        def run(op):
+            leaf = Tensor(x, requires_grad=True, dtype=dtype)
+            with Tape():
+                loss = T.scale(op(leaf, y.astype(dtype)), 100.0)
+            backward(loss)
+            return loss.data, leaf.grad
+
+        for a, b in zip(run(T.cosine_distance), run(cosine_distance_oracle)):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        t=st.integers(1, 3),
+        m=st.integers(1, 3),
+        bsz=st.integers(1, 3),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradients_match_finite_differences(self, t, m, bsz, d, seed):
+        def build(rng):
+            x = rand_leaf(rng, *((t, bsz, d) if t > 1 else (bsz, d)))
+            y = rng.standard_normal((min(m, t), bsz, d) if t > 1 else (bsz, d))
+            return [x], lambda: T.cosine_distance(x, y)
+
+        fd_check(build, seeds=[seed])
+
+    def test_a_zero_norm_item_raises(self):
+        x, y = np.ones((3, 2, 4)), np.ones((2, 2, 4))
+        zero_x, zero_y, zero_prefix = x.copy(), y.copy(), x.copy()
+        zero_x[:, 1], zero_y[:, 0] = 0.0, 0.0
+        zero_prefix[:2, 1] = 0.0  # item 1 is zero in the two slices y pairs with, not in the third
+        for a, b in ((zero_x, y), (x, zero_y), (zero_prefix, y), (zero_x[0], y[0]), (x[0], zero_y[0])):
+            with pytest.raises(T.TensorError, match="zero-norm"):
+                T.cosine_distance(Tensor(a, requires_grad=True), b)
+
+    def test_shape_errors(self):
+        x = Tensor(np.ones((3, 2, 4)))
+        for bad_x, y in (
+            (x, np.ones((4, 2, 4))),
+            (x, np.ones((0, 2, 4))),
+            (x, np.ones((2, 3, 4))),
+            (x, np.ones((2, 4))),
+            (Tensor(np.ones((2, 4))), np.ones((2, 5))),
+            (Tensor(np.ones(4)), np.ones(4)),
+        ):
+            with pytest.raises(T.TensorError):
+                T.cosine_distance(bad_x, y)
 
 
 def stem_arrays(rng, bsz, h, w, c, m, d, dtype=np.float64):
