@@ -381,7 +381,13 @@ def _blas_threads() -> Optional[int]:
 
 
 def environment() -> dict:
-    """What a run's float32 results can depend on beyond its config and seed."""
+    """What a run's float32 results can depend on beyond its config and seed.
+
+    Exact GELU's erf is `tensor._erf`, written in numpy, so no scipy
+    version matters. Results do rest on numpy's float64 `exp`, which
+    `_erf` uses only where |x / sqrt(2)| > 1 and whose SIMD path depends
+    on the CPU; the record gives numpy's version, not the CPU.
+    """
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,

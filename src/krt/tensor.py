@@ -21,7 +21,9 @@ the patch block), `session_heads`, the loss `asl` and `cosine_distance`
 (the token and pooled-feature losses). Shared arithmetic lives in private
 helpers (`_gelu_phi`, `_gelu_slope`, `_normalise_rows`, and
 `attention_block`'s `_weight_grads` and `_rows_grad`), so a fused op and
-its standalone counterpart agree by construction.
+its standalone counterpart agree by construction. Exact GELU's erf is
+`_erf`, cephes' erf written in numpy and bit for bit scipy's on float32,
+so numpy is the library's only dependency.
 
 Tape-free, the two patch ops use a second CPU when the process may run on
 two or more (`inference_threads`): `_by_image_halves` gives the first half
@@ -32,7 +34,7 @@ half makes the same numpy calls on its image slice, whose rows equal those
 of the whole-chunk calls, so results are bit for bit those of one thread.
 The score product [B*n, d] @ [d, heads] stays one call: OpenBLAS rounds its
 rows differently in calls of up to 4 paper-shape images (`attention_block`).
-The helper runs numpy and scipy on array slices only; it never creates a
+The helper runs numpy on array slices only; it never creates a
 Tensor or touches a tape, so `Tape` stays single-threaded and a tracer that
 wraps `krt` names never sees the helper. Taped (training) ops run on the
 caller alone.
@@ -54,11 +56,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_GELU_BLOCK_BYTES = 64 * 2**10  # patch_embed's tape-free gelu block
+_ERF_BLOCK = 2**15  # elements per float64 pass of _erf
+_GELU_BLOCK_BYTES = 16 * _ERF_BLOCK  # patch_embed's tape-free gelu block; see its docstring
 
 SIGMOID_EPS = 1e-7  # probabilities are clamped to [eps, 1-eps] before any log
 LN_EPS = 1e-5  # LayerNorm variance floor
@@ -266,7 +268,7 @@ def _by_image_halves(n: int, taped: bool, work: Callable[[int, int], None]) -> N
     """Run work(lo, hi) over images [0, n), tape-free in two halves at once.
 
     `work` must write disjoint image slices of arrays its caller allocated,
-    with numpy and scipy only: it may run on the helper thread, which must
+    with numpy only: it may run on the helper thread, which must
     never create a Tensor or touch a tape. The caller runs the first half
     and blocks until the helper has run the second, then re-raises the
     helper's exception, if any. A taped op, one image or one usable CPU
@@ -379,10 +381,97 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(s, [a], bwd)
 
 
+# Cephes' erf, the one scipy.special.erf runs, as rows of Horner coefficients
+# (highest power first). Column 0 is the numerator and column 1 the monic
+# denominator, whose leading 1 is the first row's; T's leading 0 lets T and U
+# take the same number of steps. 0*v + T[0] and 1*v + U[0] are exact, so each
+# column rounds as cephes' polevl and p1evl do.
+_ERF_TU = np.array(  # erf(x) = x T(x^2) / U(x^2) for |x| <= 1
+    [
+        (0.0, 1.0),
+        (9.60497373987051638749e0, 3.35617141647503099647e1),
+        (9.00260197203842689217e1, 5.21357949780152679795e2),
+        (2.23200534594684319226e3, 4.59432382970980127987e3),
+        (7.00332514112805075473e3, 2.26290000613890934246e4),
+        (5.55923013010394962768e4, 4.92673942608635921086e4),
+    ]
+)[:, :, None]
+_ERF_PQ = np.array(  # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8
+    [
+        (2.46196981473530512524e-10, 1.0),
+        (5.64189564831068821977e-1, 1.32281951154744992508e1),
+        (7.46321056442269912687e0, 8.67072140885989742329e1),
+        (4.86371970985681366614e1, 3.54937778887819891062e2),
+        (1.96520832956077098242e2, 9.75708501743205489753e2),
+        (5.26445194995477358631e2, 1.82390916687909736289e3),
+        (9.34528527171957607540e2, 2.24633760818710981792e3),
+        (1.02755188689515710272e3, 1.65666309194161350182e3),
+        (5.57535335369399327526e2, 5.57535340817727675546e2),
+    ]
+)[:, :, None]
+
+
+def _horner_pair(coefs: np.ndarray, v: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Both columns of `coefs` as polynomials in v, into acc[0] and acc[1]."""
+    np.multiply(coefs[0], v, out=acc)
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """erf(x) elementwise as cephes computes it, into a new array or `out` (which may be x).
+
+    `out` must be C-contiguous, of x's shape. Every entry is evaluated in
+    float64 and rounded once to out's dtype, so on float32 the result is
+    bit for bit scipy.special.erf's (which rounds cephes' float64 erf).
+    |x| <= 1 takes x T(x^2) / U(x^2), odd in x as cephes' -erf(-x) is, in
+    blocks of `_ERF_BLOCK` entries. 1 < |x| < 8 takes
+    1 - exp(-x^2) P(|x|) / Q(|x|), signed like x, for all such entries at
+    once: they are few in the model, and the calls it takes cost the same
+    for one entry as for thousands. |x| >= 8 is clamped to 8, where erfc is
+    far below half an ulp of 1, giving +-1 for +-inf too. NaN stays NaN.
+    The second branch runs numpy's float64 exp where scipy runs the C
+    library's, so float64 results may differ from scipy's in the last bit.
+    """
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    elif not out.flags.c_contiguous or out.shape != x.shape:
+        raise TensorError(f"_erf: out must be C-contiguous of shape {x.shape}")
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    big = (np.abs(xs) > 1.0).nonzero()[0]
+    if big.size:  # the second branch first, from x, which out may overwrite
+        v = np.abs(xs[big], dtype=np.float64)
+        np.minimum(v, 8.0, out=v)
+        p, q = _horner_pair(_ERF_PQ, v, np.empty((2, v.size)))
+        v *= -v
+        np.exp(v, out=v)
+        v *= p
+        v /= q
+        tail = np.copysign(1.0 - v, xs[big])
+    k = min(xs.size, _ERF_BLOCK)
+    z, acc = np.empty(k), np.empty((2, k))
+    # the first branch overflows for huge |x|, whose entries the second overwrites
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, xs.size, _ERF_BLOCK):
+            xb = xs[lo : lo + _ERF_BLOCK]
+            n = xb.size
+            zb = np.multiply(xb, xb, out=z[:n], dtype=np.float64)
+            rb, den = _horner_pair(_ERF_TU, zb, acc[:, :n])
+            rb *= xb
+            rb /= den
+            outs[lo : lo + n] = rb
+    if big.size:
+        outs[big] = tail
+    return out
+
+
 def _gelu_phi(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the normal CDF, in one new array (or `out`)."""
     phi = np.multiply(x, _INV_SQRT2, out=out)
-    erf(phi, out=phi)
+    _erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     return phi
@@ -1144,11 +1233,21 @@ def patch_embed(
     (`_by_image_halves`): each half writes its rows of z and of the output,
     both allocated by the caller, and its products give the rows the
     whole-chunk products give. No Phi(z) array is formed: gelu is taken in
-    place in row blocks of `_GELU_BLOCK_BYTES`, small enough to stay in cache
-    and to come from malloc's free lists whatever its mmap threshold, the
-    caller's and the helper thread's each from its own malloc arena. The one
-    output check also covers z and gelu(z): a non-finite entry there makes
-    its whole output row non-finite.
+    place in row blocks of `_GELU_BLOCK_BYTES`, four `_erf` blocks of
+    float32. The size weighs the interpreter lock against cache and
+    memory. The two threads pass the lock at each numpy call `_erf` makes:
+    about 14 per `_erf` block, plus about 30 small ones per call for the
+    few entries with |z| > sqrt(2). On a 2-vCPU Xeon (1 BLAS thread,
+    interleaved in one process) the stem of a 64-image paper-shape chunk
+    took 21.6 ms with one `_erf` block per row block, 19.5 ms with two and
+    18.5 ms with four, against 18.1 ms with scipy's erf. A row block's Phi
+    (512 KiB) and `_erf`'s float64 scratch (768 KiB) fit a 2 MiB L2
+    together. Both are above glibc's initial 128 KiB mmap threshold, but
+    the first free of such a block raises the threshold, so later blocks
+    come from malloc's free lists, the caller's and the helper thread's
+    each from its own arena. The one output check also covers z and
+    gelu(z): a non-finite entry there makes its whole output row
+    non-finite.
     """
     if images.ndim != 4:
         raise TensorError(f"patch_embed expects images [B,h,w,c], got {images.shape}")

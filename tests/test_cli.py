@@ -36,6 +36,28 @@ def test_python_dash_m_krt_prints_help():
     assert "usage: krt" in proc.stdout
 
 
+def test_krt_imports_and_runs_without_scipy(tmp_path):
+    # numpy is krt's only runtime dependency; scipy alone would add about 26 MB of RSS
+    src = str(Path(krt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "import krt.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "loaded = {'import': scipy_modules()}\n"
+        f"assert krt.cli.main({TINY_RUN + ['--out', 'run']!r}) == 0\n"
+        "loaded['run'] = scipy_modules()\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "run": []}
+
+
 def test_results_are_identical_across_process_restarts(tmp_path):
     src = str(Path(krt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 import warnings
@@ -1073,6 +1074,78 @@ class TestDeterminismAndSafety:
             out = T.sigmoid(Tensor(np.array([-100.0, 100.0], dtype=np.float32)))
         assert out.dtype == np.float32
         assert np.array_equal(out.data, np.array([1e-7, 1 - 1e-7], dtype=np.float32))
+
+
+def float32_bits(lo, hi, stride):
+    """float32 values of the bit patterns lo, lo+stride, ... below hi, both signs."""
+    bits = np.arange(lo, hi, stride, dtype=np.uint32)
+    return np.concatenate([bits, bits | np.uint32(0x80000000)]).view(np.float32)
+
+
+class TestErf:
+    """`_erf` is bit for bit scipy's erf on float32; `tests/erf_exhaustive.py` checks every value."""
+
+    EIGHT = int(np.float32(8.0).view(np.uint32))
+    INF = int(np.float32(np.inf).view(np.uint32))
+    EDGES = [0.0, 1e-45, 1.0, np.nextafter(np.float32(1), np.float32(2)), 8.0,
+             np.finfo(np.float32).max, np.inf]
+
+    def test_float32_is_scipys_bit_for_bit(self):
+        scipy_erf = pytest.importorskip("scipy.special").erf
+        # a stride through every binade up to 8, subnormals to both branches,
+        # and a coarser one from 8 to the largest float, where erf is +-1
+        below_8 = float32_bits(0, self.EIGHT, 4099)
+        exponents = np.unique(np.abs(below_8).view(np.uint32) >> 23)
+        assert exponents.tolist() == list(range(self.EIGHT >> 23))
+        edges = np.array(self.EDGES, dtype=np.float32)
+        x = np.concatenate([below_8, float32_bits(self.EIGHT, self.INF, 65537), edges, -edges])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T._erf(x)
+        assert got.dtype == np.float32
+        mismatched = x[got.view(np.uint32) != scipy_erf(x).view(np.uint32)]
+        assert mismatched.size == 0, mismatched[:10]
+
+    def test_float64_is_scipys_bit_for_bit_up_to_1_and_an_ulp_off_beyond(self):
+        # float32 rounding hides most one-ulp float64 slips; |x| <= 1 takes no
+        # exp, so there float64 must match too, and beyond only exp may differ
+        scipy_erf = pytest.importorskip("scipy.special").erf
+        rng = np.random.default_rng(2)
+        tiny = np.geomspace(1e-300, 1.0, 1000)
+        small = np.concatenate([rng.uniform(-1.0, 1.0, 20000), tiny, -tiny, [0.0, -0.0]])
+        assert np.array_equal(T._erf(small).view(np.uint64), scipy_erf(small).view(np.uint64))
+        large = rng.uniform(1.0, 9.0, 20000) * rng.choice([-1.0, 1.0], 20000)
+        np.testing.assert_allclose(T._erf(large), scipy_erf(large), rtol=2.3e-16, atol=0)
+
+    def test_edges(self):
+        x = np.array([0.0, -0.0, 8.0, -8.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T._erf(x)
+        assert np.array_equal(got[:6], [0, 0, 1, -1, 1, -1])
+        assert np.array_equal(np.signbit(got[:2]), [False, True])
+        assert np.isnan(got[6])
+
+    def test_out_may_alias_the_input(self):
+        # three blocks, the last one short, as _gelu_phi calls it: erf(phi, out=phi)
+        x = np.random.default_rng(0).standard_normal(2 * T._ERF_BLOCK + 10).astype(np.float32)
+        x[::7] *= 4  # both branches in every block
+        want = T._erf(x)
+        y = x.copy()
+        assert T._erf(y, out=y) is y
+        assert np.array_equal(y.view(np.uint32), want.view(np.uint32))
+        x2 = x.reshape(2, -1)
+        assert np.array_equal(T._erf(x2).reshape(-1), want)
+        with pytest.raises(T.TensorError):  # it would write a copy
+            T._erf(x2, out=np.empty(x2.shape[::-1], dtype=np.float32).T)
+
+    def test_float64_is_within_1e_15_of_math_erf(self):
+        rng = np.random.default_rng(1)
+        tiny = np.geomspace(1e-300, 1.0, 500)
+        x = np.concatenate([np.linspace(-9.0, 9.0, 4001), rng.standard_normal(4000) * 3, tiny, -tiny])
+        got = T._erf(x)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, [math.erf(v) for v in x], rtol=1e-15, atol=0)
 
 
 def with_threads(monkeypatch, n):
