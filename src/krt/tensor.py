@@ -22,16 +22,19 @@ the patch block), `session_heads`, the loss `asl` and `cosine_distance`
 helpers (`_gelu_phi`, `_gelu_slope`, `_normalise_rows`, and
 `attention_block`'s `_weight_grads` and `_rows_grad`), so a fused op and
 its standalone counterpart agree by construction. Exact GELU's erf is
-`_erf`, cephes' erf written in numpy and bit for bit scipy's on float32,
-so numpy is the library's only dependency.
+`_erf`, cephes' erf (its polevl and p1evl as `_polevl`) written in numpy
+and bit for bit scipy's on float32, so numpy is the library's only
+dependency.
 
 Tape-free, the two patch ops use a second CPU when the process may run on
 two or more (`inference_threads`): `_by_image_halves` gives the first half
-of a chunk's images to the caller and the second to one helper thread,
-started on first use. `patch_embed` splits all of its work,
-`attention_block` norm1's row statistics and the pooling p^T xhat. Each
-half makes the same numpy calls on its image slice, whose rows equal those
-of the whole-chunk calls, so results are bit for bit those of one thread.
+of a chunk's images to the caller and the second to the process's one
+helper thread, a one-worker `ThreadPoolExecutor` whose thread starts on
+first use (a forked child makes its own). `patch_embed` splits all of its
+work, `attention_block` norm1's row statistics and the pooling p^T xhat.
+Each half makes the same numpy calls on its image slice, whose rows equal
+those of the whole-chunk calls, so results are bit for bit those of one
+thread.
 The score product [B*n, d] @ [d, heads] stays one call: OpenBLAS rounds its
 rows differently in calls of up to 4 paper-shape images (`attention_block`).
 The helper runs numpy on array slices only; it never creates a
@@ -50,8 +53,7 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,7 +62,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ERF_BLOCK = 2**15  # elements per float64 pass of _erf
-_GELU_BLOCK_BYTES = 16 * _ERF_BLOCK  # patch_embed's tape-free gelu block; see its docstring
 
 SIGMOID_EPS = 1e-7  # probabilities are clamped to [eps, 1-eps] before any log
 LN_EPS = 1e-5  # LayerNorm variance floor
@@ -223,45 +224,20 @@ def inference_threads() -> int:
     return 2 if len(usable) >= 2 else 1
 
 
-class _SecondHalf:
-    """The process's one helper thread, started on first use; a forked child starts its own.
-
-    It runs each job's numpy work under the caller's floating-point error
-    state (numpy keeps that state per thread) and hands back any exception
-    it raised.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._jobs: Optional[queue.SimpleQueue] = None
-
-    def submit(self, work: Callable[[int, int], None], lo: int, hi: int):
-        """Queue work(lo, hi); returns (done event, list that receives its exception)."""
-        with self._lock:
-            if self._jobs is None:
-                self._jobs = queue.SimpleQueue()
-                threading.Thread(
-                    target=_serve, args=(self._jobs,), name="krt-second-half", daemon=True
-                ).start()
-        done, failed = threading.Event(), []
-        self._jobs.put((work, lo, hi, np.geterr(), done, failed))
-        return done, failed
+def _start_helper():
+    """Give this process its one helper, a one-thread executor whose thread starts on first submit."""
+    global _SECOND_HALF
+    _SECOND_HALF = ThreadPoolExecutor(max_workers=1, thread_name_prefix="krt-second-half")
 
 
-def _serve(jobs: queue.SimpleQueue):
-    while True:
-        work, lo, hi, err, done, failed = jobs.get()  # blocks while idle
-        try:
-            with np.errstate(**err):
-                work(lo, hi)
-        except BaseException as e:  # noqa: BLE001 - the waiting caller re-raises it
-            failed.append(e)
-        done.set()
-
-
-_SECOND_HALF = _SecondHalf()
+_start_helper()
 if hasattr(os, "register_at_fork"):  # the thread does not survive a fork
-    os.register_at_fork(after_in_child=_SECOND_HALF.__init__)
+    os.register_at_fork(after_in_child=_start_helper)
+
+
+def _under_errstate(err: dict, work: Callable[[int, int], None], lo: int, hi: int) -> None:
+    with np.errstate(**err):  # numpy keeps the floating-point error state per thread
+        work(lo, hi)
 
 
 def _by_image_halves(n: int, taped: bool, work: Callable[[int, int], None]) -> None:
@@ -269,22 +245,23 @@ def _by_image_halves(n: int, taped: bool, work: Callable[[int, int], None]) -> N
 
     `work` must write disjoint image slices of arrays its caller allocated,
     with numpy only: it may run on the helper thread, which must
-    never create a Tensor or touch a tape. The caller runs the first half
-    and blocks until the helper has run the second, then re-raises the
-    helper's exception, if any. A taped op, one image or one usable CPU
-    runs all of it on the caller.
+    never create a Tensor or touch a tape. The helper runs the second half
+    under the caller's floating-point error state while the caller runs the
+    first; the caller then waits for the helper and re-raises whatever it
+    raised, a BaseException included. A taped op, one image or one usable
+    CPU runs all of it on the caller.
     """
     if taped or n < 2 or inference_threads() < 2:
         work(0, n)
         return
     half = (n + 1) // 2
-    done, failed = _SECOND_HALF.submit(work, half, n)
+    second = _SECOND_HALF.submit(_under_errstate, np.geterr(), work, half, n)
     try:
         work(0, half)
     finally:
-        done.wait()  # the helper may still be writing the caller's arrays
-    if failed:
-        raise failed[0]
+        failed = second.exception()  # waits: the helper may still be writing the caller's arrays
+    if failed is not None:
+        raise failed
 
 
 # ---------------------------------------------------------------------------
@@ -381,44 +358,39 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(s, [a], bwd)
 
 
-# Cephes' erf, the one scipy.special.erf runs, as rows of Horner coefficients
-# (highest power first). Column 0 is the numerator and column 1 the monic
-# denominator, whose leading 1 is the first row's; T's leading 0 lets T and U
-# take the same number of steps. 0*v + T[0] and 1*v + U[0] are exact, so each
-# column rounds as cephes' polevl and p1evl do.
-_ERF_TU = np.array(  # erf(x) = x T(x^2) / U(x^2) for |x| <= 1
-    [
-        (0.0, 1.0),
-        (9.60497373987051638749e0, 3.35617141647503099647e1),
-        (9.00260197203842689217e1, 5.21357949780152679795e2),
-        (2.23200534594684319226e3, 4.59432382970980127987e3),
-        (7.00332514112805075473e3, 2.26290000613890934246e4),
-        (5.55923013010394962768e4, 4.92673942608635921086e4),
-    ]
-)[:, :, None]
-_ERF_PQ = np.array(  # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8
-    [
-        (2.46196981473530512524e-10, 1.0),
-        (5.64189564831068821977e-1, 1.32281951154744992508e1),
-        (7.46321056442269912687e0, 8.67072140885989742329e1),
-        (4.86371970985681366614e1, 3.54937778887819891062e2),
-        (1.96520832956077098242e2, 9.75708501743205489753e2),
-        (5.26445194995477358631e2, 1.82390916687909736289e3),
-        (9.34528527171957607540e2, 2.24633760818710981792e3),
-        (1.02755188689515710272e3, 1.65666309194161350182e3),
-        (5.57535335369399327526e2, 5.57535340817727675546e2),
-    ]
-)[:, :, None]
+# Cephes' erf (ndtr.c), the one scipy.special.erf runs: Horner coefficients,
+# highest power first; U and Q are monic, their leading 1 implied.
+_ERF_T = (  # erf(x) = x T(x^2) / U(x^2) for |x| <= 1
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERF_P = (  # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERF_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
 
 
-def _horner_pair(coefs: np.ndarray, v: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Both columns of `coefs` as polynomials in v, into acc[0] and acc[1]."""
-    np.multiply(coefs[0], v, out=acc)
-    acc += coefs[1]
-    for c in coefs[2:]:
-        acc *= v
-        acc += c
-    return acc
+def _polevl(v: np.ndarray, coefs: Sequence[float], out: np.ndarray, monic: bool) -> np.ndarray:
+    """cephes' polevl at v into out, or p1evl (a leading 1 before coefs) if `monic`."""
+    if monic:  # 1 * v + coefs[0]
+        np.add(v, coefs[0], out=out)
+    else:  # coefs[0] * v + coefs[1]
+        np.multiply(v, coefs[0], out=out)
+        out += coefs[1]
+    for c in coefs[1 if monic else 2 :]:
+        out *= v
+        out += c
+    return out
 
 
 def _erf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -428,13 +400,14 @@ def _erf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     float64 and rounded once to out's dtype, so on float32 the result is
     bit for bit scipy.special.erf's (which rounds cephes' float64 erf).
     |x| <= 1 takes x T(x^2) / U(x^2), odd in x as cephes' -erf(-x) is, in
-    blocks of `_ERF_BLOCK` entries. 1 < |x| < 8 takes
-    1 - exp(-x^2) P(|x|) / Q(|x|), signed like x, for all such entries at
-    once: they are few in the model, and the calls it takes cost the same
-    for one entry as for thousands. |x| >= 8 is clamped to 8, where erfc is
-    far below half an ulp of 1, giving +-1 for +-inf too. NaN stays NaN.
-    The second branch runs numpy's float64 exp where scipy runs the C
-    library's, so float64 results may differ from scipy's in the last bit.
+    blocks of `_ERF_BLOCK` entries, each copied to float64 once. 1 < |x| < 8
+    takes 1 - exp(-x^2) P(|x|) / Q(|x|), signed like x, for all such
+    entries at once: they are few in the model, and the calls it takes cost
+    the same for one entry as for thousands. |x| >= 8 is clamped to 8,
+    where erfc is far below half an ulp of 1, giving +-1 for +-inf too. NaN
+    stays NaN. The second branch runs numpy's float64 exp where scipy runs
+    the C library's, so float64 results may differ from scipy's in the last
+    bit.
     """
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype)
@@ -445,24 +418,25 @@ def _erf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     if big.size:  # the second branch first, from x, which out may overwrite
         v = np.abs(xs[big], dtype=np.float64)
         np.minimum(v, 8.0, out=v)
-        p, q = _horner_pair(_ERF_PQ, v, np.empty((2, v.size)))
+        p = _polevl(v, _ERF_P, np.empty_like(v), monic=False)
+        q = _polevl(v, _ERF_Q, np.empty_like(v), monic=True)
         v *= -v
         np.exp(v, out=v)
         v *= p
         v /= q
         tail = np.copysign(1.0 - v, xs[big])
-    k = min(xs.size, _ERF_BLOCK)
-    z, acc = np.empty(k), np.empty((2, k))
+    x64, z, t, u = np.empty((4, min(xs.size, _ERF_BLOCK)))
     # the first branch overflows for huge |x|, whose entries the second overwrites
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, xs.size, _ERF_BLOCK):
-            xb = xs[lo : lo + _ERF_BLOCK]
-            n = xb.size
-            zb = np.multiply(xb, xb, out=z[:n], dtype=np.float64)
-            rb, den = _horner_pair(_ERF_TU, zb, acc[:, :n])
-            rb *= xb
-            rb /= den
-            outs[lo : lo + n] = rb
+            n = min(xs.size - lo, _ERF_BLOCK)
+            xb, zb, tb, ub = x64[:n], z[:n], t[:n], u[:n]
+            xb[...] = xs[lo : lo + n]
+            np.multiply(xb, xb, out=zb)
+            _polevl(zb, _ERF_T, tb, monic=False)
+            tb *= xb
+            tb /= _polevl(zb, _ERF_U, ub, monic=True)
+            outs[lo : lo + n] = tb
     if big.size:
         outs[big] = tail
     return out
@@ -1232,22 +1206,12 @@ def patch_embed(
     z * Phi(z). Tape-free, the stem runs by image halves on two threads
     (`_by_image_halves`): each half writes its rows of z and of the output,
     both allocated by the caller, and its products give the rows the
-    whole-chunk products give. No Phi(z) array is formed: gelu is taken in
-    place in row blocks of `_GELU_BLOCK_BYTES`, four `_erf` blocks of
-    float32. The size weighs the interpreter lock against cache and
-    memory. The two threads pass the lock at each numpy call `_erf` makes:
-    about 14 per `_erf` block, plus about 30 small ones per call for the
-    few entries with |z| > sqrt(2). On a 2-vCPU Xeon (1 BLAS thread,
-    interleaved in one process) the stem of a 64-image paper-shape chunk
-    took 21.6 ms with one `_erf` block per row block, 19.5 ms with two and
-    18.5 ms with four, against 18.1 ms with scipy's erf. A row block's Phi
-    (512 KiB) and `_erf`'s float64 scratch (768 KiB) fit a 2 MiB L2
-    together. Both are above glibc's initial 128 KiB mmap threshold, but
-    the first free of such a block raises the threshold, so later blocks
-    come from malloc's free lists, the caller's and the helper thread's
-    each from its own arena. The one output check also covers z and
-    gelu(z): a non-finite entry there makes its whole output row
-    non-finite.
+    whole-chunk products give. Each half then takes gelu in place, with
+    one `_gelu_phi` call over its rows of z. The two threads pass the
+    interpreter lock at each numpy call `_erf` makes: about 22 per `_erf`
+    block, plus about 45 small ones per call for the few entries with
+    |z| > sqrt(2). The one output check also covers z and gelu(z): a
+    non-finite entry there makes its whole output row non-finite.
     """
     if images.ndim != 4:
         raise TensorError(f"patch_embed expects images [B,h,w,c], got {images.shape}")
@@ -1283,11 +1247,8 @@ def patch_embed(
         z_rows += conv_b.data
         if taped:
             feats = z_rows * _gelu_phi(z_rows, out=phi[lo * n : hi * n])
-        else:  # gelu(z) overwrites z, one row block's Phi at a time
-            step = max(1, _GELU_BLOCK_BYTES // (m * z.itemsize))
-            for start in range(0, len(z_rows), step):
-                block = z_rows[start : start + step]
-                block *= _gelu_phi(block)
+        else:  # gelu(z) overwrites z
+            z_rows *= _gelu_phi(z_rows)
             feats = z_rows
         np.matmul(feats, proj_w.data, out=out_rows.reshape(-1, d))
         out_rows += proj_b.data

@@ -1,6 +1,6 @@
 """Compare `krt.tensor._erf` with scipy.special.erf on every non-NaN float32.
 
-    PYTHONPATH=src python3 tests/erf_exhaustive.py   # about 5 minutes on one core
+    PYTHONPATH=src python3 tests/erf_exhaustive.py   # about 3 minutes on one core
 
 Both signs of every bit pattern from +0 to +inf are compared as uint32
 views, so +-0, subnormals and +-inf count and a result that differs only in

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -1153,6 +1154,17 @@ def with_threads(monkeypatch, n):
     monkeypatch.setattr(T, "inference_threads", lambda: n)
 
 
+def fresh_helper(monkeypatch):
+    """Give `tensor` a new helper, not started yet, until the test ends."""
+    monkeypatch.setattr(T, "_SECOND_HALF", None)
+    T._start_helper()
+
+
+def helpers() -> int:
+    """Helper threads alive in this process, started by any `tensor` helper."""
+    return sum(t.name.startswith("krt-second-half") for t in threading.enumerate())
+
+
 class TestImageHalves:
     """Tape-free `patch_embed` and `attention_block` split their images in two halves."""
 
@@ -1166,9 +1178,9 @@ class TestImageHalves:
         submits = []
         real_submit = T._SECOND_HALF.submit
 
-        def counting_submit(work, lo, hi):
-            submits.append((lo, hi))
-            return real_submit(work, lo, hi)
+        def counting_submit(fn, *args):
+            submits.append(args[-2:])  # the half's (lo, hi)
+            return real_submit(fn, *args)
 
         monkeypatch.setattr(T._SECOND_HALF, "submit", counting_submit)
         for bsz in range(1, 65):
@@ -1232,6 +1244,33 @@ class TestImageHalves:
         caller = threading.get_ident()
         assert [r[2] == caller for r in sorted(ran)] == [True, False]
 
+    def test_a_base_exception_in_the_helper_reaches_the_caller_and_spares_the_helper(self, monkeypatch):
+        with_threads(monkeypatch, 2)
+        fresh_helper(monkeypatch)
+        before = helpers()
+
+        class Stop(BaseException):  # not an Exception, as KeyboardInterrupt and SystemExit are not
+            pass
+
+        ran = []
+
+        def work(lo, hi):
+            if lo > 0:
+                time.sleep(0.05)  # the caller's half ends first, and it must still wait
+            ran.append((lo, hi, threading.get_ident()))
+            if (lo, hi) == (3, 5):
+                raise Stop
+
+        with pytest.raises(Stop):
+            T._by_image_halves(5, False, work)
+        assert sorted(r[:2] for r in ran) == [(0, 3), (3, 5)]
+        # the next call's second half runs on the same, single helper
+        T._by_image_halves(4, False, work)
+        assert sorted(r[:2] for r in ran[2:]) == [(0, 2), (2, 4)]
+        helper_ids = {r[2] for r in ran if r[0] > 0}
+        assert len(helper_ids) == 1 and threading.get_ident() not in helper_ids
+        assert helpers() == before + 1
+
     def test_the_helper_runs_under_the_callers_error_state(self, monkeypatch):
         with_threads(monkeypatch, 2)
         x = np.array([1.0, 1.0, np.inf, np.inf])
@@ -1270,10 +1309,7 @@ class TestImageHalves:
 
     def test_concurrent_callers_share_one_helper_and_run_each_half_once(self, monkeypatch):
         with_threads(monkeypatch, 2)
-        monkeypatch.setattr(T, "_SECOND_HALF", T._SecondHalf())  # not started yet
-        def helpers():
-            return [t.name for t in threading.enumerate()].count("krt-second-half")
-
+        fresh_helper(monkeypatch)
         before = helpers()
         n, callers, rounds = 7, 6, 200
         out = np.zeros((callers, rounds, n))
