@@ -64,6 +64,9 @@ ARMS = tuple(_ARM_TABLE)
 _RUN_ICA_SHAPE = {"d": 32, "heads": 4}
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -190,7 +193,11 @@ def _reject_unknown(obj: dict, allowed, path: str):
 
 
 def _typed(value, kind, path: str):
-    """`value` checked against the annotation `kind`; ints widen to float, floats are finite."""
+    """`value` checked against the annotation `kind`; ints widen to float, floats are finite in float32.
+
+    The model runs in float32 (`protocol.MODEL_DTYPE`), so a float knob
+    beyond its range would reach training as an overflow.
+    """
     if get_origin(kind) is tuple:
         items = get_args(kind)
         if not (isinstance(value, list) and len(value) == len(items)):
@@ -203,6 +210,8 @@ def _typed(value, kind, path: str):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{path}: expected a finite float")
+        if abs(value) > _FLOAT32_MAX:
+            raise ConfigError(f"{path}: {value!r} is beyond the float32 range")
         return value
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path}: expected {kind.__name__}")

@@ -145,18 +145,19 @@ def add_session(state: IcaState, rng: np.random.Generator) -> None:
     state.kr_tokens.append(T.uniform_param(rng, (d,), fan_in=d, dtype=state.kt_token.dtype))
 
 
-def forward_all_sessions(state: IcaState, patches: Tensor) -> Tensor:
+def forward_all_sessions(state: IcaState, patches) -> Tensor:
     """The [t, B, d] stack of every session's embedding of [B, L, d] patches.
 
     Slice s holds session s+1's embeddings e1 + MLP(norm2(e1)), where e1 =
     kt + w_o . attention(norm1(kt) over {norm1(kr_s)} and norm1(patches)) +
-    b_o. norm1 runs inside the block ops.
+    b_o. norm1 runs inside the block ops. patches may be a `T.Stem`, the
+    patch stem's arguments, which `T.attention_block` forms the patches
+    from.
     """
     cfg = state.config
     d, nh = cfg.d, cfg.heads
-    if patches.ndim != 3 or patches.shape[2] != d:
+    if not isinstance(patches, T.Stem) and (patches.ndim != 3 or patches.shape[2] != d):
         raise TensorError(f"patches must be [B, L, {d}], got {patches.shape}")
-    bsz, t = patches.shape[0], state.session_count
 
     g1, b1 = state.norm1_gain, state.norm1_bias
     block = (g1, b1, state.w_k, state.w_v, nh, cfg.attn_scale)
@@ -166,6 +167,7 @@ def forward_all_sessions(state: IcaState, patches: Tensor) -> Tensor:
     patch_block = T.attention_block(q, patches, *block)  # [B, heads, dh+1]
     own = T.retention_blocks(q, state.kr_tokens, *block)  # [t, heads, dh+1]
     z = T.merge_blocks(own, patch_block)  # [t, B, d]
+    bsz, t = patch_block.shape[0], state.session_count
 
     kt = T.repeat_rows(state.kt_token.reshape(1, d), t * bsz).reshape(t, bsz, d)
     e1 = T.add(kt, T.affine(z, state.w_o, state.b_o))

@@ -34,7 +34,12 @@ with none: at the paper shape, chunks of 20 change the scores of those 8
 images and chunks of 16 or 32 change none. So the chunk is one constant,
 and it stays 64: a chunk of 20 moved `joint` mAPs in their last digits on
 5 of 20 seeds and ran no faster. Within a chunk, the patch ops may split
-the images between two threads, bit for bit (`krt.tensor`).
+the images between two threads, bit for bit (`krt.tensor`). On ICA arms
+the chunk no longer sets the memory of the patch side: the tape-free
+`T.attention_block` streams the stem by image blocks of about 800 KB of
+rows, so a 64-image paper-shape forward peaks at about 6 MiB of numpy
+arrays, against 15.5 MiB when the chunk's patch rows, columns, conv output
+and Phi were formed whole. Pooled-path arms still form them.
 
 The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
 `init_model`). Everything after init reads the dtype from the model's own
@@ -254,21 +259,25 @@ class ForwardOut:
 
 
 def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
-    """The patch stem (`T.patch_embed`), the ICA or pooled path, then `T.session_heads`."""
+    """The patch stem, the ICA or pooled path, then `T.session_heads`.
+
+    The ICA path takes the stem's arguments (`T.Stem`): taped, its patch
+    block runs `T.patch_embed`; tape-free, it streams the stem by image
+    blocks and never forms the [B, h*w, d] patch rows. Only the pooled path
+    calls `T.patch_embed` here.
+    """
     if model.session_count == 0:
         raise ValueError("model has no sessions yet")
     x = Tensor(np.asarray(images, dtype=model.dtype))
     if x.shape[1:] != model.grid:
         raise T.TensorError(f"image grid {x.shape[1:]} does not match model grid {model.grid}")
-    patches = T.patch_embed(
-        x, model.conv_w, model.conv_b, model.proj_w, model.proj_b, model.pos_enc
-    )
+    stem = T.Stem(x, model.conv_w, model.conv_b, model.proj_w, model.proj_b, model.pos_enc)
 
     embeddings = pooled = None
     if model.flags.use_ica:
-        embeddings = ica_mod.forward_all_sessions(model.ica, patches)
+        embeddings = ica_mod.forward_all_sessions(model.ica, stem)
     if model.flags.use_kd or not model.flags.use_ica:
-        pooled = _global_pool(patches)
+        pooled = _global_pool(T.patch_embed(*stem))
     logits = T.session_heads(pooled if embeddings is None else embeddings, model.heads)
     return ForwardOut(logits=logits, embeddings=embeddings, pooled=pooled)
 

@@ -31,16 +31,20 @@ two or more (`inference_threads`): `_by_image_halves` gives the first half
 of a chunk's images to the caller and the second to the process's one
 helper thread, a one-worker `ThreadPoolExecutor` whose thread starts on
 first use (a forked child makes its own). `patch_embed` splits all of its
-work, `attention_block` norm1's row statistics and the pooling p^T xhat.
-Each half makes the same numpy calls on its image slice, whose rows equal
-those of the whole-chunk calls, so results are bit for bit those of one
-thread.
-The score product [B*n, d] @ [d, heads] stays one call: OpenBLAS rounds its
-rows differently in calls of up to 4 paper-shape images (`attention_block`).
-The helper runs numpy on array slices only; it never creates a
-Tensor or touches a tape, so `Tape` stays single-threaded and a tracer that
-wraps `krt` names never sees the helper. Taped (training) ops run on the
-caller alone.
+work. So does `attention_block` over a `Stem`, the ICA forward's inference
+path: each thread walks its half in image blocks, running the stem, norm1,
+the scores and the pooling per block, so no array of a whole chunk's patch
+rows is formed and each block's arrays are small enough to be reused from
+the heap. A block has at least 8 images or a whole half, and never so few
+that its score product [k*n, d] @ [d, heads] rounds its rows otherwise
+than the chunk's: OpenBLAS rounds calls of up to 10^6 multiply-adds its
+own way. Each half or block makes the same numpy calls on its image slice,
+whose rows equal those of the whole-chunk calls, so results are bit for
+bit those of one thread.
+`attention_block` over a rows tensor runs on the caller. The helper runs
+numpy on array slices only; it never creates a Tensor or touches a tape,
+so `Tape` stays single-threaded and a tracer that wraps `krt` names never
+sees the helper. Taped (training) ops run on the caller alone.
 
 `conv3x3_same`, `mul`, `power`, `log`, `softmax_rows`, `concat`,
 `transpose`, `cosine_similarity` and `mean_all` have no caller in `krt`.
@@ -54,7 +58,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -935,9 +939,73 @@ def _rows_grad(xhat, inv, xga, ga, p, d_s, d_p, d_px) -> np.ndarray:
     return d_x
 
 
+class Stem(NamedTuple):
+    """`patch_embed`'s arguments, for `attention_block` to form its rows from."""
+
+    images: Tensor
+    conv_w: Tensor
+    conv_b: Tensor
+    proj_w: Tensor
+    proj_b: Tensor
+    pos: Tensor
+
+
+_BLOCK_BYTES = 800 * 1024  # of [k, h*w, d] rows per image block of a tape-free Stem walk
+_MIN_BLOCK = 8  # images; no shorter block unless the whole half or chunk is
+_MIN_SPLIT = 10  # images; a shorter chunk runs as one block on the caller
+_SMALL_GEMM = 10**6  # M*N*K up to which OpenBLAS's sgemm rounds its rows another way
+
+
+def _exact_block(bsz: int, row_macs: int) -> int:
+    """Fewest images a block of a bsz-image chunk may take, for its score rows to round as the chunk's do.
+
+    row_macs = n*d*heads is one image's share of the score product's
+    M*N*K. A chunk whose product is small takes any block; a larger one
+    only blocks that are large too.
+    """
+    return 1 if bsz * row_macs <= _SMALL_GEMM else _SMALL_GEMM // row_macs + 1
+
+
+def _image_blocks(lo: int, hi: int, size: int, least: int) -> list:
+    """[a, b) blocks of `size` images over images [lo, hi); a remainder under `least` joins the block before."""
+    starts = list(range(lo, hi, size))
+    if len(starts) > 1 and hi - starts[-1] < least:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [hi]))
+
+
+def _softmax_scores(xhat: np.ndarray, ga: np.ndarray, shift: np.ndarray, scale: float) -> tuple:
+    """(xga, p, lse) of normalised rows xhat:[B, n, d] against ga:[d, heads].
+
+    xga = xhat @ ga laid out [B, heads, n], so the softmax reduces along
+    rows; p is the softmax over n of the scores (xga + shift) * scale, and
+    lse:[B, heads] their log-sum-exp. The product is one call: its rows
+    round by call size (`attention_block`).
+    """
+    bsz, n, d = xhat.shape
+    xga = (xhat.reshape(bsz * n, d) @ ga).reshape(bsz, n, ga.shape[1]).transpose(0, 2, 1).copy()
+    s = (xga + shift[:, None]) * scale
+    m = s.max(axis=2, keepdims=True)
+    e = np.exp(s - m)
+    z = e.sum(axis=2, keepdims=True)
+    return xga, e / z, (m + np.log(z))[..., 0]
+
+
+def _block_out(px: np.ndarray, lse: np.ndarray, g: np.ndarray, beta: np.ndarray, w_v: np.ndarray, dtype) -> tuple:
+    """(pooled, w_v_heads, out): pooled = norm1 of p^T xhat, its value context and lse as [B, heads, dh+1]."""
+    (bsz, heads, d), l = px.shape, w_v.shape[1]
+    dh = l // heads
+    pooled = px * g + beta
+    w_v_heads = w_v.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
+    out = np.empty((bsz, heads, dh + 1), dtype=dtype)
+    out[..., :dh] = np.matmul(pooled.transpose(1, 0, 2), w_v_heads).transpose(1, 0, 2)
+    out[..., dh] = lse
+    return pooled, w_v_heads, out
+
+
 def attention_block(
     q: Tensor,
-    rows: Tensor,
+    rows,
     gain: Tensor,
     bias: Tensor,
     w_k: Tensor,
@@ -947,14 +1015,14 @@ def attention_block(
 ) -> Tensor:
     """Single-query multi-head attention over one block of layer-normed rows.
 
-    q:[l] is the projected query, rows:[B,n,d] the block's raw rows,
-    gain/bias:[d] the LayerNorm applied to them (eps `LN_EPS`), and w_k/w_v:[d,l]
-    the key/value projections. Head h scores q[h*dh:(h+1)*dh] (dh = l/heads)
-    against the key of each normalised row, times `scale`. Returns
-    [B, heads, dh+1]: each head's softmax-weighted value context, then the
-    log-sum-exp of its scores. Two blocks' results merge exactly into
-    attention over the union of their rows: the contexts weighted by the
-    softmax of the two lse values.
+    q:[l] is the projected query, rows:[B,n,d] the block's raw rows (or a
+    `Stem`, see below), gain/bias:[d] the LayerNorm applied to them (eps
+    `LN_EPS`), and w_k/w_v:[d,l] the key/value projections. Head h scores
+    q[h*dh:(h+1)*dh] (dh = l/heads) against the key of each normalised row,
+    times `scale`. Returns [B, heads, dh+1]: each head's softmax-weighted
+    value context, then the log-sum-exp of its scores. Two blocks' results
+    merge exactly into attention over the union of their rows: the contexts
+    weighted by the softmax of the two lse values.
 
     With one query no row needs its own key or value. The key projection
     absorbs the query (`absorb_query`, a:[d, heads]), so the scores are one
@@ -973,53 +1041,56 @@ def attention_block(
     summed per image and then over images, in an order that does not depend
     on the BLAS thread count.
 
-    Tape-free, norm1 and the pooling run by image halves on two threads
-    (`_by_image_halves`); the score product stays one call, because its rows
-    round by call size. On OpenBLAS 0.3.31 (2-core Xeon, float32, 1 or 2
-    threads) a [B*196, 128] @ [128, 8] call of up to 4 images
-    (M*N*K <= 10^6, likely OpenBLAS's small-matrix kernel) gives rows that
-    differ in their last bits from the same rows of a larger call, so halves
-    of 1-4 images would move the scores of chunks of 2-9 images. The stem's
-    [B*196, 72] @ [72, 64] and [B*196, 64] @ [64, 128] products give the
-    same rows at every chunk size. See `protocol.INFER_CHUNK` for what this
-    means for the chunk size.
+    rows may be a `Stem`, `patch_embed`'s arguments. Taped, the op then
+    calls `patch_embed` and runs on its rows. Tape-free it streams: in the
+    manner of FlashAttention's tiling (arXiv 2205.14135) it never forms a
+    chunk's [B, n, d] rows, nor its 3x3 columns, conv output or Phi. Each
+    image block runs the stem, norm1, the score product, the softmax and
+    the pooling while its rows are in cache, and keeps only p^T xhat
+    [B, heads, d] and lse [B, heads]; the value projection then runs once.
+    A block holds about `_BLOCK_BYTES` of rows (8 images at 14x14, d=128;
+    a whole image half at 8x8, d=32). Each block costs a fixed number of
+    numpy calls, so small rows take more images per block, and none takes
+    fewer than `_MIN_BLOCK` unless its whole half does: a shorter
+    remainder joins the block before it.
+
+    A block must also round its score rows as the whole chunk's product
+    would, because the product's rows round by call size. OpenBLAS's sgemm
+    rounds the rows of a [k*n, d] @ [d, heads] score product with M*N*K <=
+    10^6 (`_SMALL_GEMM`, likely its small-matrix kernel) in their last bits
+    differently from the same rows of a larger call, and alike within each
+    side of that bound (OpenBLAS 0.3.31, 2-core Xeon, float32, 1 or 2
+    threads; checked at seven shapes). So when the chunk's product exceeds
+    the bound, no block may be within it: at 14x14, d=128, 8 heads a block
+    takes at least 5 images, at 14x14, d=32, 4 heads at least 40
+    (`_exact_block`). The stem's products [k*n, 9c] @ [9c, m] and
+    [k*n, m] @ [m, d] give the same rows at every chunk size at both
+    workload shapes, and a split at 8x8, d=32 never crosses the bound. So
+    a Stem's result is bit for bit that of the rows `patch_embed` gives.
+    See `protocol.INFER_CHUNK` for what this means for the chunk size.
+
+    Tape-free, a Stem's block walks run by image halves on two threads
+    (`_by_image_halves`) when the chunk has at least `_MIN_SPLIT` images
+    and each half may be one block; otherwise the whole chunk is walked on
+    the caller. A rows tensor runs on the caller alone.
     """
+    if isinstance(rows, Stem):
+        if _ACTIVE_TAPE is not None and any(t.requires_grad for t in (q, gain, bias, w_k, w_v, *rows)):
+            rows = patch_embed(*rows)
+        else:
+            return _streamed_block(q, rows, gain, bias, w_k, w_v, heads, scale)
     if rows.ndim != 3:
         raise TensorError(f"attention_block: rows must be [B, n, d], got {rows.shape}")
     bsz, n, d = rows.shape
     dh = _block_dims("attention_block", q, d, gain, bias, w_k, w_v, heads)
     scale = float(scale)
-    taped = _ACTIVE_TAPE is not None and any(
-        t.requires_grad for t in (q, rows, gain, bias, w_k, w_v)
-    )
-    xhat, inv = np.empty_like(rows.data), np.empty((bsz, n, 1), dtype=rows.dtype)
-
-    def normalise(lo, hi):
-        _normalise_rows(rows.data[lo:hi], LN_EPS, out=(xhat[lo:hi], inv[lo:hi]))
-
-    _by_image_halves(bsz, taped, normalise)
+    xhat, inv = _normalise_rows(rows.data, LN_EPS)
     g, beta = gain.data, bias.data
     a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
     ga = g[:, None] * a
-    # scores and weights are laid out [B, heads, n], so the softmax reduces
-    # along rows. The score product stays one call: its rows round by call size
-    xga = (xhat.reshape(bsz * n, d) @ ga).reshape(bsz, n, heads).transpose(0, 2, 1).copy()
-    s = (xga + (beta @ a)[:, None]) * scale
-    m = s.max(axis=2, keepdims=True)
-    e = np.exp(s - m)
-    z = e.sum(axis=2, keepdims=True)
-    p = e / z  # [B, heads, n]
-    px = np.empty((bsz, heads, d), dtype=p.dtype)
-
-    def pool(lo, hi):
-        np.matmul(p[lo:hi], xhat[lo:hi], out=px[lo:hi])
-
-    _by_image_halves(bsz, taped, pool)
-    pooled = px * g + beta
-    w_v_heads = w_v.data.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
-    out = np.empty((bsz, heads, dh + 1), dtype=xhat.dtype)
-    out[..., :dh] = np.matmul(pooled.transpose(1, 0, 2), w_v_heads).transpose(1, 0, 2)
-    out[..., dh] = (m + np.log(z))[..., 0]
+    xga, p, lse = _softmax_scores(xhat, ga, beta @ a, scale)  # [B, heads, n] twice, [B, heads]
+    px = np.matmul(p, xhat)  # [B, heads, d]
+    pooled, w_v_heads, out = _block_out(px, lse, g, beta, w_v.data, xhat.dtype)
 
     def bwd(g_out, q=q, rows=rows, gain=gain, bias=bias, w_k=w_k, w_v=w_v):
         g_ctx, g_lse = g_out[..., :dh], g_out[..., dh]
@@ -1037,6 +1108,45 @@ def attention_block(
         return out
 
     return _result(out, [q, rows, gain, bias, w_k, w_v], bwd)
+
+
+def _streamed_block(
+    q: Tensor, stem: Stem, gain: Tensor, bias: Tensor, w_k: Tensor, w_v: Tensor, heads: int, scale: float
+) -> Tensor:
+    """Tape-free `attention_block` over the rows of a `Stem`, by image blocks; see there."""
+    bsz, h, wd, c, m, d = _stem_dims(*stem)
+    _block_dims("attention_block", q, d, gain, bias, w_k, w_v, heads)
+    n, dtype, scale = h * wd, np.result_type(stem.images.data, stem.conv_w.data), float(scale)
+    images, conv_w, conv_b, proj_w, proj_b, pos = (t.data for t in stem)
+    g, beta = gain.data, bias.data
+    a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
+    ga, shift = g[:, None] * a, beta @ a
+    px = np.empty((bsz, heads, d), dtype=np.result_type(dtype, ga, shift))
+    lse = np.empty((bsz, heads), dtype=px.dtype)
+    exact = _exact_block(bsz, n * d * heads)
+    least = max(_MIN_BLOCK, exact)
+    size = max(least, _BLOCK_BYTES // (n * d * dtype.itemsize))
+
+    def walk(lo, hi):  # images lo:hi, block by block, into their rows of px and lse
+        blocks = _image_blocks(lo, hi, size, least)
+        most = max((hi_b - lo_b for lo_b, hi_b in blocks), default=0)
+        z, phi = np.empty((2, most * n, m), dtype=dtype)
+        rows = np.empty((most, n, d), dtype=dtype)
+        for lo_b, hi_b in blocks:
+            k = hi_b - lo_b
+            xhat = rows[:k]
+            _stem_into(images[lo_b:hi_b], conv_w, conv_b, proj_w, proj_b, pos, z[: k * n], phi[: k * n], xhat)
+            _normalise_rows(xhat, LN_EPS, out=(xhat, None))
+            _, p, lse[lo_b:hi_b] = _softmax_scores(xhat, ga, shift, scale)
+            np.matmul(p, xhat, out=px[lo_b:hi_b])
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
+        if bsz < _MIN_SPLIT or bsz // 2 < exact:
+            walk(0, bsz)
+        else:
+            _by_image_halves(bsz, False, walk)
+    out = _block_out(px, lse, g, beta, w_v.data, dtype)[2]
+    return _result(out, [q, gain, bias, w_k, w_v, *stem], None)
 
 
 def retention_blocks(
@@ -1183,6 +1293,44 @@ def conv3x3_same(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out, [w, b], bwd)
 
 
+def _stem_dims(images: Tensor, conv_w: Tensor, conv_b: Tensor, proj_w: Tensor, proj_b: Tensor, pos: Tensor) -> tuple:
+    """(B, h, w, c, m, d) of `patch_embed`'s arguments, once their shapes fit and images and pos need no gradient."""
+    if images.ndim != 4:
+        raise TensorError(f"patch_embed expects images [B,h,w,c], got {images.shape}")
+    bsz, h, wd, c = images.shape
+    m = conv_w.shape[-1]
+    d = proj_w.shape[-1]
+    if (
+        conv_w.shape != (9 * c, m)
+        or conv_b.shape != (m,)
+        or proj_w.shape != (m, d)
+        or proj_b.shape != (d,)
+        or pos.shape != (1, h * wd, d)
+    ):
+        raise TensorError(
+            f"patch_embed: bad shapes images {images.shape}, conv {conv_w.shape}/{conv_b.shape}, "
+            f"proj {proj_w.shape}/{proj_b.shape}, pos {pos.shape}"
+        )
+    if images.requires_grad or pos.requires_grad:
+        raise TensorError("patch_embed: images and pos are constants; they get no gradient")
+    return bsz, h, wd, c, m, d
+
+
+def _stem_into(images, conv_w, conv_b, proj_w, proj_b, pos, z, phi, out, keep_z: bool = False) -> None:
+    """The patch rows of images:[k, h, w, c] into out:[k, h*w, d]; all arguments are arrays.
+
+    z:[k*h*w, m] receives the conv output and phi Phi(z). gelu(z) = z *
+    Phi(z) then overwrites z, unless `keep_z`: the backward needs both.
+    """
+    np.matmul(_im2col3(images), conv_w, out=z)
+    z += conv_b
+    _gelu_phi(z, out=phi)
+    feats = z * phi if keep_z else np.multiply(z, phi, out=z)
+    np.matmul(feats, proj_w, out=out.reshape(-1, out.shape[-1]))
+    out += proj_b
+    out += pos
+
+
 def patch_embed(
     images: Tensor,
     conv_w: Tensor,
@@ -1204,55 +1352,27 @@ def patch_embed(
     images and pos are constants. The backward keeps the conv output z and
     Phi(z) only; it rebuilds the 3x3 columns from the images and gelu(z) as
     z * Phi(z). Tape-free, the stem runs by image halves on two threads
-    (`_by_image_halves`): each half writes its rows of z and of the output,
-    both allocated by the caller, and its products give the rows the
-    whole-chunk products give. Each half then takes gelu in place, with
-    one `_gelu_phi` call over its rows of z. The two threads pass the
-    interpreter lock at each numpy call `_erf` makes: about 22 per `_erf`
-    block, plus about 45 small ones per call for the few entries with
-    |z| > sqrt(2). The one output check also covers z and gelu(z): a
-    non-finite entry there makes its whole output row non-finite.
+    (`_by_image_halves`): each half writes its rows of z, Phi and the
+    output, all allocated by the caller, and its products give the rows
+    the whole-chunk products give. The one output check also covers z and
+    gelu(z): a non-finite entry there makes its whole output row
+    non-finite. An ICA forward does not call this op tape-free: its
+    `attention_block` streams the stem by image blocks (`Stem`).
     """
-    if images.ndim != 4:
-        raise TensorError(f"patch_embed expects images [B,h,w,c], got {images.shape}")
-    bsz, h, wd, c = images.shape
-    m = conv_w.shape[-1]
-    d = proj_w.shape[-1]
-    if (
-        conv_w.shape != (9 * c, m)
-        or conv_b.shape != (m,)
-        or proj_w.shape != (m, d)
-        or proj_b.shape != (d,)
-        or pos.shape != (1, h * wd, d)
-    ):
-        raise TensorError(
-            f"patch_embed: bad shapes images {images.shape}, conv {conv_w.shape}/{conv_b.shape}, "
-            f"proj {proj_w.shape}/{proj_b.shape}, pos {pos.shape}"
-        )
-    if images.requires_grad or pos.requires_grad:
-        raise TensorError("patch_embed: images and pos are constants; they get no gradient")
+    bsz, h, wd, c, m, d = _stem_dims(images, conv_w, conv_b, proj_w, proj_b, pos)
     taped = _ACTIVE_TAPE is not None and any(
         t.requires_grad for t in (conv_w, conv_b, proj_w, proj_b)
     )
     n = h * wd
     dtype = np.result_type(images.data, conv_w.data)
-    # z and out are allocated before the columns, so freeing them leaves no hole below them
-    z = np.empty((bsz * n, m), dtype=dtype)
+    # z, phi and out are allocated before the columns, so freeing them leaves no hole below them
+    z, phi = np.empty((2, bsz * n, m), dtype=dtype)
     out = np.empty((bsz, n, d), dtype=dtype)
-    phi = np.empty_like(z) if taped else None  # the backward needs both z and Phi(z)
+    weights = (conv_w.data, conv_b.data, proj_w.data, proj_b.data, pos.data)
 
     def stem(lo, hi):  # images lo:hi into their rows of z, phi and out
-        z_rows, out_rows = z[lo * n : hi * n], out[lo:hi]
-        np.matmul(_im2col3(images.data[lo:hi]), conv_w.data, out=z_rows)
-        z_rows += conv_b.data
-        if taped:
-            feats = z_rows * _gelu_phi(z_rows, out=phi[lo * n : hi * n])
-        else:  # gelu(z) overwrites z
-            z_rows *= _gelu_phi(z_rows)
-            feats = z_rows
-        np.matmul(feats, proj_w.data, out=out_rows.reshape(-1, d))
-        out_rows += proj_b.data
-        out_rows += pos.data
+        rows = slice(lo * n, hi * n)
+        _stem_into(images.data[lo:hi], *weights, z[rows], phi[rows], out[lo:hi], keep_z=taped)
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
         _by_image_halves(bsz, taped, stem)

@@ -433,6 +433,11 @@ CO_OCCURRENCE = "config.dataset: co_occurrence {} takes the label affinity out o
         ("dataset.noise_sigma=NaN", "config.dataset.noise_sigma: expected a finite float"),
         ("loss.gamma_neg=Infinity", "config.loss.gamma_neg: expected a finite float"),
         ("optimizer.lr=-1e400", "config.optimizer.lr: expected a finite float"),
+        # finite in float64, but not in the float32 model
+        ("loss.lambda=1e308", "config.loss.lambda: 1e+308 is beyond the float32 range"),
+        ("loss.gamma_pos=1e308", "config.loss.gamma_pos: 1e+308 is beyond the float32 range"),
+        ("dataset.noise_sigma=1e308", "config.dataset.noise_sigma: 1e+308 is beyond the float32 range"),
+        ("optimizer.lr=1e39", "config.optimizer.lr: 1e+39 is beyond the float32 range"),
         ("dpl.mu=-1", "config.dpl: mu -1.0 must be finite and non-negative"),
         ("loss.neg_margin=-1", "config.loss: neg_margin -1.0 must be in [0, 1)"),
         ("loss.neg_margin=1", "config.loss: neg_margin 1.0 must be in [0, 1)"),

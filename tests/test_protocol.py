@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,6 +505,47 @@ class TestTeacherPass:
 
         assert sizes["teacher"] == chunks(len(plan.train_indices[1]))
         assert sizes["eval"] == chunks(len(plan.test_indices[0]) + len(plan.test_indices[1]))
+
+    def test_infer_calls_forward_logits_once_per_chunk_with_exactly_that_chunk(self, monkeypatch):
+        # the benchmark counts eval and teacher images from these calls' arguments
+        train, _, _ = tiny_data()
+        rng = substream_rng(24, "init")
+        model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
+        expand_for_session(model, 3, rng)
+        features = train.features[:100]
+        calls = []
+        real_forward = protocol.forward_logits
+
+        def recording_forward(*args):
+            calls.append(args)
+            return real_forward(*args)
+
+        monkeypatch.setattr(protocol, "forward_logits", recording_forward)
+        monkeypatch.setattr(protocol, "INFER_CHUNK", 32)
+        probs = infer(model, features)[0]
+        assert [len(images) for _, images in calls] == [32, 32, 32, 4]
+        for k, (model_, images) in enumerate(calls):
+            assert model_ is model
+            assert np.shares_memory(images, features) and np.array_equal(images, features[32 * k : 32 * k + 32])
+        assert len(probs) == 100
+
+
+class TestInferMemory:
+    def test_a_tape_free_paper_shape_forward_peaks_below_8_mib(self, monkeypatch):
+        # the stem streams by image blocks: no [64, 196, *] array of the chunk is formed
+        monkeypatch.setattr(T, "inference_threads", lambda: 2)  # both halves' blocks at once
+        rng = substream_rng(25, "init")
+        model = init_model((14, 14, 8), IcaConfig(d=128, heads=8), ArmFlags(), rng)
+        expand_for_session(model, 40, rng)
+        images = np.random.default_rng(25).standard_normal((64, 14, 14, 8)).astype(np.float32)
+        forward_logits(model, images)  # the helper thread starts outside the trace
+        tracemalloc.start()
+        try:
+            forward_logits(model, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def _infer_into(model, features, results):

@@ -1166,11 +1166,21 @@ def helpers() -> int:
 
 
 class TestImageHalves:
-    """Tape-free `patch_embed` and `attention_block` split their images in two halves."""
+    """Tape-free `patch_embed` and `attention_block` over a `Stem` split their images in two halves."""
 
-    @pytest.mark.parametrize("grid, d, heads", [(8, 32, 4), (14, 128, 8)])
-    def test_split_equals_the_unsplit_ops_at_every_chunk_size(self, monkeypatch, grid, d, heads):
-        # the two workload shapes in float32, at every chunk size protocol.infer can use
+    @pytest.mark.parametrize(
+        "grid, d, heads, stem_splits",
+        [
+            (8, 32, 4, range(10, 65)),
+            (14, 128, 8, range(10, 65)),
+            # a chunk of 40 or more images has a large score product, and its halves would not
+            (14, 32, 4, range(10, 40)),
+        ],
+        ids=["8-32-4", "14-128-8", "14-32-4"],
+    )
+    def test_split_equals_the_unsplit_ops_at_every_chunk_size(self, monkeypatch, grid, d, heads, stem_splits):
+        # the two workload shapes in float32, and one whose small score products round
+        # another way, at every chunk size protocol.infer can use
         rng = np.random.default_rng(grid + d)
         stem = [Tensor(a) for a in stem_arrays(rng, 64, grid, grid, 8, 64, d, np.float32)]
         block = [Tensor(a.astype(np.float32)) for a in block_arrays(rng, 1, 1, d, heads, d // heads)]
@@ -1190,30 +1200,72 @@ class TestImageHalves:
                 with_threads(monkeypatch, threads)
                 rows = T.patch_embed(images, *stem[1:])
                 out = T.attention_block(q, rows, gain, bias, w_k, w_v, heads, 0.5)
-                got[threads] = (rows.data, out.data)
+                # the same block streamed from the images, never forming the chunk's rows
+                streamed = T.attention_block(q, T.Stem(images, *stem[1:]), gain, bias, w_k, w_v, heads, 0.5)
+                got[threads] = (rows.data, out.data, streamed.data)
             assert np.array_equal(got[1][0], got[2][0]), bsz
-            assert np.array_equal(got[1][1], got[2][1]), bsz
-        # from two images on, each op ran its second half on the helper
-        half = [((bsz + 1) // 2, bsz) for bsz in range(2, 65)]
-        assert submits == [h for h in half for _ in range(3)]
+            for threads in (1, 2):
+                assert np.array_equal(got[1][1], got[threads][1]), (bsz, threads)
+                assert np.array_equal(got[1][1], got[threads][2]), (bsz, threads)
+        # from two images on, patch_embed ran its second half on the helper, and
+        # so did the streamed block at the sizes it splits; a rows block runs on the caller
+        half = {bsz: ((bsz + 1) // 2, bsz) for bsz in range(2, 65)}
+        assert submits == [h for bsz, h in half.items() for _ in range(1 + (bsz in stem_splits))]
 
-    @pytest.mark.parametrize("op", ["patch_embed", "attention_block"])
+    @pytest.mark.parametrize(
+        "bsz, grid, d, heads, want",
+        [
+            (9, 14, 128, 8, [[(0, 9)]]),  # under ten images: one block on the caller
+            (10, 14, 128, 8, [[(0, 5)], [(5, 10)]]),
+            (18, 14, 128, 8, [[(0, 9)], [(9, 18)]]),  # a 1-image remainder joins its block
+            (33, 14, 128, 8, [[(0, 8), (8, 17)], [(17, 25), (25, 33)]]),
+            (64, 14, 128, 8, [[(0, 8), (8, 16), (16, 24), (24, 32)], [(32, 40), (40, 48), (48, 56), (56, 64)]]),
+            (64, 8, 32, 4, [[(0, 32)], [(32, 64)]]),  # about 800 KB of rows: a whole half
+            (64, 14, 128, 4, [[(0, 10), (10, 20), (20, 32)], [(32, 42), (42, 52), (52, 64)]]),
+            (39, 14, 32, 4, [[(0, 20)], [(20, 39)]]),  # each half as small a product as the chunk
+            (64, 14, 32, 4, [[(0, 64)]]),  # halves of 32 images would round unlike the chunk
+        ],
+    )
+    def test_a_stem_walks_each_half_in_blocks_sized_by_their_rows(self, monkeypatch, bsz, grid, d, heads, want):
+        with_threads(monkeypatch, 2)
+        rng = np.random.default_rng(48)
+        stem = T.Stem(*[Tensor(a) for a in stem_arrays(rng, bsz, grid, grid, 8, 64, d, np.float32)])
+        block = block_arrays(rng, 1, 1, d, heads, d // heads)
+        q, _, gain, bias, w_k, w_v = [Tensor(a.astype(np.float32)) for a in block]
+        walks, base = {}, stem.images.data.ctypes.data
+        real_stem_into = T._stem_into
+
+        def recording_stem_into(images, *args, **kwargs):  # one call per image block
+            lo = (images.ctypes.data - base) // images.strides[0]
+            walks.setdefault(threading.get_ident(), []).append((lo, lo + len(images)))
+            return real_stem_into(images, *args, **kwargs)
+
+        monkeypatch.setattr(T, "_stem_into", recording_stem_into)
+        T.attention_block(q, stem, gain, bias, w_k, w_v, heads, 0.5)
+        assert sorted(walks.values()) == want
+        assert walks[threading.get_ident()] == want[0]  # the caller walks the first half
+
+    @pytest.mark.parametrize("op", ["patch_embed", "attention_block", "stem", "stem_inf"])
     def test_a_nan_image_in_the_second_half_fails_in_the_caller(self, monkeypatch, op):
         with_threads(monkeypatch, 2)
         rng = np.random.default_rng(46)
-        stem = [Tensor(a) for a in stem_arrays(rng, 4, 3, 3, 2, 5, 6)]
-        if op == "patch_embed":
-            stem[0].data[3, 1, 1, 0] = np.nan  # as a corrupt image would arrive
-
-            def call():
-                return T.patch_embed(*stem)
-        else:
-            q, _, gain, bias, w_k, w_v = [Tensor(a) for a in block_arrays(rng, 1, 1, 6, 2, 3)]
+        bsz = 10 if op.startswith("stem") else 4  # a Stem splits chunks of ten or more images
+        stem = [Tensor(a) for a in stem_arrays(rng, bsz, 3, 3, 2, 5, 6)]
+        q, _, gain, bias, w_k, w_v = [Tensor(a) for a in block_arrays(rng, 1, 1, 6, 2, 3)]
+        if op == "attention_block":  # a rows block runs on the caller, after patch_embed's halves
             rows = T.patch_embed(*stem)
-            rows.data[3, 2, 0] = np.nan
+            rows.data[bsz - 1, 2, 0] = np.nan
 
             def call():
                 return T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
+        else:
+            # as a corrupt image would arrive; an infinite one overflows on its way
+            stem[0].data[bsz - 1, 1, 1, 0] = np.inf if op == "stem_inf" else np.nan
+
+            def call():
+                if op == "patch_embed":
+                    return T.patch_embed(*stem)
+                return T.attention_block(q, T.Stem(*stem), gain, bias, w_k, w_v, 2, 0.5)
 
         raised = []
 
@@ -1223,9 +1275,11 @@ class TestImageHalves:
             except T.TensorError as e:
                 raised.append(e)
 
-        thread = threading.Thread(target=caller, daemon=True)  # a hang fails, not blocks, the run
-        thread.start()
-        thread.join(timeout=30)
+        with warnings.catch_warnings():  # a RuntimeWarning in either thread would raise, and not a TensorError
+            warnings.simplefilter("error", RuntimeWarning)
+            thread = threading.Thread(target=caller, daemon=True)  # a hang fails, not blocks, the run
+            thread.start()
+            thread.join(timeout=30)
         assert not thread.is_alive()
         assert len(raised) == 1 and "non-finite" in str(raised[0])
 
@@ -1306,6 +1360,36 @@ class TestImageHalves:
         with Tape():
             rows = T.patch_embed(*leaves)
             T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
+            T.attention_block(q, T.Stem(*leaves), gain, bias, w_k, w_v, 2, 0.5)
+
+    def test_an_empty_chunk_gives_an_empty_block(self):
+        rng = np.random.default_rng(50)
+        stem = [Tensor(a) for a in stem_arrays(rng, 3, 4, 4, 2, 5, 6)]
+        stem[0] = Tensor(stem[0].data[:0])
+        q, _, gain, bias, w_k, w_v = [Tensor(a) for a in block_arrays(rng, 1, 1, 6, 2, 3)]
+        for rows in (T.Stem(*stem), T.patch_embed(*stem)):
+            assert T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5).shape == (0, 2, 4)
+
+    def test_a_taped_stem_is_patch_embed_then_the_rows_block(self):
+        rng = np.random.default_rng(49)
+        arrays = stem_arrays(rng, 12, 4, 4, 2, 5, 6)
+        block = block_arrays(rng, 1, 1, 6, 2, 3)
+        coef = rng.standard_normal((12, 2, 4))
+
+        def run(stemmed):
+            stem = stem_weights(arrays)
+            q, _, gain, bias, w_k, w_v = [Tensor(a, requires_grad=True) for a in block]
+            with Tape() as tape:
+                rows = T.Stem(*stem) if stemmed else T.patch_embed(*stem)
+                loss = dot(T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5), coef)
+            records = len(tape)
+            backward(loss)
+            return [records, loss.data] + [leaf.grad for leaf in stem[1:5] + [q, gain, bias, w_k, w_v]]
+
+        got, want = run(True), run(False)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
 
     def test_concurrent_callers_share_one_helper_and_run_each_half_once(self, monkeypatch):
         with_threads(monkeypatch, 2)
