@@ -182,5 +182,5 @@ def ica_forward(state: IcaState, session_index: int, patches: Tensor) -> Tensor:
         raise TensorError(
             f"session index {session_index} out of range 1..{state.session_count}"
         )
-    e = forward_all_sessions(state, patches).slice(0, session_index - 1, session_index)
+    e = T.slice_along(forward_all_sessions(state, patches), 0, session_index - 1, session_index)
     return e.reshape(*e.shape[1:])

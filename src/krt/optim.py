@@ -16,20 +16,24 @@ class Adam:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
-        """One update; params whose grad is None are left untouched."""
+        """One update; params whose grad is None are left untouched, and an overflow raises."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        try:
+            with np.errstate(over="raise"):  # an inf moment would silently stop its entries' training
+                for p, m, v in zip(self.params, self._m, self._v):
+                    if p.grad is None:
+                        continue
+                    g = p.grad
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * (g * g)
+                    p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        except FloatingPointError:
+            raise FloatingPointError(f"Adam step {self.t}: overflow updating a parameter of shape {p.shape}") from None
 
     def zero_grad(self):
         for p in self.params:

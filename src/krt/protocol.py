@@ -33,13 +33,12 @@ images, chunks of 64, 32 and 16 all end with the same 8 and chunks of 20
 with none: at the paper shape, chunks of 20 change the scores of those 8
 images and chunks of 16 or 32 change none. So the chunk is one constant,
 and it stays 64: a chunk of 20 moved `joint` mAPs in their last digits on
-5 of 20 seeds and ran no faster. Within a chunk, the patch ops may split
-the images between two threads, bit for bit (`krt.tensor`). On ICA arms
-the chunk no longer sets the memory of the patch side: the tape-free
-`T.attention_block` streams the stem by image blocks of about 800 KB of
-rows, so a 64-image paper-shape forward peaks at about 6 MiB of numpy
-arrays, against 15.5 MiB when the chunk's patch rows, columns, conv output
-and Phi were formed whole. Pooled-path arms still form them.
+5 of 20 seeds and ran no faster. The chunk does not set the memory of the
+patch side: tape-free, `T.attention_block` (ICA arms) and the global pool
+`T.weighted_rows_sum` stream the stem by image blocks of about 800 KB of
+rows, split between two threads bit for bit (`krt.tensor`). A 64-image
+paper-shape forward peaks at about 6 MiB of numpy arrays on either path,
+against 15.5–16 MiB when the chunk's patch arrays were formed whole.
 
 The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
 `init_model`). Everything after init reads the dtype from the model's own
@@ -261,10 +260,9 @@ class ForwardOut:
 def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
     """The patch stem, the ICA or pooled path, then `T.session_heads`.
 
-    The ICA path takes the stem's arguments (`T.Stem`): taped, its patch
-    block runs `T.patch_embed`; tape-free, it streams the stem by image
-    blocks and never forms the [B, h*w, d] patch rows. Only the pooled path
-    calls `T.patch_embed` here.
+    Both paths take the stem's arguments (`T.Stem`): taped, they run
+    `T.patch_embed`; tape-free, they stream the stem by image blocks and
+    never form the [B, h*w, d] patch rows.
     """
     if model.session_count == 0:
         raise ValueError("model has no sessions yet")
@@ -277,15 +275,10 @@ def forward_logits(model: ModelState, images: np.ndarray) -> ForwardOut:
     if model.flags.use_ica:
         embeddings = ica_mod.forward_all_sessions(model.ica, stem)
     if model.flags.use_kd or not model.flags.use_ica:
-        pooled = _global_pool(T.patch_embed(*stem))
+        n = x.shape[1] * x.shape[2]  # the global average over patch rows
+        pooled = T.weighted_rows_sum(Tensor(np.full((x.shape[0], n), 1.0 / n, dtype=model.dtype)), stem)
     logits = T.session_heads(pooled if embeddings is None else embeddings, model.heads)
     return ForwardOut(logits=logits, embeddings=embeddings, pooled=pooled)
-
-
-def _global_pool(patches: Tensor) -> Tensor:
-    bsz, length, _ = patches.shape
-    ones = Tensor(np.full((bsz, length), 1.0 / length, dtype=patches.dtype))
-    return T.weighted_rows_sum(ones, patches)
 
 
 def snapshot_model(model: ModelState) -> ModelState:

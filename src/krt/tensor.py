@@ -26,25 +26,22 @@ its standalone counterpart agree by construction. Exact GELU's erf is
 and bit for bit scipy's on float32, so numpy is the library's only
 dependency.
 
-Tape-free, the two patch ops use a second CPU when the process may run on
-two or more (`inference_threads`): `_by_image_halves` gives the first half
-of a chunk's images to the caller and the second to the process's one
-helper thread, a one-worker `ThreadPoolExecutor` whose thread starts on
-first use (a forked child makes its own). `patch_embed` splits all of its
-work. So does `attention_block` over a `Stem`, the ICA forward's inference
-path: each thread walks its half in image blocks, running the stem, norm1,
-the scores and the pooling per block, so no array of a whole chunk's patch
-rows is formed and each block's arrays are small enough to be reused from
-the heap. A block has at least 8 images or a whole half, and never so few
-that its score product [k*n, d] @ [d, heads] rounds its rows otherwise
-than the chunk's: OpenBLAS rounds calls of up to 10^6 multiply-adds its
-own way. Each half or block makes the same numpy calls on its image slice,
-whose rows equal those of the whole-chunk calls, so results are bit for
-bit those of one thread.
-`attention_block` over a rows tensor runs on the caller. The helper runs
-numpy on array slices only; it never creates a Tensor or touches a tape,
-so `Tape` stays single-threaded and a tracer that wraps `krt` names never
-sees the helper. Taped (training) ops run on the caller alone.
+Tape-free, the ops that take a `Stem` (`patch_embed`'s arguments) share
+one walk, `_walk_stem`: `attention_block` (the ICA forward's patch block)
+and `weighted_rows_sum` (the pooled path's global pool). It runs the stem
+by image blocks and hands each block's rows to the op, so no chunk's
+[B, h*w, d] patch rows are formed and each block's arrays are small enough
+to be reused from the heap. When the process may run on two or more CPUs
+(`inference_threads`), the walk gives the first half of a chunk's images
+to the caller and the second to the process's one helper thread
+(`_by_image_halves`), a one-worker `ThreadPoolExecutor` whose thread
+starts on first use (a forked child makes its own). Each block makes the
+same numpy calls on its image slice, whose rows equal those of the
+whole-chunk calls (`attention_block` says how blocks are sized for that),
+so results are bit for bit those of one thread. The helper runs numpy on
+array slices only; it never creates a Tensor or touches a tape, so `Tape`
+stays single-threaded and a tracer that wraps `krt` names never sees it.
+Taped ops, `patch_embed` and `attention_block` over rows run on the caller.
 
 `conv3x3_same`, `mul`, `power`, `log`, `softmax_rows`, `concat`,
 `transpose`, `cosine_similarity` and `mean_all` have no caller in `krt`.
@@ -119,9 +116,6 @@ class Tensor:
 
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape)
-
-    def slice(self, axis: int, start: int, stop: int) -> "Tensor":
-        return slice_along(self, axis, start, stop)
 
 
 class Tape:
@@ -199,14 +193,18 @@ def backward(loss: Tensor):
     loss._tape.backward(loss)
 
 
+def _taped(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over these inputs records: a tape is active and one of them needs a gradient."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def _result(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap an op result; record it if a tape is active and grads are needed."""
-    tape = _ACTIVE_TAPE
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    needs = _taped(inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        out._tape = tape
-        tape._record(out, backward_fn)
+        out._tape = _ACTIVE_TAPE
+        _ACTIVE_TAPE._record(out, backward_fn)
     return out
 
 
@@ -244,18 +242,18 @@ def _under_errstate(err: dict, work: Callable[[int, int], None], lo: int, hi: in
         work(lo, hi)
 
 
-def _by_image_halves(n: int, taped: bool, work: Callable[[int, int], None]) -> None:
-    """Run work(lo, hi) over images [0, n), tape-free in two halves at once.
+def _by_image_halves(n: int, work: Callable[[int, int], None]) -> None:
+    """Run work(lo, hi) over images [0, n) in two halves at once; `_walk_stem` is the one caller.
 
     `work` must write disjoint image slices of arrays its caller allocated,
     with numpy only: it may run on the helper thread, which must
     never create a Tensor or touch a tape. The helper runs the second half
     under the caller's floating-point error state while the caller runs the
     first; the caller then waits for the helper and re-raises whatever it
-    raised, a BaseException included. A taped op, one image or one usable
-    CPU runs all of it on the caller.
+    raised, a BaseException included. One image or one usable CPU runs all
+    of it on the caller.
     """
-    if taped or n < 2 or inference_threads() < 2:
+    if n < 2 or inference_threads() < 2:
         work(0, n)
         return
     half = (n + 1) // 2
@@ -730,8 +728,8 @@ def _normalise_rows(x: np.ndarray, eps: float, out=(None, None)):
     Centres once and takes the variance as the mean square of the centred
     rows, which is np.var's own arithmetic, so the statistics are np.var's
     to the bit and `layer_norm` and `attention_block` share xhat exactly.
-    `out` may give the (xhat, inv) arrays to write, e.g. one image half's
-    rows of larger arrays.
+    `out` may give the (xhat, inv) arrays to write, e.g. x itself to
+    normalise in place.
     """
     xc = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out[0])
     inv = np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps), out=out[1])
@@ -830,8 +828,23 @@ def cosine_distance(x: Tensor, y: np.ndarray) -> Tensor:
     return _result(mean * -1.0 + 1.0, [x], bwd)
 
 
-def weighted_rows_sum(weights: Tensor, values: Tensor) -> Tensor:
-    """Per-batch weighted sum of rows: [B,n] x [B,n,m] -> [B,m]."""
+def weighted_rows_sum(weights: Tensor, values) -> Tensor:
+    """Per-batch weighted sum of rows: [B,n] x [B,n,m] -> [B,m].
+
+    values may be a `Stem`: taped, the op then runs on `patch_embed`'s
+    rows; tape-free it streams them (`_walk_stem`), one einsum per block.
+    The einsum is no BLAS call and sums each image's rows alone, so any
+    block gives the whole chunk's bits.
+    """
+    if isinstance(values, Stem):
+        if not _taped([weights, *values]):
+            bsz, h, wd, _, _, d, dtype = _stem_dims(*values)
+            if weights.shape != (bsz, h * wd):
+                raise TensorError(f"weighted_rows_sum: incompatible shapes {weights.shape} and {(bsz, h * wd, d)}")
+            out = np.empty((bsz, d), dtype=np.result_type(weights.data, dtype))
+            _walk_stem(values, lambda lo, hi, rows: np.einsum("bn,bnm->bm", weights.data[lo:hi], rows, out=out[lo:hi]))
+            return _result(out, [weights, *values], None)
+        values = patch_embed(*values)
     if weights.ndim != 2 or values.ndim != 3 or weights.shape != values.shape[:2]:
         raise TensorError(
             f"weighted_rows_sum: incompatible shapes {weights.shape} and {values.shape}"
@@ -940,7 +953,7 @@ def _rows_grad(xhat, inv, xga, ga, p, d_s, d_p, d_px) -> np.ndarray:
 
 
 class Stem(NamedTuple):
-    """`patch_embed`'s arguments, for `attention_block` to form its rows from."""
+    """`patch_embed`'s arguments, for `attention_block` or `weighted_rows_sum` to form its rows from."""
 
     images: Tensor
     conv_w: Tensor
@@ -964,14 +977,6 @@ def _exact_block(bsz: int, row_macs: int) -> int:
     only blocks that are large too.
     """
     return 1 if bsz * row_macs <= _SMALL_GEMM else _SMALL_GEMM // row_macs + 1
-
-
-def _image_blocks(lo: int, hi: int, size: int, least: int) -> list:
-    """[a, b) blocks of `size` images over images [lo, hi); a remainder under `least` joins the block before."""
-    starts = list(range(lo, hi, size))
-    if len(starts) > 1 and hi - starts[-1] < least:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [hi]))
 
 
 def _softmax_scores(xhat: np.ndarray, ga: np.ndarray, shift: np.ndarray, scale: float) -> tuple:
@@ -1069,16 +1074,14 @@ def attention_block(
     a Stem's result is bit for bit that of the rows `patch_embed` gives.
     See `protocol.INFER_CHUNK` for what this means for the chunk size.
 
-    Tape-free, a Stem's block walks run by image halves on two threads
-    (`_by_image_halves`) when the chunk has at least `_MIN_SPLIT` images
-    and each half may be one block; otherwise the whole chunk is walked on
-    the caller. A rows tensor runs on the caller alone.
+    Tape-free, a Stem's blocks are walked by `_walk_stem`, by image halves
+    on two threads when the chunk has at least `_MIN_SPLIT` images and each
+    half may be one block. A rows tensor runs on the caller alone.
     """
     if isinstance(rows, Stem):
-        if _ACTIVE_TAPE is not None and any(t.requires_grad for t in (q, gain, bias, w_k, w_v, *rows)):
-            rows = patch_embed(*rows)
-        else:
+        if not _taped([q, gain, bias, w_k, w_v, *rows]):
             return _streamed_block(q, rows, gain, bias, w_k, w_v, heads, scale)
+        rows = patch_embed(*rows)
     if rows.ndim != 3:
         raise TensorError(f"attention_block: rows must be [B, n, d], got {rows.shape}")
     bsz, n, d = rows.shape
@@ -1114,39 +1117,55 @@ def _streamed_block(
     q: Tensor, stem: Stem, gain: Tensor, bias: Tensor, w_k: Tensor, w_v: Tensor, heads: int, scale: float
 ) -> Tensor:
     """Tape-free `attention_block` over the rows of a `Stem`, by image blocks; see there."""
-    bsz, h, wd, c, m, d = _stem_dims(*stem)
+    bsz, h, wd, _, _, d, dtype = _stem_dims(*stem)
     _block_dims("attention_block", q, d, gain, bias, w_k, w_v, heads)
-    n, dtype, scale = h * wd, np.result_type(stem.images.data, stem.conv_w.data), float(scale)
-    images, conv_w, conv_b, proj_w, proj_b, pos = (t.data for t in stem)
-    g, beta = gain.data, bias.data
+    g, beta, scale = gain.data, bias.data, float(scale)
     a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
     ga, shift = g[:, None] * a, beta @ a
     px = np.empty((bsz, heads, d), dtype=np.result_type(dtype, ga, shift))
     lse = np.empty((bsz, heads), dtype=px.dtype)
-    exact = _exact_block(bsz, n * d * heads)
-    least = max(_MIN_BLOCK, exact)
+
+    def per_block(lo, hi, rows):  # norm1, the scores and the pooling of images lo:hi
+        _normalise_rows(rows, LN_EPS, out=(rows, None))
+        _, p, lse[lo:hi] = _softmax_scores(rows, ga, shift, scale)
+        np.matmul(p, rows, out=px[lo:hi])
+
+    _walk_stem(stem, per_block, _exact_block(bsz, h * wd * d * heads))
+    out = _block_out(px, lse, g, beta, w_v.data, dtype)[2]
+    return _result(out, [q, gain, bias, w_k, w_v, *stem], None)
+
+
+def _walk_stem(stem: Stem, per_block: Callable[[int, int, np.ndarray], None], exact: int = 1) -> None:
+    """Form a tape-free `Stem`'s patch rows by image blocks and call per_block(lo, hi, rows) on each.
+
+    rows:[k, h*w, d] are images lo:hi's, in a buffer the thread's next block
+    overwrites. Blocks are sized as `attention_block` says, and take at
+    least `exact` images where the half or chunk has them. Halves may run
+    on two threads, so per_block writes only images lo:hi's part of arrays.
+    """
+    bsz, h, wd, _, m, d, dtype = _stem_dims(*stem)
+    images, conv_w, conv_b, proj_w, proj_b, pos = (t.data for t in stem)
+    n, least = h * wd, max(_MIN_BLOCK, exact)
     size = max(least, _BLOCK_BYTES // (n * d * dtype.itemsize))
 
-    def walk(lo, hi):  # images lo:hi, block by block, into their rows of px and lse
-        blocks = _image_blocks(lo, hi, size, least)
+    def walk(lo, hi):  # images lo:hi in blocks of `size`; a remainder under `least` joins the block before
+        starts = list(range(lo, hi, size))
+        if len(starts) > 1 and hi - starts[-1] < least:
+            starts.pop()
+        blocks = list(zip(starts, starts[1:] + [hi]))
         most = max((hi_b - lo_b for lo_b, hi_b in blocks), default=0)
         z, phi = np.empty((2, most * n, m), dtype=dtype)
         rows = np.empty((most, n, d), dtype=dtype)
         for lo_b, hi_b in blocks:
             k = hi_b - lo_b
-            xhat = rows[:k]
-            _stem_into(images[lo_b:hi_b], conv_w, conv_b, proj_w, proj_b, pos, z[: k * n], phi[: k * n], xhat)
-            _normalise_rows(xhat, LN_EPS, out=(xhat, None))
-            _, p, lse[lo_b:hi_b] = _softmax_scores(xhat, ga, shift, scale)
-            np.matmul(p, xhat, out=px[lo_b:hi_b])
+            _stem_into(images[lo_b:hi_b], conv_w, conv_b, proj_w, proj_b, pos, z[: k * n], phi[: k * n], rows[:k])
+            per_block(lo_b, hi_b, rows[:k])
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
         if bsz < _MIN_SPLIT or bsz // 2 < exact:
             walk(0, bsz)
         else:
-            _by_image_halves(bsz, False, walk)
-    out = _block_out(px, lse, g, beta, w_v.data, dtype)[2]
-    return _result(out, [q, gain, bias, w_k, w_v, *stem], None)
+            _by_image_halves(bsz, walk)
 
 
 def retention_blocks(
@@ -1294,18 +1313,13 @@ def conv3x3_same(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _stem_dims(images: Tensor, conv_w: Tensor, conv_b: Tensor, proj_w: Tensor, proj_b: Tensor, pos: Tensor) -> tuple:
-    """(B, h, w, c, m, d) of `patch_embed`'s arguments, once their shapes fit and images and pos need no gradient."""
+    """(B, h, w, c, m, d, dtype) of `patch_embed`'s arguments, once they fit and images and pos are constants."""
     if images.ndim != 4:
         raise TensorError(f"patch_embed expects images [B,h,w,c], got {images.shape}")
     bsz, h, wd, c = images.shape
-    m = conv_w.shape[-1]
-    d = proj_w.shape[-1]
-    if (
-        conv_w.shape != (9 * c, m)
-        or conv_b.shape != (m,)
-        or proj_w.shape != (m, d)
-        or proj_b.shape != (d,)
-        or pos.shape != (1, h * wd, d)
+    m, d = conv_w.shape[-1], proj_w.shape[-1]
+    if (conv_w.shape, conv_b.shape, proj_w.shape, proj_b.shape, pos.shape) != (
+        (9 * c, m), (m,), (m, d), (d,), (1, h * wd, d)
     ):
         raise TensorError(
             f"patch_embed: bad shapes images {images.shape}, conv {conv_w.shape}/{conv_b.shape}, "
@@ -1313,7 +1327,7 @@ def _stem_dims(images: Tensor, conv_w: Tensor, conv_b: Tensor, proj_w: Tensor, p
         )
     if images.requires_grad or pos.requires_grad:
         raise TensorError("patch_embed: images and pos are constants; they get no gradient")
-    return bsz, h, wd, c, m, d
+    return bsz, h, wd, c, m, d, np.result_type(images.data, conv_w.data)
 
 
 def _stem_into(images, conv_w, conv_b, proj_w, proj_b, pos, z, phi, out, keep_z: bool = False) -> None:
@@ -1351,31 +1365,19 @@ def patch_embed(
 
     images and pos are constants. The backward keeps the conv output z and
     Phi(z) only; it rebuilds the 3x3 columns from the images and gelu(z) as
-    z * Phi(z). Tape-free, the stem runs by image halves on two threads
-    (`_by_image_halves`): each half writes its rows of z, Phi and the
-    output, all allocated by the caller, and its products give the rows
-    the whole-chunk products give. The one output check also covers z and
-    gelu(z): a non-finite entry there makes its whole output row
-    non-finite. An ICA forward does not call this op tape-free: its
-    `attention_block` streams the stem by image blocks (`Stem`).
+    z * Phi(z). The op runs on the caller and forms the chunk's arrays
+    whole. The one output check also covers z and gelu(z): a non-finite
+    entry there makes its whole output row non-finite. Tape-free, `krt`
+    never calls it: `attention_block` and `weighted_rows_sum` take its
+    arguments as a `Stem` and stream the stem by image blocks.
     """
-    bsz, h, wd, c, m, d = _stem_dims(images, conv_w, conv_b, proj_w, proj_b, pos)
-    taped = _ACTIVE_TAPE is not None and any(
-        t.requires_grad for t in (conv_w, conv_b, proj_w, proj_b)
-    )
+    bsz, h, wd, c, m, d, dtype = _stem_dims(images, conv_w, conv_b, proj_w, proj_b, pos)
     n = h * wd
-    dtype = np.result_type(images.data, conv_w.data)
     # z, phi and out are allocated before the columns, so freeing them leaves no hole below them
     z, phi = np.empty((2, bsz * n, m), dtype=dtype)
     out = np.empty((bsz, n, d), dtype=dtype)
-    weights = (conv_w.data, conv_b.data, proj_w.data, proj_b.data, pos.data)
-
-    def stem(lo, hi):  # images lo:hi into their rows of z, phi and out
-        rows = slice(lo * n, hi * n)
-        _stem_into(images.data[lo:hi], *weights, z[rows], phi[rows], out[lo:hi], keep_z=taped)
-
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
-        _by_image_halves(bsz, taped, stem)
+        _stem_into(images.data, conv_w.data, conv_b.data, proj_w.data, proj_b.data, pos.data, z, phi, out, True)
 
     def per_image(a, g2):  # a^T g2 for a:[B*h*w, k], summed per image and then over images
         return np.matmul(a.reshape(bsz, h * wd, -1).transpose(0, 2, 1), g2.reshape(bsz, h * wd, -1)).sum(0)

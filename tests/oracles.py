@@ -218,8 +218,8 @@ def merge_blocks_oracle(own: list, shared):
     repeated = [T.repeat_rows(block, bsz) for block in own]
     pairs = T.concat([T.concat(repeated, axis=0), T.concat([shared] * t, axis=0)], axis=2)
     pairs = pairs.reshape(rows, 2, k)  # (own block, shared block) per session, image, head
-    weights = T.softmax_rows(pairs.slice(2, dh, k).reshape(rows, 2))
-    return T.weighted_rows_sum(weights, pairs.slice(2, 0, dh)).reshape(t, bsz, heads * dh)
+    weights = T.softmax_rows(T.slice_along(pairs, 2, dh, k).reshape(rows, 2))
+    return T.weighted_rows_sum(weights, T.slice_along(pairs, 2, 0, dh)).reshape(t, bsz, heads * dh)
 
 
 def session_heads_oracle(per_session: list, heads: list):
@@ -235,7 +235,7 @@ def cosine_distance_oracle(x, y: np.ndarray):
 
     if x.ndim == 3:
         m, bsz, d = y.shape
-        x = T.transpose(x.slice(0, 0, m), (1, 0, 2)).reshape(bsz, m * d)
+        x = T.transpose(T.slice_along(x, 0, 0, m), (1, 0, 2)).reshape(bsz, m * d)
         y = y.transpose(1, 0, 2).reshape(bsz, m * d)
     cos = T.cosine_similarity(x, T.Tensor(y))  # [B]
     return T.add(T.scale(T.mean_all(cos), -1.0), 1.0)

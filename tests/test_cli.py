@@ -112,28 +112,37 @@ def test_incr_paper_results_do_not_depend_on_the_image_half_split(tmp_path):
     _assert_equal_results_on_one_and_two_cpus("incr_paper", tmp_path)
 
 
-def _assert_equal_results_on_one_and_two_cpus(workload, tmp_path):
-    # tape-free `patch_embed` and `attention_block` split their images in
-    # two halves only when the process may use two CPUs
+def test_pooled_path_results_do_not_depend_on_the_image_half_split(tmp_path):
+    # kd_baseline at incr_paper's guard size: a taped patch_embed, and the
+    # streamed global pool of the teacher pass and of evaluation
+    _assert_equal_results_on_one_and_two_cpus("incr_paper", tmp_path, arm="kd_baseline")
+
+
+def _assert_equal_results_on_one_and_two_cpus(workload, tmp_path, arm=None):
+    # tape-free `attention_block` and `weighted_rows_sum` over a `Stem`
+    # split their images in two halves only when the process may use two CPUs
     usable = sorted(os.sched_getaffinity(0))
     if len(usable) < 2:
         pytest.skip("needs two usable CPUs")
-    results = [_guard_run(workload, tmp_path / str(n), "1", usable[:n]) for n in (1, 2)]
+    results = [_guard_run(workload, tmp_path / str(n), "1", usable[:n], arm) for n in (1, 2)]
     for r, cpus in zip(results, (1, 2)):
         assert r.pop("environment")["inference_threads"] == cpus
     assert results[0] == results[1]
 
 
-def _guard_run(workload, cwd, blas_threads, cpus=None):
+def _guard_run(workload, cwd, blas_threads, cpus=None, arm=None):
     """results.json, less its wall clock, of `krt run` of workload's guard config at seed 0 in a child.
 
-    cpus, if given, pins the child (not this process) to those CPUs.
+    cpus, if given, pins the child (not this process) to those CPUs; arm, if
+    given, replaces the workload's.
     """
     src = str(Path(krt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, **{var: blas_threads for var in BLAS_THREADS}}
     cwd.mkdir()
     config = {**_load_workloads().guard_config(workload, "run"), "seed": 0}
+    if arm is not None:
+        config["arm"] = arm
     (cwd / "config.json").write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "krt", "run", "--config", "config.json"],
@@ -453,6 +462,13 @@ CO_OCCURRENCE = "config.dataset: co_occurrence {} takes the label affinity out o
 def test_bad_values_fail_at_the_boundary(override, message, tmp_path, capsys):
     assert main(TINY_RUN + ["--set", override, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"E_CONFIG: {message}\n"
+
+
+def test_an_overflow_in_training_fails_naming_adams_step(tmp_path, capsys):
+    # within the float32 range, but the token loss's gradient squared overflows in Adam's second moment
+    argv = TINY_RUN + ["--arm", "krt", "--set", "loss.lambda=3e38", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("E_RUNTIME: Adam step 1: overflow updating a parameter of shape (")
 
 
 def test_an_int_beyond_the_float_range_is_not_a_finite_float(tmp_path, capsys):

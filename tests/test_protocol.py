@@ -533,9 +533,17 @@ class TestTeacherPass:
 class TestInferMemory:
     def test_a_tape_free_paper_shape_forward_peaks_below_8_mib(self, monkeypatch):
         # the stem streams by image blocks: no [64, 196, *] array of the chunk is formed
+        self.assert_forward_peaks_below_8_mib(monkeypatch, ArmFlags())
+
+    def test_a_tape_free_paper_shape_pooled_forward_peaks_below_8_mib(self, monkeypatch):
+        # ft's global pool streams the stem as the ICA patch block does
+        self.assert_forward_peaks_below_8_mib(monkeypatch, ArmFlags(use_dpl=False, use_ica=False))
+
+    @staticmethod
+    def assert_forward_peaks_below_8_mib(monkeypatch, flags):
         monkeypatch.setattr(T, "inference_threads", lambda: 2)  # both halves' blocks at once
         rng = substream_rng(25, "init")
-        model = init_model((14, 14, 8), IcaConfig(d=128, heads=8), ArmFlags(), rng)
+        model = init_model((14, 14, 8), IcaConfig(d=128, heads=8), flags, rng)
         expand_for_session(model, 40, rng)
         images = np.random.default_rng(25).standard_normal((64, 14, 14, 8)).astype(np.float32)
         forward_logits(model, images)  # the helper thread starts outside the trace

@@ -214,12 +214,12 @@ class TestElementwise:
         a = Tensor(rng.standard_normal((2, 3)))
         b = Tensor(rng.standard_normal((2, 5)))
         cat = T.concat([a, b], axis=1)
-        assert np.array_equal(cat.slice(1, 0, 3).data, a.data)
-        assert np.array_equal(cat.slice(1, 3, 8).data, b.data)
+        assert np.array_equal(T.slice_along(cat, 1, 0, 3).data, a.data)
+        assert np.array_equal(T.slice_along(cat, 1, 3, 8).data, b.data)
 
     def test_slice_out_of_range(self):
         with pytest.raises(T.TensorError):
-            Tensor(np.ones((2, 3))).slice(1, 0, 4)
+            T.slice_along(Tensor(np.ones((2, 3))), 1, 0, 4)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(T.TensorError, match=r"\(2,\).*\(3,\)"):
@@ -302,7 +302,7 @@ class TestShapeOps:
 
             def forward():
                 cat = T.concat([a, b], axis=1)
-                sl = cat.slice(1, 1, 5)
+                sl = T.slice_along(cat, 1, 1, 5)
                 rep = T.repeat_rows(r, 2)
                 return project(np.random.default_rng(0), T.add(sl, rep))
 
@@ -686,7 +686,7 @@ class TestSessionHeads:
         def chain(x, heads):
             if x.ndim == 2:
                 return session_heads_oracle([x] * t, heads)
-            return session_heads_oracle([x.slice(0, s, s + 1).reshape(bsz, d) for s in range(t)], heads)
+            return session_heads_oracle([T.slice_along(x, 0, s, s + 1).reshape(bsz, d) for s in range(t)], heads)
 
         for a, b in zip(run(T.session_heads), run(chain)):
             assert a.dtype == b.dtype == dtype
@@ -1166,7 +1166,7 @@ def helpers() -> int:
 
 
 class TestImageHalves:
-    """Tape-free `patch_embed` and `attention_block` over a `Stem` split their images in two halves."""
+    """Tape-free `attention_block` and `weighted_rows_sum` over a `Stem` split their images in two halves."""
 
     @pytest.mark.parametrize(
         "grid, d, heads, stem_splits",
@@ -1195,21 +1195,26 @@ class TestImageHalves:
         monkeypatch.setattr(T._SECOND_HALF, "submit", counting_submit)
         for bsz in range(1, 65):
             images = Tensor(stem[0].data[:bsz])
+            mean = Tensor(np.full((bsz, grid * grid), 1.0 / (grid * grid), dtype=np.float32))
             got = {}
             for threads in (1, 2):
                 with_threads(monkeypatch, threads)
                 rows = T.patch_embed(images, *stem[1:])
                 out = T.attention_block(q, rows, gain, bias, w_k, w_v, heads, 0.5)
-                # the same block streamed from the images, never forming the chunk's rows
+                pool = T.weighted_rows_sum(mean, rows)
+                # the same ops streamed from the images, never forming the chunk's rows
                 streamed = T.attention_block(q, T.Stem(images, *stem[1:]), gain, bias, w_k, w_v, heads, 0.5)
-                got[threads] = (rows.data, out.data, streamed.data)
+                streamed_pool = T.weighted_rows_sum(mean, T.Stem(images, *stem[1:]))
+                got[threads] = (rows.data, out.data, streamed.data, pool.data, streamed_pool.data)
             assert np.array_equal(got[1][0], got[2][0]), bsz
             for threads in (1, 2):
                 assert np.array_equal(got[1][1], got[threads][1]), (bsz, threads)
                 assert np.array_equal(got[1][1], got[threads][2]), (bsz, threads)
-        # from two images on, patch_embed ran its second half on the helper, and
-        # so did the streamed block at the sizes it splits; a rows block runs on the caller
-        half = {bsz: ((bsz + 1) // 2, bsz) for bsz in range(2, 65)}
+                assert np.array_equal(got[1][3], got[threads][3]), (bsz, threads)
+                assert np.array_equal(got[1][3], got[threads][4]), (bsz, threads)
+        # from ten images on, the streamed pool ran its second half on the helper, and so did
+        # the streamed block at the sizes it splits; patch_embed and a rows block run on the caller
+        half = {bsz: ((bsz + 1) // 2, bsz) for bsz in range(10, 65)}
         assert submits == [h for bsz, h in half.items() for _ in range(1 + (bsz in stem_splits))]
 
     @pytest.mark.parametrize(
@@ -1245,14 +1250,14 @@ class TestImageHalves:
         assert sorted(walks.values()) == want
         assert walks[threading.get_ident()] == want[0]  # the caller walks the first half
 
-    @pytest.mark.parametrize("op", ["patch_embed", "attention_block", "stem", "stem_inf"])
+    @pytest.mark.parametrize("op", ["patch_embed", "attention_block", "stem", "stem_inf", "pool"])
     def test_a_nan_image_in_the_second_half_fails_in_the_caller(self, monkeypatch, op):
         with_threads(monkeypatch, 2)
         rng = np.random.default_rng(46)
-        bsz = 10 if op.startswith("stem") else 4  # a Stem splits chunks of ten or more images
+        bsz = 10 if op.startswith("stem") or op == "pool" else 4  # a Stem splits chunks of ten or more images
         stem = [Tensor(a) for a in stem_arrays(rng, bsz, 3, 3, 2, 5, 6)]
         q, _, gain, bias, w_k, w_v = [Tensor(a) for a in block_arrays(rng, 1, 1, 6, 2, 3)]
-        if op == "attention_block":  # a rows block runs on the caller, after patch_embed's halves
+        if op == "attention_block":  # patch_embed and a rows block run on the caller
             rows = T.patch_embed(*stem)
             rows.data[bsz - 1, 2, 0] = np.nan
 
@@ -1265,6 +1270,8 @@ class TestImageHalves:
             def call():
                 if op == "patch_embed":
                     return T.patch_embed(*stem)
+                if op == "pool":
+                    return T.weighted_rows_sum(Tensor(np.full((bsz, 9), 1.0 / 9)), T.Stem(*stem))
                 return T.attention_block(q, T.Stem(*stem), gain, bias, w_k, w_v, 2, 0.5)
 
         raised = []
@@ -1293,7 +1300,7 @@ class TestImageHalves:
                 raise KeyError("second half")
 
         with pytest.raises(KeyError, match="second half"):
-            T._by_image_halves(5, False, work)
+            T._by_image_halves(5, work)
         assert sorted(r[:2] for r in ran) == [(0, 3), (3, 5)]
         caller = threading.get_ident()
         assert [r[2] == caller for r in sorted(ran)] == [True, False]
@@ -1316,10 +1323,10 @@ class TestImageHalves:
                 raise Stop
 
         with pytest.raises(Stop):
-            T._by_image_halves(5, False, work)
+            T._by_image_halves(5, work)
         assert sorted(r[:2] for r in ran) == [(0, 3), (3, 5)]
         # the next call's second half runs on the same, single helper
-        T._by_image_halves(4, False, work)
+        T._by_image_halves(4, work)
         assert sorted(r[:2] for r in ran[2:]) == [(0, 2), (2, 4)]
         helper_ids = {r[2] for r in ran if r[0] > 0}
         assert len(helper_ids) == 1 and threading.get_ident() not in helper_ids
@@ -1334,9 +1341,9 @@ class TestImageHalves:
             np.subtract(x[lo:hi], x[lo:hi], out=out[lo:hi])
 
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            T._by_image_halves(4, False, work)
+            T._by_image_halves(4, work)
         with np.errstate(invalid="ignore"):
-            T._by_image_halves(4, False, work)
+            T._by_image_halves(4, work)
         assert np.array_equal(out[:2], [0.0, 0.0]) and np.isnan(out[2:]).all()
 
     def test_taped_ops_one_image_and_one_cpu_stay_on_the_caller(self, monkeypatch):
@@ -1346,21 +1353,24 @@ class TestImageHalves:
             calls.append((lo, hi, threading.get_ident()))
 
         caller = threading.get_ident()
-        for threads, n, taped in [(2, 4, True), (2, 1, False), (1, 4, False)]:
+        for threads, n in [(2, 1), (1, 4)]:
             with_threads(monkeypatch, threads)
             calls.clear()
-            T._by_image_halves(n, taped, work)
+            T._by_image_halves(n, work)
             assert calls == [(0, n, caller)]
-        # and the taped ops themselves take the serial path
+        # the taped ops and patch_embed take the serial path, at any chunk size
         with_threads(monkeypatch, 2)
         monkeypatch.setattr(T, "_SECOND_HALF", None)  # any submit would fail
         rng = np.random.default_rng(47)
-        leaves = stem_weights(stem_arrays(rng, 3, 3, 3, 2, 4, 6))
+        leaves = stem_weights(stem_arrays(rng, 12, 3, 3, 2, 4, 6))
         q, gain, bias, w_k, w_v = [rand_leaf(rng, *s) for s in [(6,), (6,), (6,), (6, 6), (6, 6)]]
+        mean = Tensor(np.full((12, 9), 1.0 / 9))
+        T.patch_embed(*leaves)
         with Tape():
             rows = T.patch_embed(*leaves)
             T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
             T.attention_block(q, T.Stem(*leaves), gain, bias, w_k, w_v, 2, 0.5)
+            T.weighted_rows_sum(mean, T.Stem(*leaves))
 
     def test_an_empty_chunk_gives_an_empty_block(self):
         rng = np.random.default_rng(50)
@@ -1369,6 +1379,7 @@ class TestImageHalves:
         q, _, gain, bias, w_k, w_v = [Tensor(a) for a in block_arrays(rng, 1, 1, 6, 2, 3)]
         for rows in (T.Stem(*stem), T.patch_embed(*stem)):
             assert T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5).shape == (0, 2, 4)
+            assert T.weighted_rows_sum(Tensor(np.ones((0, 16))), rows).shape == (0, 6)
 
     def test_a_taped_stem_is_patch_embed_then_the_rows_block(self):
         rng = np.random.default_rng(49)
@@ -1391,6 +1402,34 @@ class TestImageHalves:
         for a, b in zip(got[1:], want[1:]):
             assert np.array_equal(a, b)
 
+    def test_a_taped_pooled_stem_is_patch_embed_then_the_rows_pool(self):
+        rng = np.random.default_rng(51)
+        arrays = stem_arrays(rng, 12, 4, 4, 2, 5, 6)
+        weights = rng.uniform(0.0, 1.0, (12, 16))
+        coef = rng.standard_normal((12, 6))
+
+        def run(stemmed):
+            stem = stem_weights(arrays)
+            w = Tensor(weights, requires_grad=True)
+            with Tape() as tape:
+                rows = T.Stem(*stem) if stemmed else T.patch_embed(*stem)
+                loss = dot(T.weighted_rows_sum(w, rows), coef)
+            records = len(tape)
+            backward(loss)
+            return [records, loss.data] + [leaf.grad for leaf in stem[1:5] + [w]]
+
+        got, want = run(True), run(False)
+        assert got[0] == want[0] == 4  # patch_embed, the pool and dot's two records
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+
+    def test_pooled_stem_shape_errors(self):
+        rng = np.random.default_rng(52)
+        stem = T.Stem(*[Tensor(a) for a in stem_arrays(rng, 3, 4, 4, 2, 5, 6)])
+        for weights in (np.ones((3, 15)), np.ones((2, 16)), np.ones(48)):
+            with pytest.raises(T.TensorError, match="weighted_rows_sum"):
+                T.weighted_rows_sum(Tensor(weights), stem)
+
     def test_concurrent_callers_share_one_helper_and_run_each_half_once(self, monkeypatch):
         with_threads(monkeypatch, 2)
         fresh_helper(monkeypatch)
@@ -1403,7 +1442,7 @@ class TestImageHalves:
                 def work(lo, hi, r=r):
                     out[c, r, lo:hi] += 1 + np.arange(lo, hi)
 
-                T._by_image_halves(n, False, work)
+                T._by_image_halves(n, work)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
