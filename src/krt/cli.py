@@ -4,7 +4,7 @@
 results.json and summary.csv (its per-session mAP, CF1 and OF1) into the
 output directory. results.json also records the environment float32
 results can depend on: the numpy version, its BLAS and that BLAS's thread
-count, and how many threads tape-free inference runs on.
+count.
 `krt compare` tabulates several results files of the same plan, and warns
 on stderr when their environments differ.
 `krt dpl` runs the pseudo-labeler standalone over a score CSV + label JSONL,
@@ -37,7 +37,6 @@ from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import tensor as T
 from ._version import VERSION
 from .datagen import DatasetFormatError, GenSpec, generate, load_dataset
 from .dpl import DplConfig, read_labels_jsonl, read_score_csv, write_merged_jsonl
@@ -337,7 +336,11 @@ def _load_data(cfg: RunConfig):
         if grids[0] != grids[1]:
             raise DataError(f"train grid {grids[0]} and test grid {grids[1]} differ")
         return train, test, train.class_names
-    return generate(cfg.dataset)
+    try:
+        return generate(cfg.dataset)
+    except OverflowError:  # noise_sigma fits float32, but the noise it scales may not
+        sigma = cfg.dataset.noise_sigma
+        raise ConfigError(f"config.dataset.noise_sigma: {sigma!r} puts features beyond the float32 range") from None
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -401,7 +404,6 @@ def environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": _blas_threads()},
-        "inference_threads": T.inference_threads(),
     }
 
 

@@ -183,8 +183,12 @@ def _split(spec: GenSpec, names: list, first_id: int, n: int, protos, affinity) 
     cell = np.concatenate(cells)
     # cells are distinct within an image, so each element is stamped once: noise + prototype
     feat[image, cell // w, cell % w] += protos[picks[image, slot]]
+    with np.errstate(over="ignore"):  # a feature beyond the float32 range casts to inf, raised below
+        features = feat.astype(np.float32)
+    if not np.isfinite(features).all():
+        raise OverflowError(f"noise_sigma {spec.noise_sigma!r} puts features beyond the float32 range")
     ids = np.arange(first_id, first_id + n, dtype=np.uint64)
-    return Dataset(names, ids, feat.astype(np.float32), labels)
+    return Dataset(names, ids, features, labels)
 
 
 def generate(spec: GenSpec):

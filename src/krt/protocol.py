@@ -36,8 +36,8 @@ and it stays 64: a chunk of 20 moved `joint` mAPs in their last digits on
 5 of 20 seeds and ran no faster. The chunk does not set the memory of the
 patch side: tape-free, `T.attention_block` (ICA arms) and the global pool
 `T.weighted_rows_sum` stream the stem by image blocks of about 800 KB of
-rows, split between two threads bit for bit (`krt.tensor`). A 64-image
-paper-shape forward peaks at about 6 MiB of numpy arrays on either path,
+rows on the calling thread, bit for bit (`krt.tensor`). A 64-image
+paper-shape forward peaks at about 3 MiB of numpy arrays on either path,
 against 15.5–16 MiB when the chunk's patch arrays were formed whole.
 
 The model runs in float32, chosen once here (`MODEL_DTYPE`, used by
@@ -488,23 +488,26 @@ def train_session(
 
     opt = Adam(model.trainable_parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     shuffle_rng = rngs["shuffle"]
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(index))
-        for lo in range(0, len(order), config.batch_size):
+        for batch, lo in enumerate(range(0, len(order), config.batch_size), 1):
             sel = order[lo : lo + config.batch_size]
             e_prev = prev_embeddings[:, sel] if use_token else None
-            with Tape() as tape:
-                out = forward_logits(model, features[sel])
-                loss = total_loss(
-                    asl_loss(T.sigmoid(out.logits), targets[sel], config.loss),
-                    token_loss(e_prev, out.embeddings) if use_token else None,
-                    config.loss,
-                    session=t,
-                )
-                if use_kd:
-                    loss = T.add(loss, kd_pooled_loss(prev_pooled[sel], out.pooled))
-            backward(loss)
-            opt.step()
+            try:
+                with Tape() as tape:
+                    out = forward_logits(model, features[sel])
+                    loss = total_loss(
+                        asl_loss(T.sigmoid(out.logits), targets[sel], config.loss),
+                        token_loss(e_prev, out.embeddings) if use_token else None,
+                        config.loss,
+                        session=t,
+                    )
+                    if use_kd:
+                        loss = T.add(loss, kd_pooled_loss(prev_pooled[sel], out.pooled))
+                backward(loss)
+                opt.step()
+            except (ValueError, ArithmeticError) as e:  # a diverging step: say where it diverged
+                raise type(e)(f"session {t}, epoch {epoch}, batch {batch}: {e}") from e
             opt.zero_grad()
             tape.clear()
 

@@ -31,17 +31,11 @@ one walk, `_walk_stem`: `attention_block` (the ICA forward's patch block)
 and `weighted_rows_sum` (the pooled path's global pool). It runs the stem
 by image blocks and hands each block's rows to the op, so no chunk's
 [B, h*w, d] patch rows are formed and each block's arrays are small enough
-to be reused from the heap. When the process may run on two or more CPUs
-(`inference_threads`), the walk gives the first half of a chunk's images
-to the caller and the second to the process's one helper thread
-(`_by_image_halves`), a one-worker `ThreadPoolExecutor` whose thread
-starts on first use (a forked child makes its own). Each block makes the
-same numpy calls on its image slice, whose rows equal those of the
-whole-chunk calls (`attention_block` says how blocks are sized for that),
-so results are bit for bit those of one thread. The helper runs numpy on
-array slices only; it never creates a Tensor or touches a tape, so `Tape`
-stays single-threaded and a tracer that wraps `krt` names never sees it.
-Taped ops, `patch_embed` and `attention_block` over rows run on the caller.
+to be reused from the heap. Each block makes the same numpy calls on its
+image slice, whose rows equal those of the whole-chunk calls
+(`attention_block` says how blocks are sized for that), so results are
+bit for bit those of `patch_embed`'s rows. Every op, taped or not, runs
+on the calling thread; the library starts no thread of its own.
 
 `conv3x3_same`, `mul`, `power`, `log`, `softmax_rows`, `concat`,
 `transpose`, `cosine_similarity` and `mean_all` have no caller in `krt`.
@@ -53,8 +47,6 @@ them by name; they also build the test references of `patch_embed`, `asl`,
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -211,59 +203,6 @@ def _result(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tens
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise TensorError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-# ---------------------------------------------------------------------------
-# tape-free work split by image halves
-
-
-def inference_threads() -> int:
-    """Threads a tape-free patch op runs on: 2 when this process may use 2 or more CPUs, else 1.
-
-    A platform without `os.sched_getaffinity` runs on 1.
-    """
-    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return 2 if len(usable) >= 2 else 1
-
-
-def _start_helper():
-    """Give this process its one helper, a one-thread executor whose thread starts on first submit."""
-    global _SECOND_HALF
-    _SECOND_HALF = ThreadPoolExecutor(max_workers=1, thread_name_prefix="krt-second-half")
-
-
-_start_helper()
-if hasattr(os, "register_at_fork"):  # the thread does not survive a fork
-    os.register_at_fork(after_in_child=_start_helper)
-
-
-def _under_errstate(err: dict, work: Callable[[int, int], None], lo: int, hi: int) -> None:
-    with np.errstate(**err):  # numpy keeps the floating-point error state per thread
-        work(lo, hi)
-
-
-def _by_image_halves(n: int, work: Callable[[int, int], None]) -> None:
-    """Run work(lo, hi) over images [0, n) in two halves at once; `_walk_stem` is the one caller.
-
-    `work` must write disjoint image slices of arrays its caller allocated,
-    with numpy only: it may run on the helper thread, which must
-    never create a Tensor or touch a tape. The helper runs the second half
-    under the caller's floating-point error state while the caller runs the
-    first; the caller then waits for the helper and re-raises whatever it
-    raised, a BaseException included. One image or one usable CPU runs all
-    of it on the caller.
-    """
-    if n < 2 or inference_threads() < 2:
-        work(0, n)
-        return
-    half = (n + 1) // 2
-    second = _SECOND_HALF.submit(_under_errstate, np.geterr(), work, half, n)
-    try:
-        work(0, half)
-    finally:
-        failed = second.exception()  # waits: the helper may still be writing the caller's arrays
-    if failed is not None:
-        raise failed
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +903,7 @@ class Stem(NamedTuple):
 
 
 _BLOCK_BYTES = 800 * 1024  # of [k, h*w, d] rows per image block of a tape-free Stem walk
-_MIN_BLOCK = 8  # images; no shorter block unless the whole half or chunk is
-_MIN_SPLIT = 10  # images; a shorter chunk runs as one block on the caller
+_MIN_BLOCK = 8  # images; no shorter block unless the whole chunk is
 _SMALL_GEMM = 10**6  # M*N*K up to which OpenBLAS's sgemm rounds its rows another way
 
 
@@ -1054,9 +992,9 @@ def attention_block(
     the pooling while its rows are in cache, and keeps only p^T xhat
     [B, heads, d] and lse [B, heads]; the value projection then runs once.
     A block holds about `_BLOCK_BYTES` of rows (8 images at 14x14, d=128;
-    a whole image half at 8x8, d=32). Each block costs a fixed number of
-    numpy calls, so small rows take more images per block, and none takes
-    fewer than `_MIN_BLOCK` unless its whole half does: a shorter
+    a whole 64-image chunk at 8x8, d=32). Each block costs a fixed number
+    of numpy calls, so small rows take more images per block, and none
+    takes fewer than `_MIN_BLOCK` unless the whole chunk does: a shorter
     remainder joins the block before it.
 
     A block must also round its score rows as the whole chunk's product
@@ -1073,10 +1011,7 @@ def attention_block(
     workload shapes, and a split at 8x8, d=32 never crosses the bound. So
     a Stem's result is bit for bit that of the rows `patch_embed` gives.
     See `protocol.INFER_CHUNK` for what this means for the chunk size.
-
-    Tape-free, a Stem's blocks are walked by `_walk_stem`, by image halves
-    on two threads when the chunk has at least `_MIN_SPLIT` images and each
-    half may be one block. A rows tensor runs on the caller alone.
+    Tape-free, `_walk_stem` walks a Stem's blocks.
     """
     if isinstance(rows, Stem):
         if not _taped([q, gain, bias, w_k, w_v, *rows]):
@@ -1138,34 +1073,26 @@ def _streamed_block(
 def _walk_stem(stem: Stem, per_block: Callable[[int, int, np.ndarray], None], exact: int = 1) -> None:
     """Form a tape-free `Stem`'s patch rows by image blocks and call per_block(lo, hi, rows) on each.
 
-    rows:[k, h*w, d] are images lo:hi's, in a buffer the thread's next block
+    rows:[k, h*w, d] are images lo:hi's, in a buffer the next block
     overwrites. Blocks are sized as `attention_block` says, and take at
-    least `exact` images where the half or chunk has them. Halves may run
-    on two threads, so per_block writes only images lo:hi's part of arrays.
+    least `exact` images where the chunk has them.
     """
     bsz, h, wd, _, m, d, dtype = _stem_dims(*stem)
     images, conv_w, conv_b, proj_w, proj_b, pos = (t.data for t in stem)
     n, least = h * wd, max(_MIN_BLOCK, exact)
     size = max(least, _BLOCK_BYTES // (n * d * dtype.itemsize))
-
-    def walk(lo, hi):  # images lo:hi in blocks of `size`; a remainder under `least` joins the block before
-        starts = list(range(lo, hi, size))
-        if len(starts) > 1 and hi - starts[-1] < least:
-            starts.pop()
-        blocks = list(zip(starts, starts[1:] + [hi]))
-        most = max((hi_b - lo_b for lo_b, hi_b in blocks), default=0)
-        z, phi = np.empty((2, most * n, m), dtype=dtype)
-        rows = np.empty((most, n, d), dtype=dtype)
-        for lo_b, hi_b in blocks:
-            k = hi_b - lo_b
-            _stem_into(images[lo_b:hi_b], conv_w, conv_b, proj_w, proj_b, pos, z[: k * n], phi[: k * n], rows[:k])
-            per_block(lo_b, hi_b, rows[:k])
-
+    starts = list(range(0, bsz, size))
+    if len(starts) > 1 and bsz - starts[-1] < least:  # a short remainder joins the block before
+        starts.pop()
+    blocks = list(zip(starts, starts[1:] + [bsz]))
+    most = max((hi - lo for lo, hi in blocks), default=0)
+    z, phi = np.empty((2, most * n, m), dtype=dtype)
+    rows = np.empty((most, n, d), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the output check
-        if bsz < _MIN_SPLIT or bsz // 2 < exact:
-            walk(0, bsz)
-        else:
-            _by_image_halves(bsz, walk)
+        for lo, hi in blocks:
+            k = hi - lo
+            _stem_into(images[lo:hi], conv_w, conv_b, proj_w, proj_b, pos, z[: k * n], phi[: k * n], rows[:k])
+            per_block(lo, hi, rows[:k])
 
 
 def retention_blocks(
@@ -1365,11 +1292,11 @@ def patch_embed(
 
     images and pos are constants. The backward keeps the conv output z and
     Phi(z) only; it rebuilds the 3x3 columns from the images and gelu(z) as
-    z * Phi(z). The op runs on the caller and forms the chunk's arrays
-    whole. The one output check also covers z and gelu(z): a non-finite
-    entry there makes its whole output row non-finite. Tape-free, `krt`
-    never calls it: `attention_block` and `weighted_rows_sum` take its
-    arguments as a `Stem` and stream the stem by image blocks.
+    z * Phi(z). The op forms the chunk's arrays whole. The one output
+    check also covers z and gelu(z): a non-finite entry there makes its
+    whole output row non-finite. Tape-free, `krt` never calls it:
+    `attention_block` and `weighted_rows_sum` take its arguments as a
+    `Stem` and stream the stem by image blocks.
     """
     bsz, h, wd, c, m, d, dtype = _stem_dims(images, conv_w, conv_b, proj_w, proj_b, pos)
     n = h * wd

@@ -15,7 +15,7 @@ Run it on two trees at one OpenBLAS thread count (`OPENBLAS_NUM_THREADS`)
 and diff the outputs: a change that keeps every arm's results bit for bit
 prints the same lines. pytest does not collect it (its name does not start
 with `test_`); the tier-1 CLI tests hold guard-size runs to equal results
-across thread counts and CPU splits.
+across BLAS thread counts.
 """
 
 from __future__ import annotations

@@ -94,6 +94,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match="co_occurrence 584.090054 takes the label affinity"):
             GenSpec(**{**kw, "co_occurrence": 584.090054})
 
+    def test_noise_beyond_the_float32_range_is_rejected(self):
+        # a valid float32 sigma, but some of its noise draws leave the float32 range
+        with pytest.raises(OverflowError, match="noise_sigma 1e\\+38 puts features beyond the float32 range"):
+            generate(small_spec(noise_sigma=1e38))
+
     def test_co_occurrence_shapes_pair_frequencies(self):
         flat = generate(small_spec(co_occurrence=0.0, n_train=4000))[0]
         skew = generate(small_spec(co_occurrence=2.0, n_train=4000))[0]

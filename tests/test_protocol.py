@@ -1,7 +1,9 @@
 import math
-import multiprocessing
-import threading
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,22 +533,20 @@ class TestTeacherPass:
 
 
 class TestInferMemory:
-    def test_a_tape_free_paper_shape_forward_peaks_below_8_mib(self, monkeypatch):
+    def test_a_tape_free_paper_shape_forward_peaks_below_8_mib(self):
         # the stem streams by image blocks: no [64, 196, *] array of the chunk is formed
-        self.assert_forward_peaks_below_8_mib(monkeypatch, ArmFlags())
+        self.assert_forward_peaks_below_8_mib(ArmFlags())
 
-    def test_a_tape_free_paper_shape_pooled_forward_peaks_below_8_mib(self, monkeypatch):
+    def test_a_tape_free_paper_shape_pooled_forward_peaks_below_8_mib(self):
         # ft's global pool streams the stem as the ICA patch block does
-        self.assert_forward_peaks_below_8_mib(monkeypatch, ArmFlags(use_dpl=False, use_ica=False))
+        self.assert_forward_peaks_below_8_mib(ArmFlags(use_dpl=False, use_ica=False))
 
     @staticmethod
-    def assert_forward_peaks_below_8_mib(monkeypatch, flags):
-        monkeypatch.setattr(T, "inference_threads", lambda: 2)  # both halves' blocks at once
+    def assert_forward_peaks_below_8_mib(flags):
         rng = substream_rng(25, "init")
         model = init_model((14, 14, 8), IcaConfig(d=128, heads=8), flags, rng)
         expand_for_session(model, 40, rng)
         images = np.random.default_rng(25).standard_normal((64, 14, 14, 8)).astype(np.float32)
-        forward_logits(model, images)  # the helper thread starts outside the trace
         tracemalloc.start()
         try:
             forward_logits(model, images)
@@ -556,33 +556,31 @@ class TestInferMemory:
         assert peak < 8 * 2**20
 
 
-def _infer_into(model, features, results):
-    results.put(infer(model, features)[0])
-
-
-class TestInferAcrossFork:
-    def test_a_forked_child_infers_after_the_parent_used_the_helper(self, monkeypatch):
-        # the helper thread does not survive a fork; the child must start its own
-        monkeypatch.setattr(T, "inference_threads", lambda: 2)
-        train, _, _ = tiny_data()
-        rng = substream_rng(23, "init")
-        model = init_model((4, 4, 4), tiny_ica(), ArmFlags(), rng)
-        expand_for_session(model, 3, rng)
-        features = train.features[:40]
-        probs = infer(model, features)[0]
-        assert any(t.name.startswith("krt-second-half") for t in threading.enumerate())
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        child = ctx.Process(target=_infer_into, args=(model, features, results))
-        child.start()
-        try:
-            got = results.get(timeout=60)  # drained before the join
-        finally:
-            child.join(timeout=60)
-            if child.is_alive():
-                child.kill()
-        assert child.exitcode == 0
-        assert np.array_equal(got, probs)
+def test_tape_free_inference_starts_no_thread():
+    # in a process of its own, so no thread an earlier test started can hide a new one
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from krt.ica import IcaConfig\n"
+        "from krt.protocol import ArmFlags, expand_for_session, infer, init_model\n"
+        "from krt.seeds import substream_rng\n"
+        "rng = substream_rng(25, 'init')\n"
+        "model = init_model((14, 14, 8), IcaConfig(d=128, heads=8), ArmFlags(), rng)\n"
+        "expand_for_session(model, 40, rng)\n"
+        "images = np.random.default_rng(25).standard_normal((64, 14, 14, 8)).astype(np.float32)\n"
+        "before = threading.active_count()\n"
+        "infer(model, images)\n"
+        "print(before, threading.active_count())\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
 
 
 class TestRunIncremental:

@@ -1,8 +1,6 @@
 import itertools
 import math
-import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -1149,115 +1147,75 @@ class TestErf:
         np.testing.assert_allclose(got, [math.erf(v) for v in x], rtol=1e-15, atol=0)
 
 
-def with_threads(monkeypatch, n):
-    """Make tape-free patch ops run on n threads, whatever the machine has."""
-    monkeypatch.setattr(T, "inference_threads", lambda: n)
-
-
-def fresh_helper(monkeypatch):
-    """Give `tensor` a new helper, not started yet, until the test ends."""
-    monkeypatch.setattr(T, "_SECOND_HALF", None)
-    T._start_helper()
-
-
-def helpers() -> int:
-    """Helper threads alive in this process, started by any `tensor` helper."""
-    return sum(t.name.startswith("krt-second-half") for t in threading.enumerate())
-
-
 class TestImageHalves:
-    """Tape-free `attention_block` and `weighted_rows_sum` over a `Stem` split their images in two halves."""
+    """Tape-free `attention_block` and `weighted_rows_sum` over a `Stem`: one walk by image blocks on the caller.
+
+    Named for the image-half split the walk once had; the test ids stay.
+    """
 
     @pytest.mark.parametrize(
-        "grid, d, heads, stem_splits",
-        [
-            (8, 32, 4, range(10, 65)),
-            (14, 128, 8, range(10, 65)),
-            # a chunk of 40 or more images has a large score product, and its halves would not
-            (14, 32, 4, range(10, 40)),
-        ],
+        "grid, d, heads",
+        [(8, 32, 4), (14, 128, 8), (14, 32, 4)],  # the last one's small score products round another way
         ids=["8-32-4", "14-128-8", "14-32-4"],
     )
-    def test_split_equals_the_unsplit_ops_at_every_chunk_size(self, monkeypatch, grid, d, heads, stem_splits):
+    def test_split_equals_the_unsplit_ops_at_every_chunk_size(self, grid, d, heads):
         # the two workload shapes in float32, and one whose small score products round
         # another way, at every chunk size protocol.infer can use
         rng = np.random.default_rng(grid + d)
         stem = [Tensor(a) for a in stem_arrays(rng, 64, grid, grid, 8, 64, d, np.float32)]
         block = [Tensor(a.astype(np.float32)) for a in block_arrays(rng, 1, 1, d, heads, d // heads)]
         q, _, gain, bias, w_k, w_v = block
-        submits = []
-        real_submit = T._SECOND_HALF.submit
-
-        def counting_submit(fn, *args):
-            submits.append(args[-2:])  # the half's (lo, hi)
-            return real_submit(fn, *args)
-
-        monkeypatch.setattr(T._SECOND_HALF, "submit", counting_submit)
         for bsz in range(1, 65):
             images = Tensor(stem[0].data[:bsz])
             mean = Tensor(np.full((bsz, grid * grid), 1.0 / (grid * grid), dtype=np.float32))
-            got = {}
-            for threads in (1, 2):
-                with_threads(monkeypatch, threads)
-                rows = T.patch_embed(images, *stem[1:])
-                out = T.attention_block(q, rows, gain, bias, w_k, w_v, heads, 0.5)
-                pool = T.weighted_rows_sum(mean, rows)
-                # the same ops streamed from the images, never forming the chunk's rows
-                streamed = T.attention_block(q, T.Stem(images, *stem[1:]), gain, bias, w_k, w_v, heads, 0.5)
-                streamed_pool = T.weighted_rows_sum(mean, T.Stem(images, *stem[1:]))
-                got[threads] = (rows.data, out.data, streamed.data, pool.data, streamed_pool.data)
-            assert np.array_equal(got[1][0], got[2][0]), bsz
-            for threads in (1, 2):
-                assert np.array_equal(got[1][1], got[threads][1]), (bsz, threads)
-                assert np.array_equal(got[1][1], got[threads][2]), (bsz, threads)
-                assert np.array_equal(got[1][3], got[threads][3]), (bsz, threads)
-                assert np.array_equal(got[1][3], got[threads][4]), (bsz, threads)
-        # from ten images on, the streamed pool ran its second half on the helper, and so did
-        # the streamed block at the sizes it splits; patch_embed and a rows block run on the caller
-        half = {bsz: ((bsz + 1) // 2, bsz) for bsz in range(10, 65)}
-        assert submits == [h for bsz, h in half.items() for _ in range(1 + (bsz in stem_splits))]
+            rows = T.patch_embed(images, *stem[1:])
+            out = T.attention_block(q, rows, gain, bias, w_k, w_v, heads, 0.5)
+            pool = T.weighted_rows_sum(mean, rows)
+            # the same ops streamed from the images, never forming the chunk's rows
+            streamed = T.attention_block(q, T.Stem(images, *stem[1:]), gain, bias, w_k, w_v, heads, 0.5)
+            streamed_pool = T.weighted_rows_sum(mean, T.Stem(images, *stem[1:]))
+            assert np.array_equal(out.data, streamed.data), bsz
+            assert np.array_equal(pool.data, streamed_pool.data), bsz
 
     @pytest.mark.parametrize(
         "bsz, grid, d, heads, want",
         [
-            (9, 14, 128, 8, [[(0, 9)]]),  # under ten images: one block on the caller
-            (10, 14, 128, 8, [[(0, 5)], [(5, 10)]]),
-            (18, 14, 128, 8, [[(0, 9)], [(9, 18)]]),  # a 1-image remainder joins its block
-            (33, 14, 128, 8, [[(0, 8), (8, 17)], [(17, 25), (25, 33)]]),
-            (64, 14, 128, 8, [[(0, 8), (8, 16), (16, 24), (24, 32)], [(32, 40), (40, 48), (48, 56), (56, 64)]]),
-            (64, 8, 32, 4, [[(0, 32)], [(32, 64)]]),  # about 800 KB of rows: a whole half
-            (64, 14, 128, 4, [[(0, 10), (10, 20), (20, 32)], [(32, 42), (42, 52), (52, 64)]]),
-            (39, 14, 32, 4, [[(0, 20)], [(20, 39)]]),  # each half as small a product as the chunk
-            (64, 14, 32, 4, [[(0, 64)]]),  # halves of 32 images would round unlike the chunk
+            (9, 14, 128, 8, [(0, 9)]),  # a 1-image remainder joins its block
+            (10, 14, 128, 8, [(0, 10)]),
+            (18, 14, 128, 8, [(0, 8), (8, 18)]),
+            (33, 14, 128, 8, [(0, 8), (8, 16), (16, 24), (24, 33)]),
+            (64, 14, 128, 8, [(lo, lo + 8) for lo in range(0, 64, 8)]),
+            (64, 8, 32, 4, [(0, 64)]),  # about 800 KB of rows: the whole chunk
+            # a block of 8 would round its score rows unlike the chunk, so blocks take 10
+            (64, 14, 128, 4, [(0, 10), (10, 20), (20, 30), (30, 40), (40, 50), (50, 64)]),
+            (39, 14, 32, 4, [(0, 39)]),  # a product within the bound: blocks of 32, and 7 join
+            (64, 14, 32, 4, [(0, 64)]),  # blocks of 32 would round unlike the chunk; 40 leave 24 to join
         ],
     )
     def test_a_stem_walks_each_half_in_blocks_sized_by_their_rows(self, monkeypatch, bsz, grid, d, heads, want):
-        with_threads(monkeypatch, 2)
         rng = np.random.default_rng(48)
         stem = T.Stem(*[Tensor(a) for a in stem_arrays(rng, bsz, grid, grid, 8, 64, d, np.float32)])
         block = block_arrays(rng, 1, 1, d, heads, d // heads)
         q, _, gain, bias, w_k, w_v = [Tensor(a.astype(np.float32)) for a in block]
-        walks, base = {}, stem.images.data.ctypes.data
+        walks, base = [], stem.images.data.ctypes.data
         real_stem_into = T._stem_into
 
         def recording_stem_into(images, *args, **kwargs):  # one call per image block
             lo = (images.ctypes.data - base) // images.strides[0]
-            walks.setdefault(threading.get_ident(), []).append((lo, lo + len(images)))
+            walks.append((lo, lo + len(images)))
             return real_stem_into(images, *args, **kwargs)
 
         monkeypatch.setattr(T, "_stem_into", recording_stem_into)
         T.attention_block(q, stem, gain, bias, w_k, w_v, heads, 0.5)
-        assert sorted(walks.values()) == want
-        assert walks[threading.get_ident()] == want[0]  # the caller walks the first half
+        assert walks == want
 
     @pytest.mark.parametrize("op", ["patch_embed", "attention_block", "stem", "stem_inf", "pool"])
-    def test_a_nan_image_in_the_second_half_fails_in_the_caller(self, monkeypatch, op):
-        with_threads(monkeypatch, 2)
+    def test_a_nan_image_in_the_second_half_fails_in_the_caller(self, op):
         rng = np.random.default_rng(46)
-        bsz = 10 if op.startswith("stem") or op == "pool" else 4  # a Stem splits chunks of ten or more images
+        bsz = 10
         stem = [Tensor(a) for a in stem_arrays(rng, bsz, 3, 3, 2, 5, 6)]
         q, _, gain, bias, w_k, w_v = [Tensor(a) for a in block_arrays(rng, 1, 1, 6, 2, 3)]
-        if op == "attention_block":  # patch_embed and a rows block run on the caller
+        if op == "attention_block":
             rows = T.patch_embed(*stem)
             rows.data[bsz - 1, 2, 0] = np.nan
 
@@ -1274,103 +1232,37 @@ class TestImageHalves:
                     return T.weighted_rows_sum(Tensor(np.full((bsz, 9), 1.0 / 9)), T.Stem(*stem))
                 return T.attention_block(q, T.Stem(*stem), gain, bias, w_k, w_v, 2, 0.5)
 
-        raised = []
-
-        def caller():
-            try:
-                call()
-            except T.TensorError as e:
-                raised.append(e)
-
-        with warnings.catch_warnings():  # a RuntimeWarning in either thread would raise, and not a TensorError
+        with warnings.catch_warnings():  # a RuntimeWarning would raise, and not a TensorError
             warnings.simplefilter("error", RuntimeWarning)
-            thread = threading.Thread(target=caller, daemon=True)  # a hang fails, not blocks, the run
-            thread.start()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert len(raised) == 1 and "non-finite" in str(raised[0])
-
-    def test_the_helpers_exception_reaches_the_caller_after_both_halves(self, monkeypatch):
-        with_threads(monkeypatch, 2)
-        ran = []
-
-        def work(lo, hi):
-            ran.append((lo, hi, threading.get_ident()))
-            if lo > 0:
-                raise KeyError("second half")
-
-        with pytest.raises(KeyError, match="second half"):
-            T._by_image_halves(5, work)
-        assert sorted(r[:2] for r in ran) == [(0, 3), (3, 5)]
-        caller = threading.get_ident()
-        assert [r[2] == caller for r in sorted(ran)] == [True, False]
-
-    def test_a_base_exception_in_the_helper_reaches_the_caller_and_spares_the_helper(self, monkeypatch):
-        with_threads(monkeypatch, 2)
-        fresh_helper(monkeypatch)
-        before = helpers()
-
-        class Stop(BaseException):  # not an Exception, as KeyboardInterrupt and SystemExit are not
-            pass
-
-        ran = []
-
-        def work(lo, hi):
-            if lo > 0:
-                time.sleep(0.05)  # the caller's half ends first, and it must still wait
-            ran.append((lo, hi, threading.get_ident()))
-            if (lo, hi) == (3, 5):
-                raise Stop
-
-        with pytest.raises(Stop):
-            T._by_image_halves(5, work)
-        assert sorted(r[:2] for r in ran) == [(0, 3), (3, 5)]
-        # the next call's second half runs on the same, single helper
-        T._by_image_halves(4, work)
-        assert sorted(r[:2] for r in ran[2:]) == [(0, 2), (2, 4)]
-        helper_ids = {r[2] for r in ran if r[0] > 0}
-        assert len(helper_ids) == 1 and threading.get_ident() not in helper_ids
-        assert helpers() == before + 1
-
-    def test_the_helper_runs_under_the_callers_error_state(self, monkeypatch):
-        with_threads(monkeypatch, 2)
-        x = np.array([1.0, 1.0, np.inf, np.inf])
-        out = np.empty(4)
-
-        def work(lo, hi):  # inf - inf is invalid in the second half only
-            np.subtract(x[lo:hi], x[lo:hi], out=out[lo:hi])
-
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            T._by_image_halves(4, work)
-        with np.errstate(invalid="ignore"):
-            T._by_image_halves(4, work)
-        assert np.array_equal(out[:2], [0.0, 0.0]) and np.isnan(out[2:]).all()
+            with pytest.raises(T.TensorError, match="non-finite"):
+                call()
 
     def test_taped_ops_one_image_and_one_cpu_stay_on_the_caller(self, monkeypatch):
-        calls = []
-
-        def work(lo, hi):
-            calls.append((lo, hi, threading.get_ident()))
-
-        caller = threading.get_ident()
-        for threads, n in [(2, 1), (1, 4)]:
-            with_threads(monkeypatch, threads)
-            calls.clear()
-            T._by_image_halves(n, work)
-            assert calls == [(0, n, caller)]
-        # the taped ops and patch_embed take the serial path, at any chunk size
-        with_threads(monkeypatch, 2)
-        monkeypatch.setattr(T, "_SECOND_HALF", None)  # any submit would fail
+        # every op forms its stem rows on the calling thread, taped or not, from one image to many
         rng = np.random.default_rng(47)
-        leaves = stem_weights(stem_arrays(rng, 12, 3, 3, 2, 4, 6))
-        q, gain, bias, w_k, w_v = [rand_leaf(rng, *s) for s in [(6,), (6,), (6,), (6, 6), (6, 6)]]
-        mean = Tensor(np.full((12, 9), 1.0 / 9))
-        T.patch_embed(*leaves)
-        with Tape():
-            rows = T.patch_embed(*leaves)
-            T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
+        threads = set()
+        real_stem_into = T._stem_into
+
+        def recording_stem_into(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real_stem_into(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_stem_into", recording_stem_into)
+        before = threading.active_count()
+        for bsz in (1, 12, 64):
+            leaves = stem_weights(stem_arrays(rng, bsz, 3, 3, 2, 4, 6))
+            q, gain, bias, w_k, w_v = [rand_leaf(rng, *s) for s in [(6,), (6,), (6,), (6, 6), (6, 6)]]
+            mean = Tensor(np.full((bsz, 9), 1.0 / 9))
+            T.patch_embed(*leaves)
             T.attention_block(q, T.Stem(*leaves), gain, bias, w_k, w_v, 2, 0.5)
             T.weighted_rows_sum(mean, T.Stem(*leaves))
+            with Tape():
+                rows = T.patch_embed(*leaves)
+                T.attention_block(q, rows, gain, bias, w_k, w_v, 2, 0.5)
+                T.attention_block(q, T.Stem(*leaves), gain, bias, w_k, w_v, 2, 0.5)
+                T.weighted_rows_sum(mean, T.Stem(*leaves))
+        assert threads == {threading.get_ident()}
+        assert threading.active_count() == before
 
     def test_an_empty_chunk_gives_an_empty_block(self):
         rng = np.random.default_rng(50)
@@ -1429,34 +1321,6 @@ class TestImageHalves:
         for weights in (np.ones((3, 15)), np.ones((2, 16)), np.ones(48)):
             with pytest.raises(T.TensorError, match="weighted_rows_sum"):
                 T.weighted_rows_sum(Tensor(weights), stem)
-
-    def test_concurrent_callers_share_one_helper_and_run_each_half_once(self, monkeypatch):
-        with_threads(monkeypatch, 2)
-        fresh_helper(monkeypatch)
-        before = helpers()
-        n, callers, rounds = 7, 6, 200
-        out = np.zeros((callers, rounds, n))
-
-        def caller(c):
-            for r in range(rounds):
-                def work(lo, hi, r=r):
-                    out[c, r, lo:hi] += 1 + np.arange(lo, hi)
-
-                T._by_image_halves(n, work)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(c,), daemon=True) for c in range(callers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert np.array_equal(out, np.broadcast_to(1.0 + np.arange(n), out.shape))
-        assert helpers() == before + 1
 
 
 class TestInit:
