@@ -152,13 +152,10 @@ def forward_all_sessions(state: IcaState, patches) -> Tensor:
     kt + w_o . attention(norm1(kt) over {norm1(kr_s)} and norm1(patches)) +
     b_o. norm1 runs inside the block ops. patches may be a `T.Stem`, the
     patch stem's arguments, which `T.attention_block` forms the patches
-    from.
+    from; that op also rejects patches of another rank or width.
     """
     cfg = state.config
     d, nh = cfg.d, cfg.heads
-    if not isinstance(patches, T.Stem) and (patches.ndim != 3 or patches.shape[2] != d):
-        raise TensorError(f"patches must be [B, L, {d}], got {patches.shape}")
-
     g1, b1 = state.norm1_gain, state.norm1_bias
     block = (g1, b1, state.w_k, state.w_v, nh, cfg.attn_scale)
     q = T.matmul(T.layer_norm(state.kt_token, g1, b1).reshape(1, d), state.w_q).reshape(d)

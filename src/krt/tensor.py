@@ -33,7 +33,7 @@ by image blocks and hands each block's rows to the op, so no chunk's
 [B, h*w, d] patch rows are formed and each block's arrays are small enough
 to be reused from the heap. Each block makes the same numpy calls on its
 image slice, whose rows equal those of the whole-chunk calls
-(`attention_block` says how blocks are sized for that), so results are
+(`_walk_stem` says how blocks are sized for that), so results are
 bit for bit those of `patch_embed`'s rows. Every op, taped or not, runs
 on the calling thread; the library starts no thread of its own.
 
@@ -395,7 +395,8 @@ def _gelu_phi(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 def _gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """d gelu / dx = phi + (x / sqrt(2 pi)) * exp(-x^2 / 2), given phi = _gelu_phi(x)."""
     pdf = x * -0.5
-    pdf *= x
+    with np.errstate(over="ignore"):  # -x^2 / 2 = -inf, exp 0: the slope is exactly phi
+        pdf *= x
     np.exp(pdf, out=pdf)
     slope = x * _INV_SQRT2PI
     slope *= pdf
@@ -670,8 +671,12 @@ def _normalise_rows(x: np.ndarray, eps: float, out=(None, None)):
     `out` may give the (xhat, inv) arrays to write, e.g. x itself to
     normalise in place.
     """
-    xc = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out[0])
-    inv = np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps), out=out[1])
+    with np.errstate(over="ignore"):  # an infinite variance raises; a NaN one fails the op's output check
+        xc = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out[0])
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+    if np.isinf(var).any():
+        raise TensorError(f"layer norm: a row's variance overflows {var.dtype}")
+    inv = np.divide(1.0, np.sqrt(var + eps), out=out[1])
     xc *= inv
     return xc, inv
 
@@ -902,50 +907,6 @@ class Stem(NamedTuple):
     pos: Tensor
 
 
-_BLOCK_BYTES = 800 * 1024  # of [k, h*w, d] rows per image block of a tape-free Stem walk
-_MIN_BLOCK = 8  # images; no shorter block unless the whole chunk is
-_SMALL_GEMM = 10**6  # M*N*K up to which OpenBLAS's sgemm rounds its rows another way
-
-
-def _exact_block(bsz: int, row_macs: int) -> int:
-    """Fewest images a block of a bsz-image chunk may take, for its score rows to round as the chunk's do.
-
-    row_macs = n*d*heads is one image's share of the score product's
-    M*N*K. A chunk whose product is small takes any block; a larger one
-    only blocks that are large too.
-    """
-    return 1 if bsz * row_macs <= _SMALL_GEMM else _SMALL_GEMM // row_macs + 1
-
-
-def _softmax_scores(xhat: np.ndarray, ga: np.ndarray, shift: np.ndarray, scale: float) -> tuple:
-    """(xga, p, lse) of normalised rows xhat:[B, n, d] against ga:[d, heads].
-
-    xga = xhat @ ga laid out [B, heads, n], so the softmax reduces along
-    rows; p is the softmax over n of the scores (xga + shift) * scale, and
-    lse:[B, heads] their log-sum-exp. The product is one call: its rows
-    round by call size (`attention_block`).
-    """
-    bsz, n, d = xhat.shape
-    xga = (xhat.reshape(bsz * n, d) @ ga).reshape(bsz, n, ga.shape[1]).transpose(0, 2, 1).copy()
-    s = (xga + shift[:, None]) * scale
-    m = s.max(axis=2, keepdims=True)
-    e = np.exp(s - m)
-    z = e.sum(axis=2, keepdims=True)
-    return xga, e / z, (m + np.log(z))[..., 0]
-
-
-def _block_out(px: np.ndarray, lse: np.ndarray, g: np.ndarray, beta: np.ndarray, w_v: np.ndarray, dtype) -> tuple:
-    """(pooled, w_v_heads, out): pooled = norm1 of p^T xhat, its value context and lse as [B, heads, dh+1]."""
-    (bsz, heads, d), l = px.shape, w_v.shape[1]
-    dh = l // heads
-    pooled = px * g + beta
-    w_v_heads = w_v.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
-    out = np.empty((bsz, heads, dh + 1), dtype=dtype)
-    out[..., :dh] = np.matmul(pooled.transpose(1, 0, 2), w_v_heads).transpose(1, 0, 2)
-    out[..., dh] = lse
-    return pooled, w_v_heads, out
-
-
 def attention_block(
     q: Tensor,
     rows,
@@ -985,52 +946,59 @@ def attention_block(
     on the BLAS thread count.
 
     rows may be a `Stem`, `patch_embed`'s arguments. Taped, the op then
-    calls `patch_embed` and runs on its rows. Tape-free it streams: in the
-    manner of FlashAttention's tiling (arXiv 2205.14135) it never forms a
-    chunk's [B, n, d] rows, nor its 3x3 columns, conv output or Phi. Each
-    image block runs the stem, norm1, the score product, the softmax and
-    the pooling while its rows are in cache, and keeps only p^T xhat
-    [B, heads, d] and lse [B, heads]; the value projection then runs once.
-    A block holds about `_BLOCK_BYTES` of rows (8 images at 14x14, d=128;
-    a whole 64-image chunk at 8x8, d=32). Each block costs a fixed number
-    of numpy calls, so small rows take more images per block, and none
-    takes fewer than `_MIN_BLOCK` unless the whole chunk does: a shorter
-    remainder joins the block before it.
-
-    A block must also round its score rows as the whole chunk's product
-    would, because the product's rows round by call size. OpenBLAS's sgemm
-    rounds the rows of a [k*n, d] @ [d, heads] score product with M*N*K <=
-    10^6 (`_SMALL_GEMM`, likely its small-matrix kernel) in their last bits
-    differently from the same rows of a larger call, and alike within each
-    side of that bound (OpenBLAS 0.3.31, 2-core Xeon, float32, 1 or 2
-    threads; checked at seven shapes). So when the chunk's product exceeds
-    the bound, no block may be within it: at 14x14, d=128, 8 heads a block
-    takes at least 5 images, at 14x14, d=32, 4 heads at least 40
-    (`_exact_block`). The stem's products [k*n, 9c] @ [9c, m] and
-    [k*n, m] @ [m, d] give the same rows at every chunk size at both
-    workload shapes, and a split at 8x8, d=32 never crosses the bound. So
-    a Stem's result is bit for bit that of the rows `patch_embed` gives.
-    See `protocol.INFER_CHUNK` for what this means for the chunk size.
-    Tape-free, `_walk_stem` walks a Stem's blocks.
+    calls `patch_embed` and runs on its rows. Tape-free the rows come from
+    `_walk_stem` instead: in the manner of FlashAttention's tiling (arXiv
+    2205.14135) the op never forms a chunk's [B, n, d] rows, nor its 3x3
+    columns, conv output or Phi. Each image block is normalised in place
+    and scored, softmaxed and pooled while its rows are in cache; only
+    p^T xhat [B, heads, d] and lse [B, heads] are kept, and the value
+    projection runs once, as it does on rows. The walk sizes its blocks so
+    that their score products round as the chunk's would, so a Stem's
+    result is bit for bit that of the rows `patch_embed` gives.
     """
-    if isinstance(rows, Stem):
-        if not _taped([q, gain, bias, w_k, w_v, *rows]):
-            return _streamed_block(q, rows, gain, bias, w_k, w_v, heads, scale)
-        rows = patch_embed(*rows)
-    if rows.ndim != 3:
-        raise TensorError(f"attention_block: rows must be [B, n, d], got {rows.shape}")
-    bsz, n, d = rows.shape
+    streamed = isinstance(rows, Stem) and not _taped([q, gain, bias, w_k, w_v, *rows])
+    if streamed:
+        bsz, h, wd, _, _, d, dtype = _stem_dims(*rows)
+        n = h * wd
+    else:
+        rows = patch_embed(*rows) if isinstance(rows, Stem) else rows
+        if rows.ndim != 3:
+            raise TensorError(f"attention_block: rows must be [B, n, d], got {rows.shape}")
+        (bsz, n, d), dtype = rows.shape, rows.dtype
     dh = _block_dims("attention_block", q, d, gain, bias, w_k, w_v, heads)
-    scale = float(scale)
-    xhat, inv = _normalise_rows(rows.data, LN_EPS)
-    g, beta = gain.data, bias.data
+    g, beta, scale = gain.data, bias.data, float(scale)
     a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
-    ga = g[:, None] * a
-    xga, p, lse = _softmax_scores(xhat, ga, beta @ a, scale)  # [B, heads, n] twice, [B, heads]
-    px = np.matmul(p, xhat)  # [B, heads, d]
-    pooled, w_v_heads, out = _block_out(px, lse, g, beta, w_v.data, xhat.dtype)
+    ga, shift = g[:, None] * a, beta @ a
+    px = np.empty((bsz, heads, d), dtype=np.result_type(dtype, ga, shift))  # p^T xhat
+    lse = np.empty((bsz, heads), dtype=px.dtype)
 
-    def bwd(g_out, q=q, rows=rows, gain=gain, bias=bias, w_k=w_k, w_v=w_v):
+    def pool(lo, hi, xhat):  # the scores, softmax and pooling of images lo:hi's normalised rows
+        # xga = xhat @ ga laid out [k, heads, n], so the softmax reduces along
+        # rows; the product is one call, as its rows round by call size
+        xga = (xhat.reshape(-1, d) @ ga).reshape(hi - lo, n, heads).transpose(0, 2, 1).copy()
+        s = (xga + shift[:, None]) * scale
+        m = s.max(axis=2, keepdims=True)
+        e = np.exp(s - m)
+        z = e.sum(axis=2, keepdims=True)
+        p = e / z
+        lse[lo:hi] = (m + np.log(z))[..., 0]
+        np.matmul(p, xhat, out=px[lo:hi])
+        return xga, p
+
+    if streamed:  # norm1 in place on each block's rows, then the pooling
+        _walk_stem(
+            rows, lambda lo, hi, x: pool(lo, hi, _normalise_rows(x, LN_EPS, out=(x, None))[0]), n * d * heads
+        )
+    else:
+        xhat, inv = _normalise_rows(rows.data, LN_EPS)
+        xga, p = pool(0, bsz, xhat)  # [B, heads, n] twice
+    pooled = px * g + beta
+    w_v_heads = w_v.data.reshape(d, heads, dh).transpose(1, 0, 2)  # [heads, d, dh]
+    out = np.empty((bsz, heads, dh + 1), dtype=dtype)
+    out[..., :dh] = np.matmul(pooled.transpose(1, 0, 2), w_v_heads).transpose(1, 0, 2)
+    out[..., dh] = lse
+
+    def bwd(g_out, q=q, rows=rows, gain=gain, bias=bias, w_k=w_k, w_v=w_v):  # recorded on rows only
         g_ctx, g_lse = g_out[..., :dh], g_out[..., dh]
         # [B, heads, d]: the context gradient taken back through the value projection
         d_pooled = np.matmul(
@@ -1045,41 +1013,45 @@ def attention_block(
             out.append((rows, _rows_grad(xhat, inv, xga, ga, p, d_s, d_p, d_px)))
         return out
 
-    return _result(out, [q, rows, gain, bias, w_k, w_v], bwd)
+    return _result(out, [q, gain, bias, w_k, w_v, *(rows if streamed else [rows])], bwd)
 
 
-def _streamed_block(
-    q: Tensor, stem: Stem, gain: Tensor, bias: Tensor, w_k: Tensor, w_v: Tensor, heads: int, scale: float
-) -> Tensor:
-    """Tape-free `attention_block` over the rows of a `Stem`, by image blocks; see there."""
-    bsz, h, wd, _, _, d, dtype = _stem_dims(*stem)
-    _block_dims("attention_block", q, d, gain, bias, w_k, w_v, heads)
-    g, beta, scale = gain.data, bias.data, float(scale)
-    a = absorb_query(q.data, w_k.data, heads)  # [d, heads]
-    ga, shift = g[:, None] * a, beta @ a
-    px = np.empty((bsz, heads, d), dtype=np.result_type(dtype, ga, shift))
-    lse = np.empty((bsz, heads), dtype=px.dtype)
-
-    def per_block(lo, hi, rows):  # norm1, the scores and the pooling of images lo:hi
-        _normalise_rows(rows, LN_EPS, out=(rows, None))
-        _, p, lse[lo:hi] = _softmax_scores(rows, ga, shift, scale)
-        np.matmul(p, rows, out=px[lo:hi])
-
-    _walk_stem(stem, per_block, _exact_block(bsz, h * wd * d * heads))
-    out = _block_out(px, lse, g, beta, w_v.data, dtype)[2]
-    return _result(out, [q, gain, bias, w_k, w_v, *stem], None)
+_BLOCK_BYTES = 800 * 1024  # of [k, h*w, d] rows per image block of a tape-free Stem walk
+_MIN_BLOCK = 8  # images; no shorter block unless the whole chunk is
+_SMALL_GEMM = 10**6  # M*N*K up to which OpenBLAS's sgemm rounds its rows another way
 
 
-def _walk_stem(stem: Stem, per_block: Callable[[int, int, np.ndarray], None], exact: int = 1) -> None:
+def _walk_stem(stem: Stem, per_block: Callable[[int, int, np.ndarray], None], row_macs: int = 0) -> None:
     """Form a tape-free `Stem`'s patch rows by image blocks and call per_block(lo, hi, rows) on each.
 
     rows:[k, h*w, d] are images lo:hi's, in a buffer the next block
-    overwrites. Blocks are sized as `attention_block` says, and take at
-    least `exact` images where the chunk has them.
+    overwrites. A block holds about `_BLOCK_BYTES` of rows (8 images at
+    14x14, d=128; a whole 64-image chunk at 8x8, d=32). Each block costs a
+    fixed number of numpy calls, so small rows take more images per block,
+    and none takes fewer than `_MIN_BLOCK` unless the whole chunk does: a
+    shorter remainder joins the block before it. Each block makes the same
+    numpy calls on its image slice as `patch_embed` makes on the chunk.
+
+    row_macs is one image's share of the M*N*K of a product that per_block
+    runs on the block's rows (n*d*heads for `attention_block`'s scores; 0
+    for none). A block must round that product's rows as the whole chunk's
+    product would, because a product's rows round by call size. OpenBLAS's
+    sgemm rounds the rows of a [k*n, d] @ [d, heads] score product with
+    M*N*K <= 10^6 (`_SMALL_GEMM`, likely its small-matrix kernel) in their
+    last bits differently from the same rows of a larger call, and alike
+    within each side of that bound (OpenBLAS 0.3.31, 2-core Xeon, float32,
+    1 or 2 threads; checked at seven shapes). So when the chunk's product
+    exceeds the bound, no block may be within it: at 14x14, d=128, 8 heads
+    a block takes at least 5 images, at 14x14, d=32, 4 heads at least 40.
+    The stem's products [k*n, 9c] @ [9c, m] and [k*n, m] @ [m, d] give the
+    same rows at every chunk size at both workload shapes, and a split at
+    8x8, d=32 never crosses the bound. See `protocol.INFER_CHUNK` for what
+    this means for the chunk size.
     """
     bsz, h, wd, _, m, d, dtype = _stem_dims(*stem)
     images, conv_w, conv_b, proj_w, proj_b, pos = (t.data for t in stem)
-    n, least = h * wd, max(_MIN_BLOCK, exact)
+    n = h * wd
+    least = max(_MIN_BLOCK, 1 if bsz * row_macs <= _SMALL_GEMM else _SMALL_GEMM // row_macs + 1)
     size = max(least, _BLOCK_BYTES // (n * d * dtype.itemsize))
     starts = list(range(0, bsz, size))
     if len(starts) > 1 and bsz - starts[-1] < least:  # a short remainder joins the block before

@@ -241,6 +241,63 @@ def cosine_distance_oracle(x, y: np.ndarray):
     return T.add(T.scale(T.mean_all(cos), -1.0), 1.0)
 
 
+def im2col3_oracle(images: np.ndarray) -> np.ndarray:
+    """The [B*h*w, 9c] columns of 3x3 zero-padded neighbourhoods of images:[B,h,w,c], as the adjoint of `col2im3_oracle`.
+
+    Column block k = 3*dy + dx holds each cell's neighbour at offset (dy-1,
+    dx-1). `col2im3_oracle` adds block k at offset (1-dy, 1-dx), the
+    adjoint shift, so block k of the columns is `col2im3_oracle` of the
+    images placed in block 8-k.
+    """
+    c = images.shape[3]
+    rows = images.reshape(-1, c).astype(np.float64)
+    blocks = []
+    for k in range(9):
+        cols = np.zeros((len(rows), 9 * c))
+        cols[:, (8 - k) * c : (9 - k) * c] = rows
+        blocks.append(col2im3_oracle(cols, images.shape).reshape(-1, c))
+    return np.concatenate(blocks, axis=1)
+
+
+def step_loss_oracle(model, images, targets, loss, t: int, e_prev=None, pooled_prev=None) -> float:
+    """The loss of one training step of session t, forward only, in float64.
+
+    model is a `protocol.ModelState` (its flags pick the arm), images the
+    batch [B,h,w,c], targets its [B, N] 0/1 targets over the classes of
+    sessions 1..t, loss a `LossConfig`, and e_prev [t-1, B, d] and
+    pooled_prev [B, d] the previous model's embeddings and pooled features
+    of the batch. The stem is gelu(columns @ conv_w + conv_b) @ proj_w +
+    proj_b + pos per cell (`im2col3_oracle`, gelu through math.erf). An ICA
+    arm's session-s embedding of an image is `ica_embedding_oracle` of its
+    cells, and head s reads it; a pooled-path arm's heads all read the mean
+    of the cells. The loss is the mean ASL of the clamped sigmoid, plus
+    from session 2 on lam times the token loss (ICA) or the pooled-feature
+    KD loss (kd arms), each 1 - the batch mean of `cosine_oracle`.
+    """
+    x = np.asarray(images, dtype=np.float64)
+    bsz, h, w, _ = x.shape
+    flags = model.flags
+    z = im2col3_oracle(x) @ model.conv_w.data + model.conv_b.data
+    phi = np.vectorize(lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))))(z)
+    rows = ((z * phi) @ model.proj_w.data + model.proj_b.data).reshape(bsz, h * w, -1) + model.pos_enc.data
+    pooled = rows.mean(axis=1)
+    if flags.use_ica:
+        emb = np.array([[ica_embedding_oracle(model.ica, s, rows[b]) for b in range(bsz)] for s in range(1, t + 1)])
+    feats = [emb[s] if flags.use_ica else pooled for s in range(t)]
+    logits = np.concatenate([f @ wt.data + bt.data for f, (wt, bt) in zip(feats, model.heads)], axis=1)
+    p = np.clip(1.0 / (1.0 + np.exp(-logits)), 1e-7, 1.0 - 1e-7)
+    y = np.asarray(targets, dtype=np.float64)
+    q = np.maximum(p - loss.neg_margin, 0.0)
+    cells = y * (1.0 - p) ** loss.gamma_pos * np.log(p) + (1.0 - y) * q**loss.gamma_neg * np.log(1.0 - q)
+    total = -float(cells.mean())
+    if t >= 2 and flags.use_ica and loss.lam != 0.0:
+        cos = [cosine_oracle(emb[: t - 1, b], e_prev[:, b]) for b in range(bsz)]
+        total += loss.lam * (1.0 - sum(cos) / bsz)
+    if t >= 2 and flags.use_kd:
+        total += 1.0 - sum(cosine_oracle(pooled[b], pooled_prev[b]) for b in range(bsz)) / bsz
+    return total
+
+
 def per_image_product_oracle(a: np.ndarray, g: np.ndarray, bsz: int) -> np.ndarray:
     """a^T g for a:[B*L, k] and g:[B*L, m]: each image's rows' product, summed image by image."""
     a = a.reshape(bsz, -1, a.shape[1])

@@ -1,11 +1,11 @@
 import dataclasses
-import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,8 @@ from krt.cli import RunConfig, main, parse_config
 from krt.datagen import Dataset, generate, save_dataset
 from krt.protocol import TrainConfig
 from krt.seeds import substream_seed
+
+from identity import load_workloads
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -106,7 +108,7 @@ def _guard_run(workload, cwd, blas_threads):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, **{var: blas_threads for var in BLAS_THREADS}}
     cwd.mkdir()
-    config = {**_load_workloads().guard_config(workload, "run"), "seed": 0}
+    config = {**load_workloads().guard_config(workload, "run"), "seed": 0}
     (cwd / "config.json").write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "krt", "run", "--config", "config.json"],
@@ -116,14 +118,6 @@ def _guard_run(workload, cwd, blas_threads):
     result = json.loads((cwd / "run" / "results.json").read_text())
     assert result.pop("wall_clock_sec") >= 0
     return result
-
-
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 TINY_RUN = [
@@ -352,7 +346,7 @@ def test_echo_derives_the_dataset_seed_from_the_master_seed():
 
 
 def _echo_round_trip_configs():
-    workloads = _load_workloads()
+    workloads = load_workloads()
     configs = [workloads.run_config(name, 3, "runs/x") for name in workloads.WORKLOADS]
     configs.append({"dataset": {"train_path": "train.krtd", "test_path": "test.krtd"}})
     return configs
@@ -433,6 +427,26 @@ def test_an_overflow_in_training_fails_naming_adams_step(tmp_path, capsys):
     argv = TINY_RUN + ["--arm", "krt", "--set", "loss.lambda=3e38", "--out", str(tmp_path)]
     assert main(argv) == 4
     where = "session 2, epoch 1, batch 1: Adam step 1"
+    assert capsys.readouterr().err.startswith(f"E_RUNTIME: {where}: overflow updating a parameter of shape (")
+
+
+@pytest.mark.parametrize("warning_action", ["error", "ignore"])
+def test_a_row_variance_that_overflows_fails_naming_the_step(warning_action, tmp_path, capsys):
+    # at this rate batch 1's update sends the weights so far that batch 2's patch rows'
+    # variance overflows float32 in norm1
+    argv = TINY_RUN + ["--arm", "krt", "--set", "optimizer.lr=1e7", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_action, RuntimeWarning)
+        assert main(argv) == 4
+    where = "session 1, epoch 1, batch 2"
+    assert capsys.readouterr().err == f"E_RUNTIME: {where}: layer norm: a row's variance overflows float32\n"
+
+
+def test_a_gelu_input_whose_square_overflows_trains_on_to_adam(tmp_path, capsys):
+    # conv outputs beyond about 2.6e19 overflow -x^2 / 2 in gelu's slope, which is then exactly
+    # Phi and raises no warning (pytest makes one an error); the step fails in Adam, as without -W error
+    assert main(TINY_RUN + ["--set", "dataset.noise_sigma=3e37", "--out", str(tmp_path)]) == 4
+    where = "session 1, epoch 1, batch 1: Adam step 1"
     assert capsys.readouterr().err.startswith(f"E_RUNTIME: {where}: overflow updating a parameter of shape (")
 
 

@@ -112,6 +112,18 @@ class TestCrossAttention:
         with pytest.raises(T.TensorError):
             forward_all_sessions(state, Tensor(np.zeros((5, 8))))
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 5, 8, 1), r"attention_block: rows must be \[B, n, d\], got \(2, 5, 8, 1\)"),
+            ((2, 5, 9), r"attention_block: bad shapes q \(8,\), rows of width 9,"),
+        ],
+    )
+    def test_patches_of_another_rank_or_width_fail_in_the_patch_block(self, shape, message):
+        state = small_state(seed=5, d=8, heads=2, sessions=1)
+        with pytest.raises(T.TensorError, match=message):
+            forward_all_sessions(state, Tensor(np.zeros(shape)))
+
 
 class TestIcaForward:
     def test_residual_identity_when_projections_zeroed(self):

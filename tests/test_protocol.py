@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import krt.protocol as protocol
+from krt import cli
 from krt import tensor as T
 from krt.datagen import GenSpec, generate, load_dataset, save_dataset
 from krt.dpl import DplConfig
@@ -30,6 +31,8 @@ from krt.protocol import (
     train_session,
 )
 from krt.seeds import substream_rng
+
+from oracles import step_loss_oracle
 
 
 def tiny_data(n_classes=6, n_train=120, n_test=60, seed=5):
@@ -636,6 +639,105 @@ class TestRunIncremental:
         plan = build_plan(names, base=0, inc=1)
         run_incremental(train, test, plan, flags, tiny_ica(), tiny_config(1), 3)
         assert records == {t: {n} for t, n in enumerate(want, start=1)}
+
+
+class TestStepReference:
+    """A training step of each session against `step_loss_oracle`, in float64.
+
+    The three taped step shapes: krt (ICA and the token loss), ft (the
+    pooled path) and kd_baseline (pooled plus KD), each at sessions 1 and 2,
+    on 4x4x2 images, d=8, 2 heads and batches of 3. The batch, its targets
+    and the teacher's outputs are the ones the real `train_session` passes
+    to the loss. Each session's second step is checked: at its first, the
+    model still equals the teacher, so the token and KD losses and their
+    gradients are 0.
+    """
+
+    FD_STEP = 1e-6
+
+    @pytest.mark.parametrize("arm", ["krt", "ft", "kd_baseline"])
+    def test_a_step_is_the_oracles_loss_gradient_and_update(self, arm, monkeypatch):
+        seen, checked = {}, []
+        real_session, real_forward, real_backward = protocol.train_session, protocol.forward_logits, protocol.backward
+        real_asl, real_token, real_kd = protocol.asl_loss, protocol.token_loss, protocol.kd_pooled_loss
+
+        def session(model, plan, t, train, test, buffer, snapshot, *rest):
+            seen.clear()
+            seen.update(t=t, snapshot=snapshot, steps=0)
+            return real_session(model, plan, t, train, test, buffer, snapshot, *rest)
+
+        def forward(model, images):
+            if T._ACTIVE_TAPE is not None:  # a training step's, not the teacher's or the evaluation's
+                seen.update(model=model, images=images)
+            return real_forward(model, images)
+
+        def asl_loss(probs, targets, config):
+            seen.update(targets=targets, loss=config)
+            return real_asl(probs, targets, config)
+
+        def token_loss(e_prev, e_curr):
+            seen["e_prev"] = e_prev
+            return real_token(e_prev, e_curr)
+
+        def kd_pooled_loss(feat_prev, feat_curr):
+            seen["pooled_prev"] = feat_prev
+            return real_kd(feat_prev, feat_curr)
+
+        def backward(loss):
+            real_backward(loss)
+            seen["steps"] += 1
+            if seen["steps"] == 2:
+                self.check_loss_and_gradients(arm, seen, loss)
+
+        class CheckedAdam(protocol.Adam):
+            def step(self):
+                params = seen["model"].named_parameters()
+                if seen["snapshot"] is not None:
+                    params += seen["snapshot"].named_parameters()
+                before = [(p, p.data.copy()) for _, p in params]
+                super().step()
+                if seen["steps"] == 2:  # the update moves every trainable parameter and nothing else
+                    moved = {id(p) for p, old in before if not np.array_equal(p.data, old)}
+                    assert moved == {id(p) for p in seen["model"].trainable_parameters()}
+                    checked.append(seen["t"])
+
+        for name, spy in [
+            ("train_session", session), ("forward_logits", forward), ("asl_loss", asl_loss),
+            ("token_loss", token_loss), ("kd_pooled_loss", kd_pooled_loss), ("backward", backward),
+            ("Adam", CheckedAdam), ("MODEL_DTYPE", np.float64),
+        ]:
+            monkeypatch.setattr(protocol, name, spy)
+        spec = GenSpec(n_classes=4, grid_h=4, grid_w=4, channels=2, n_train=12, n_test=8, seed=3)
+        train, test, names = generate(spec)
+        flags = ArmFlags(*cli._ARM_TABLE[arm][:3])
+        config = TrainConfig(epochs=1, batch_size=3, loss=LossConfig(lam=10.0))
+        run_incremental(train, test, build_plan(names, base=2, inc=2), flags, tiny_ica(heads=2), config, 4)
+        assert checked == [1, 2]
+
+    def check_loss_and_gradients(self, arm, seen, loss):
+        model, t = seen["model"], seen["t"]
+        args = (model, seen["images"], seen["targets"], seen["loss"], t, seen.get("e_prev"), seen.get("pooled_prev"))
+        assert float(loss.data) == pytest.approx(step_loss_oracle(*args), rel=1e-12, abs=0)
+        # frozen retention tokens and the snapshot get no gradient
+        named = model.named_parameters()
+        assert [name for name, p in named if not p.requires_grad] == (["ica.kr.0"] if arm == "krt" and t == 2 else [])
+        if seen["snapshot"] is not None:
+            assert all(p.grad is None and not p.requires_grad for _, p in seen["snapshot"].named_parameters())
+        rng = np.random.default_rng(t)
+        for name, p in named:
+            if not p.requires_grad:
+                assert p.grad is None, name
+                continue
+            saved = p.data
+            for _ in range(2):  # central differences of the oracle along random directions
+                u = rng.standard_normal(p.shape)
+                p.data = saved + self.FD_STEP * u
+                up = step_loss_oracle(*args)
+                p.data = saved - self.FD_STEP * u
+                down = step_loss_oracle(*args)
+                p.data = saved
+                slope = (up - down) / (2 * self.FD_STEP)
+                assert float(np.sum(p.grad * u)) == pytest.approx(slope, rel=1e-6, abs=1e-9), name
 
 
 class TestModelDtype:

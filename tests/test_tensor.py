@@ -180,6 +180,18 @@ class TestLayerNorm:
         want = (x - x.mean(axis=-1, keepdims=True)) * inv * g + b
         assert np.array_equal(T.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data, want)
 
+    def test_a_row_variance_that_overflows_raises(self):
+        # finite float32 rows whose centred squares overflow; a NaN row still fails the output check
+        ones = Tensor(np.ones(4, dtype=np.float32))
+        zeros = Tensor(np.zeros(4, dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for row in ([3e19, -3e19, 0.0, 1.0], [3e38, -3e38, 3e38, -3e38]):
+                with pytest.raises(T.TensorError, match="layer norm: a row's variance overflows float32"):
+                    T.layer_norm(Tensor(np.array([[1.0, 2.0, 3.0, 4.0], row], dtype=np.float32)), ones, zeros)
+            with pytest.raises(T.TensorError, match="non-finite"):
+                T.layer_norm(Tensor(np.array([1.0, np.nan, 3.0, 4.0], dtype=np.float32)), ones, zeros)
+
     def test_gradients_tight(self):
         def build(rng):
             x = rand_leaf(rng, 3, 5)
@@ -1137,6 +1149,15 @@ class TestErf:
         assert np.array_equal(T._erf(x2).reshape(-1), want)
         with pytest.raises(T.TensorError):  # it would write a copy
             T._erf(x2, out=np.empty(x2.shape[::-1], dtype=np.float32).T)
+
+    def test_gelu_slope_is_phi_where_the_squared_input_overflows(self):
+        # -x^2 / 2 overflows float32 beyond about 2.6e19; exp of it is 0, so the slope is exactly phi
+        big = np.finfo(np.float32).max
+        x = np.array([3e19, -3e19, big, -big], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            slope = T._gelu_slope(x, T._gelu_phi(x))
+        assert slope.dtype == np.float32 and slope.tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_float64_is_within_1e_15_of_math_erf(self):
         rng = np.random.default_rng(1)
