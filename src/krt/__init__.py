@@ -12,7 +12,7 @@ from .tensor import Tensor, Tape, backward
 from .dpl import DplConfig, PseudoLabelReport, dynamic_threshold_search, session_target
 from .ica import IcaConfig, IcaState
 from .losses import LossConfig, asl_loss, token_loss, kd_pooled_loss, total_loss
-from .metrics import EvalBatch, MetricsRecord, average_precision, evaluate, aggregate
+from .metrics import MetricsRecord, average_precision, evaluate, aggregate
 from .datagen import GenSpec, LabeledExample, Dataset, generate
 from .protocol import SessionPlan, ModelState, RehearsalBuffer, build_plan, train_session
 from .cli import RunConfig, RunResult, run
@@ -32,7 +32,6 @@ __all__ = [
     "token_loss",
     "kd_pooled_loss",
     "total_loss",
-    "EvalBatch",
     "MetricsRecord",
     "average_precision",
     "evaluate",

@@ -1,10 +1,10 @@
 """Experiment runner.
 
-`krt run` executes one full incremental run for one method arm and writes
-results.json and summary.csv (its per-session mAP, CF1 and OF1) into the
-output directory. results.json also records the environment float32
-results can depend on: the numpy version, its BLAS and that BLAS's thread
-count.
+`krt run` makes the output directory, executes one full incremental run
+for one method arm and writes results.json and summary.csv (per-session
+mAP, CF1 and OF1) into it. results.json also records the environment
+float32 results can depend on: the numpy version, its BLAS and that BLAS's
+thread count.
 `krt compare` tabulates several results files of the same plan, and warns
 on stderr when their environments differ.
 `krt dpl` runs the pseudo-labeler standalone over a score CSV + label JSONL,
@@ -30,6 +30,7 @@ import glob
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -42,7 +43,7 @@ from .datagen import DatasetFormatError, GenSpec, generate, load_dataset
 from .dpl import DplConfig, read_labels_jsonl, read_score_csv, write_merged_jsonl
 from .ica import IcaConfig
 from .losses import LossConfig
-from .metrics import aggregate
+from .metrics import HEADLINE, aggregate
 from .protocol import ArmFlags, DataError, TrainConfig, build_plan, run_dpl, run_incremental
 from .seeds import substream_seed
 
@@ -344,7 +345,22 @@ def _load_data(cfg: RunConfig):
 
 
 def run(cfg: RunConfig) -> RunResult:
-    """Execute the configured run and write its artifacts under cfg.out."""
+    """Execute the configured run and write its artifacts under cfg.out, which is made first."""
+    fresh = not os.path.lexists(cfg.out)
+    try:  # so a path that cannot be a directory fails before training
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"config.out: {e}") from None
+    try:
+        return _execute(cfg)
+    except BaseException:  # a failed run leaves no directory it made
+        if fresh:
+            shutil.rmtree(cfg.out, ignore_errors=True)
+        raise
+
+
+def _execute(cfg: RunConfig) -> RunResult:
+    """`run`, once cfg.out exists."""
     t0 = time.monotonic()
     train, test, names = _load_data(cfg)
     base = len(names) if cfg.arm == "upper_bound" else cfg.base
@@ -357,16 +373,10 @@ def run(cfg: RunConfig) -> RunResult:
     outcomes = run_incremental(train, test, plan, cfg.flags(), cfg.ica, cfg.train, cfg.seed)
 
     records = [o.metrics for o in outcomes]
-    avg_map, last_map, last_cf1, last_of1 = aggregate(records)
     result = RunResult(
         config=cfg.echo(),
         sessions=[r.to_dict() for r in records],
-        aggregates={
-            "avg_map": avg_map,
-            "last_map": last_map,
-            "last_cf1": last_cf1,
-            "last_of1": last_of1,
-        },
+        aggregates=aggregate(records),
         dpl_reports=[o.dpl_report.to_dict() if o.dpl_report else None for o in outcomes],
         pseudo_recall=[o.pseudo_recall for o in outcomes],
         wall_clock_sec=time.monotonic() - t0,
@@ -408,7 +418,7 @@ def environment() -> dict:
 
 
 def _write_outputs(out_dir: str, result: RunResult) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """results.json and summary.csv into `out_dir`, which `run` has made."""
     with open(os.path.join(out_dir, "results.json"), "w") as fh:
         json.dump(asdict(result), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -434,8 +444,7 @@ def load_result(path: str) -> RunResult:
     except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: not a results file ({e})") from None
     wanted = [("config", "plan", dict), ("config", "dataset", dict), ("config", "arm", str)]
-    aggregates = ("avg_map", "last_map", "last_cf1", "last_of1")
-    for section, key, kind in wanted + [("aggregates", key, (int, float)) for key in aggregates]:
+    for section, key, kind in wanted + [("aggregates", key, (int, float)) for key in HEADLINE]:
         record = getattr(result, section)
         value = record.get(key) if isinstance(record, dict) else None
         bad = not isinstance(value, kind) or isinstance(value, bool)
@@ -466,16 +475,14 @@ def compare(paths: list) -> str:
                 f"{results[0].environment}",
                 file=sys.stderr,
             )
-    header = f"{'arm':<12} {'avg_map':>8} {'last_map':>9} {'last_cf1':>9} {'last_of1':>9} {'d_last':>8}"
+    # each figure's column is one wider than its name
+    header = " ".join([f"{'arm':<12}", *(f"{name:>{len(name) + 1}}" for name in HEADLINE), f"{'d_last':>8}"])
     lines = [header, "-" * len(header)]
     ref_last = results[0].aggregates["last_map"]
     for r in results:
         agg = r.aggregates
-        delta = agg["last_map"] - ref_last
-        lines.append(
-            f"{r.config['arm']:<12} {agg['avg_map']:>8.2f} {agg['last_map']:>9.2f} "
-            f"{agg['last_cf1']:>9.2f} {agg['last_of1']:>9.2f} {delta:>+8.2f}"
-        )
+        figures = (f"{agg[name]:>{len(name) + 1}.2f}" for name in HEADLINE)
+        lines.append(" ".join([f"{r.config['arm']:<12}", *figures, f"{agg['last_map'] - ref_last:>+8.2f}"]))
     return "\n".join(lines)
 
 
@@ -575,11 +582,8 @@ def main(argv=None) -> int:
             raw = apply_overrides(raw, _flag_overrides(args) + args.set)
             cfg = parse_config(raw)
             result = run(cfg)
-            agg = result.aggregates
-            print(
-                f"{cfg.arm}: avg_map={agg['avg_map']:.2f} last_map={agg['last_map']:.2f} "
-                f"last_cf1={agg['last_cf1']:.2f} last_of1={agg['last_of1']:.2f} -> {cfg.out}"
-            )
+            figures = " ".join(f"{name}={result.aggregates[name]:.2f}" for name in HEADLINE)
+            print(f"{cfg.arm}: {figures} -> {cfg.out}")
         elif args.command == "compare":
             print(compare(args.results))
         elif args.command == "dpl":

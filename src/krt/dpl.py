@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,13 +60,7 @@ class PseudoLabelReport:
     labels: np.ndarray  # [images, old classes] bool, the pseudo labels at final_eta
 
     def to_dict(self) -> dict:
-        return {
-            "final_eta": self.final_eta,
-            "beta": self.beta,
-            "mu_t": self.mu_t,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "labels"}
 
 
 def session_target(old_class_count: int, total_class_count: int, mu: float) -> float:

@@ -68,7 +68,7 @@ from .datagen import Dataset
 from .dpl import DplConfig, PseudoLabelReport, dynamic_threshold_search, session_target
 from .ica import IcaConfig, IcaState, tensor_fields
 from .losses import LossConfig, asl_loss, kd_pooled_loss, token_loss, total_loss
-from .metrics import EvalBatch, MetricsRecord, evaluate
+from .metrics import MetricsRecord, evaluate
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 
@@ -439,12 +439,10 @@ def run_dpl(scores: np.ndarray, exclude: np.ndarray, n_all_classes: int, config:
 
 def evaluate_cumulative(model: ModelState, plan: SessionPlan, t: int, test: Dataset) -> MetricsRecord:
     """Score the union of test sets 1..t over every class seen so far (see `infer`)."""
-    indices = []
-    for s in range(t):
-        indices.extend(plan.test_indices[s])
+    indices = [i for rows in plan.test_indices[:t] for i in rows]
     probs, _, _ = infer(model, test.features[indices])
     truths = test.labels[np.ix_(indices, plan.classes_through(t))]
-    return evaluate(EvalBatch(probs, truths), session=t)
+    return evaluate(probs, truths, session=t)
 
 
 def train_session(
@@ -514,9 +512,8 @@ def train_session(
     n_own = len(plan.train_indices[t - 1])
     buffer.update(plan.session_classes[t - 1], index[:n_own], visible[:n_own], rngs["buffer"])
 
-    record = evaluate_cumulative(model, plan, t, test)
     return SessionOutcome(
-        metrics=record,
+        metrics=evaluate_cumulative(model, plan, t, test),
         dpl_report=dpl_report,
         pseudo_recall=pseudo_recall,
         snapshot=snapshot_model(model),

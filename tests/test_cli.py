@@ -38,6 +38,11 @@ def test_python_dash_m_krt_prints_help():
     assert "usage: krt" in proc.stdout
 
 
+def test_every_public_name_resolves_on_the_package():
+    assert len(set(krt.__all__)) == len(krt.__all__)
+    assert [name for name in krt.__all__ if not hasattr(krt, name)] == []
+
+
 def test_krt_imports_and_runs_without_scipy(tmp_path):
     # numpy is krt's only runtime dependency; scipy alone would add about 26 MB of RSS
     src = str(Path(krt.__file__).resolve().parents[1])
@@ -337,6 +342,61 @@ def test_compare_warns_when_environments_differ_and_reads_files_without_one(tmp_
     warnings = capsys.readouterr().err.splitlines()
     assert [w.split(":")[:2] for w in warnings] == [["W_ENV", f" {other}"], ["W_ENV", f" {older}"]]
     assert cli.load_result(str(older)).environment is None
+
+
+def _fixed_results(path, arm, aggregates):
+    result = {
+        "config": {"arm": arm, "plan": {"base": 0, "inc": 5}, "dataset": {"seed": 1}},
+        "sessions": [], "aggregates": aggregates, "dpl_reports": [], "pseudo_recall": [],
+        "wall_clock_sec": 1.5, "version": "0", "environment": {"numpy": "1"},
+    }
+    path.write_text(json.dumps(result))
+    return str(path)
+
+
+def test_the_compare_table_and_the_run_line_keep_their_text(tmp_path, monkeypatch, capsys):
+    a = _fixed_results(
+        tmp_path / "a.json", "krt", {"avg_map": 41.23456, "last_map": 7.5, "last_cf1": 100.0, "last_of1": 0.0},
+    )
+    b = _fixed_results(
+        tmp_path / "b.json", "krt_no_dpl",
+        {"avg_map": 9.995, "last_map": 19.125, "last_cf1": 33.333, "last_of1": 66.6666},
+    )
+    header = (
+        "arm           avg_map  last_map  last_cf1  last_of1   d_last\n"
+        "------------------------------------------------------------\n"
+    )
+    assert main(["compare", a, b]) == 0
+    assert capsys.readouterr().out == header + (
+        "krt             41.23      7.50    100.00      0.00    +0.00\n"
+        "krt_no_dpl       9.99     19.12     33.33     66.67   +11.62\n"
+    )
+    assert main(["compare", b, a]) == 0
+    assert capsys.readouterr().out == header + (
+        "krt_no_dpl       9.99     19.12     33.33     66.67    +0.00\n"
+        "krt             41.23      7.50    100.00      0.00   -11.62\n"
+    )
+    monkeypatch.setattr(cli, "run", lambda cfg: cli.load_result(b))
+    assert main(["run", "--arm", "ft", "--out", "runs/x"]) == 0
+    assert capsys.readouterr().out == "ft: avg_map=9.99 last_map=19.12 last_cf1=33.33 last_of1=66.67 -> runs/x\n"
+
+
+@pytest.mark.parametrize(
+    "out, errno",
+    [("file", "[Errno 17]"), ("file/sub", "[Errno 20]"), ("", "[Errno 2]")],
+    ids=["file", "under_a_file", "empty"],
+)
+def test_an_unusable_out_fails_before_training(out, errno, tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    monkeypatch.chdir(tmp_path)
+
+    def no_training(*args):
+        raise AssertionError("run_incremental called")
+
+    monkeypatch.setattr(cli, "run_incremental", no_training)
+    assert main(TINY_RUN + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"E_CONFIG: config.out: {errno} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_echo_derives_the_dataset_seed_from_the_master_seed():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from krt.metrics import (
-    EvalBatch,
+    HEADLINE,
     MetricsRecord,
     UndefinedAPError,
     aggregate,
@@ -69,14 +69,14 @@ class TestAveragePrecision:
 class TestEvaluate:
     def test_perfect_predictor(self):
         truths = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0]])
-        rec = evaluate(EvalBatch(truths.astype(float), truths))
+        rec = evaluate(truths.astype(float), truths)
         assert rec.map == 100.0
         assert rec.cf1 == 100.0
         assert rec.of1 == 100.0
 
     def test_all_zero_scores_gives_zero_of1(self):
         truths = np.array([[1, 0], [0, 1]])
-        rec = evaluate(EvalBatch(np.zeros((2, 2)), truths))
+        rec = evaluate(np.zeros((2, 2)), truths)
         assert rec.of1 == 0.0
         assert rec.cf1 == 0.0
 
@@ -85,7 +85,7 @@ class TestEvaluate:
         scores = rng.uniform(size=(6, 3))
         truths = (rng.uniform(size=(6, 3)) < 0.5).astype(int)
         truths[0] = [1, 1, 1]
-        rec = evaluate(EvalBatch(scores, truths))
+        rec = evaluate(scores, truths)
         m, c, o = multilabel_metrics_oracle(scores, truths)
         assert abs(rec.map - m) < 1e-9
         assert abs(rec.cf1 - c) < 1e-9
@@ -100,7 +100,7 @@ class TestEvaluate:
             truths = (rng.uniform(size=(n, k)) < 0.45).astype(int)
             if truths.sum() == 0:
                 truths[0, 0] = 1
-            rec = evaluate(EvalBatch(scores, truths))
+            rec = evaluate(scores, truths)
             m, c, o = multilabel_metrics_oracle(scores, truths)
             assert abs(rec.map - m) < 1e-9
             assert abs(rec.cf1 - c) < 1e-9
@@ -109,7 +109,7 @@ class TestEvaluate:
     def test_zero_positive_classes_excluded_from_means(self):
         scores = np.array([[0.9, 0.9], [0.1, 0.8]])
         truths = np.array([[1, 0], [0, 0]])  # class 1 has no positives
-        rec = evaluate(EvalBatch(scores, truths))
+        rec = evaluate(scores, truths)
         assert rec.per_class_ap[1] is None
         assert rec.map == 100.0 * average_precision(scores[:, 0], truths[:, 0])
 
@@ -119,7 +119,7 @@ class TestEvaluate:
         truths = (rng.uniform(size=(10, 4)) < 0.3).astype(int)
         truths[:, 2] = 0
         truths[0, 0] = 1
-        rec = evaluate(EvalBatch(scores, truths))
+        rec = evaluate(scores, truths)
         defined = [ap for ap in rec.per_class_ap if ap is not None]
         assert rec.map == pytest.approx(float(np.mean(defined)), abs=1e-12)
 
@@ -128,13 +128,34 @@ class TestEvaluate:
         scores = rng.uniform(size=(8, 3))
         truths = (rng.uniform(size=(8, 3)) < 0.5).astype(int)
         truths[0] = 1
-        a = evaluate(EvalBatch(scores, truths))
-        b = evaluate(EvalBatch(scores, truths))
+        a = evaluate(scores, truths)
+        b = evaluate(scores, truths)
         assert a == b
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate(EvalBatch(np.zeros((0, 3)), np.zeros((0, 3))))
+        with pytest.raises(ValueError, match="no class has a positive example"):
+            evaluate(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize(
+        "scores, truths, message",
+        [
+            (np.zeros((2, 3)), np.zeros((3, 2)), r"shape mismatch \(2, 3\) vs \(3, 2\)"),
+            (np.zeros(3), np.ones(3), r"scores must be \[n_examples, n_classes\]"),
+            (np.zeros((1, 2, 2)), np.ones((1, 2, 2)), r"scores must be \[n_examples, n_classes\]"),
+            (np.array([[0.5, np.nan]]), np.ones((1, 2)), "non-finite scores"),
+            (np.array([[0.5], [np.inf]]), np.ones((2, 1)), "non-finite scores"),
+            (np.full((2, 2), 0.5), np.zeros((2, 2)), "no class has a positive example"),
+        ],
+        ids=["shape_mismatch", "one_d", "three_d", "nan_score", "infinite_score", "no_positive"],
+    )
+    def test_bad_inputs_are_rejected_with_their_own_message(self, scores, truths, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate(scores, truths)
+
+    def test_record_dict_holds_every_field(self):
+        rec = evaluate(np.array([[0.9, 0.2], [0.4, 0.1]]), np.array([[1, 0], [0, 0]]), session=3)
+        want = {"session": 3, "map": 100.0, "cf1": 100.0, "of1": 100.0, "per_class_ap": [100.0, None]}
+        assert rec.to_dict() == want
 
 
 class TestAggregate:
@@ -143,23 +164,26 @@ class TestAggregate:
             MetricsRecord(session=i + 1, map=m, cf1=0.0, of1=0.0)
             for i, m in enumerate([82.37, 79.54, 78.27, 75.95, 75.18])
         ]
-        avg_map, last_map, _, _ = aggregate(records)
-        assert avg_map == pytest.approx(78.26, abs=0.01)
-        assert last_map == 75.18
+        agg = aggregate(records)
+        assert agg["avg_map"] == pytest.approx(78.26, abs=0.01)
+        assert agg["last_map"] == 75.18
 
     def test_eight_session_run(self):
         maps = [92.25, 81.30, 77.26, 74.69, 73.22, 72.80, 70.61, 70.17]
         records = [MetricsRecord(session=i + 1, map=m, cf1=1.0, of1=2.0) for i, m in enumerate(maps)]
-        avg_map, last_map, last_cf1, last_of1 = aggregate(records)
-        assert avg_map == pytest.approx(76.54, abs=0.01)
-        assert last_map == 70.17
-        assert last_cf1 == 1.0
-        assert last_of1 == 2.0
+        agg = aggregate(records)
+        assert agg["avg_map"] == pytest.approx(76.54, abs=0.01)
+        assert agg["last_map"] == 70.17
+        assert agg["last_cf1"] == 1.0
+        assert agg["last_of1"] == 2.0
 
     def test_singleton(self):
         rec = MetricsRecord(session=1, map=50.0, cf1=40.0, of1=45.0)
-        avg_map, last_map, last_cf1, last_of1 = aggregate([rec])
-        assert avg_map == last_map == 50.0
+        assert aggregate([rec]) == {"avg_map": 50.0, "last_map": 50.0, "last_cf1": 40.0, "last_of1": 45.0}
+
+    def test_keys_are_the_headline_figures_in_order(self):
+        rec = MetricsRecord(session=1, map=50.0, cf1=40.0, of1=45.0)
+        assert tuple(aggregate([rec])) == HEADLINE
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -301,9 +301,9 @@ class TestEvaluateCumulative:
             sizes.append(len(images))
             return real_forward(model_, images)
 
-        def recording_evaluate(batch, session):
-            seen["scores"] = batch.scores
-            return real_evaluate(batch, session=session)
+        def recording_evaluate(scores, truths, session):
+            seen["scores"] = scores
+            return real_evaluate(scores, truths, session=session)
 
         monkeypatch.setattr(protocol, "forward_logits", recording_forward)
         monkeypatch.setattr(protocol, "evaluate", recording_evaluate)
@@ -644,19 +644,23 @@ class TestRunIncremental:
 class TestStepReference:
     """A training step of each session against `step_loss_oracle`, in float64.
 
-    The three taped step shapes: krt (ICA and the token loss), ft (the
-    pooled path) and kd_baseline (pooled plus KD), each at sessions 1 and 2,
-    on 4x4x2 images, d=8, 2 heads and batches of 3. The batch, its targets
-    and the teacher's outputs are the ones the real `train_session` passes
-    to the loss. Each session's second step is checked: at its first, the
-    model still equals the teacher, so the token and KD losses and their
-    gradients are 0.
+    The three taped step shapes: krt (ICA and the token loss) at sessions
+    1, 2 and 3, where session 3 has two frozen retention tokens and a
+    two-slice token-loss prefix; ft (the pooled path) and kd_baseline
+    (pooled plus KD) at sessions 1 and 2. All on 4x4x2 images, d=8, 2 heads
+    and batches of 3. The batch, its targets and the teacher's outputs are
+    the ones the real `train_session` passes to the loss. Each session's
+    second step is checked: at its first, the model still equals the
+    teacher, so the token and KD losses and their gradients are 0. Session
+    3 takes one random direction per parameter, sessions 1 and 2 take two.
     """
 
     FD_STEP = 1e-6
 
-    @pytest.mark.parametrize("arm", ["krt", "ft", "kd_baseline"])
-    def test_a_step_is_the_oracles_loss_gradient_and_update(self, arm, monkeypatch):
+    @pytest.mark.parametrize(
+        "arm, sessions", [("krt", 3), ("ft", 2), ("kd_baseline", 2)], ids=["krt", "ft", "kd_baseline"]
+    )
+    def test_a_step_is_the_oracles_loss_gradient_and_update(self, arm, sessions, monkeypatch):
         seen, checked = {}, []
         real_session, real_forward, real_backward = protocol.train_session, protocol.forward_logits, protocol.backward
         real_asl, real_token, real_kd = protocol.asl_loss, protocol.token_loss, protocol.kd_pooled_loss
@@ -707,12 +711,14 @@ class TestStepReference:
             ("Adam", CheckedAdam), ("MODEL_DTYPE", np.float64),
         ]:
             monkeypatch.setattr(protocol, name, spy)
-        spec = GenSpec(n_classes=4, grid_h=4, grid_w=4, channels=2, n_train=12, n_test=8, seed=3)
+        spec = GenSpec(
+            n_classes=2 * sessions, grid_h=4, grid_w=4, channels=2, n_train=6 * sessions, n_test=8, seed=3
+        )
         train, test, names = generate(spec)
         flags = ArmFlags(*cli._ARM_TABLE[arm][:3])
         config = TrainConfig(epochs=1, batch_size=3, loss=LossConfig(lam=10.0))
         run_incremental(train, test, build_plan(names, base=2, inc=2), flags, tiny_ica(heads=2), config, 4)
-        assert checked == [1, 2]
+        assert checked == list(range(1, sessions + 1))
 
     def check_loss_and_gradients(self, arm, seen, loss):
         model, t = seen["model"], seen["t"]
@@ -720,7 +726,8 @@ class TestStepReference:
         assert float(loss.data) == pytest.approx(step_loss_oracle(*args), rel=1e-12, abs=0)
         # frozen retention tokens and the snapshot get no gradient
         named = model.named_parameters()
-        assert [name for name, p in named if not p.requires_grad] == (["ica.kr.0"] if arm == "krt" and t == 2 else [])
+        frozen = [f"ica.kr.{s}" for s in range(t - 1)] if arm == "krt" else []
+        assert [name for name, p in named if not p.requires_grad] == frozen
         if seen["snapshot"] is not None:
             assert all(p.grad is None and not p.requires_grad for _, p in seen["snapshot"].named_parameters())
         rng = np.random.default_rng(t)
@@ -729,7 +736,7 @@ class TestStepReference:
                 assert p.grad is None, name
                 continue
             saved = p.data
-            for _ in range(2):  # central differences of the oracle along random directions
+            for _ in range(2 if t < 3 else 1):  # central differences of the oracle along random directions
                 u = rng.standard_normal(p.shape)
                 p.data = saved + self.FD_STEP * u
                 up = step_loss_oracle(*args)
